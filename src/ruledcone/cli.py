@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import gromov as gromov_mod
-from .cone import (active_walls, chamber_of, figure_data, normalized,
-                   validity_violations)
+from .cone import (ChamberId, active_walls, chamber_of, figure_data,
+                   normalized, validity_violations)
 from .inflation import InflationStep, inflate, normalize, t_range
 from .lattice import B, F, ClassVector, SurfaceParams, parse_class
 from .planner import (PlanError, detected_discrepancies, plan,
@@ -163,8 +163,8 @@ def _cmd_plan(args) -> int:
     for i, step in enumerate(result.steps, 1):
         lines.append(f"  {i:3d}. inflate along {step.z} by"
                      f" t = {format_rational(step.t)}  [{step.assumption}]")
-    lines.append(f"end: {result.end}"
-                 + (" (stays in chamber)" if result.stays_in_chamber else ""))
+    stays = " (stays in chamber)" if payload["stays_in_chamber"] else ""
+    lines.append(f"end: {result.end}{stays}")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -280,21 +280,15 @@ def _cmd_report(args) -> int:
     report = verify_stability(params, mu_max, step, workers=args.workers)
 
     chambers = []
-    k_top = math.ceil(mu_max)
-    for index in range(1, 2 * k_top):
-        cid_k, even = index // 2, index % 2 == 0
+    verdicts = {v.index: v for v in report.chambers}
+    for index in range(1, 2 * math.ceil(mu_max)):
         sample = _chamber_sample(index, mu_max)
-        entry = {
-            "index": index,
-            "inequalities": (["mu > %d" % cid_k, "mu <= %d + c" % cid_k]
-                             if even else
-                             ["mu > %d + c" % cid_k, "mu <= %d" % (cid_k + 1)]),
-        }
+        entry = {"index": index,
+                 "inequalities": ChamberId(index).inequalities()}
         if sample is not None:
             entry["labels"] = [lb.as_json()
                                for lb in stratum_labels(sample, params,
                                                         args.cod_max)]
-        verdicts = {v.index: v for v in report.chambers}
         if index in verdicts:
             v = verdicts[index]
             entry["stability"] = "verified" if v.failed == 0 else "failed"
@@ -310,7 +304,7 @@ def _cmd_report(args) -> int:
         "grid_step": format_rational(step),
         "chambers": chambers,
         "stability": report.as_json(),
-        "paper_discrepancies": detected_discrepancies(params),
+        "paper_discrepancies": detected_discrepancies(),
     }
     lines = [f"report, g = {params.g}, mu_max = {format_rational(mu_max)}"]
     for entry in chambers:

@@ -32,7 +32,11 @@ x used by each step is recorded as that step's assumption; where x is free
 the planner searches x = g, g-1, ..., 0 and keeps the first that works.
 
 Internally a cone point is a plain triple (b, f, e) of areas; the public
-surface speaks NormalizedClass / InflationStep.
+surface speaks NormalizedClass / InflationStep.  One walk, `_certify`,
+applies steps to a triple and checks every range: it certifies each plan as
+it is built, and it replays and traces the plan afterwards.  One leg builder,
+`_horizontal_leg`, moves mu (rightward, open-stratum hop or stratum route);
+every entry point then restores c with `_vertical_steps`.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ from fractions import Fraction
 
 from .cone import (NormalizedClass, area, chamber_of, is_valid, normalized,
                    require_valid)
-from .inflation import (InflationStep, apply_step, normalize, pd_area_vector,
-                        raw_from, t_range_raw)
+from .inflation import InflationStep, pd_area_vector
 from .lattice import B, E, F, ClassVector, SurfaceParams, pair
 from .rationals import format_rational, simplest_between
 from .strata import OPEN_LABEL, StratumLabel, stratum_labels
@@ -91,16 +94,31 @@ def _apply3(state: State, z: ClassVector, t: Fraction) -> State:
     return (b + t * db, f + t * df, e + t * de)
 
 
-def _steps_valid3(state: State, steps) -> bool:
+def _normalized(state: State) -> NormalizedClass:
+    b, f, e = state
+    if f <= 0:  # pragma: no cover - impossible for valid inflation chains
+        raise PlanError("fiber area collapsed")
+    return NormalizedClass(b / f, (e / f,))
+
+
+def _certify(state: State, steps) -> list[State]:
+    """Apply `steps` to `state`, raising PlanError unless every inflated
+    class keeps positive area and every t lies in its range [0, T).
+    Returns the states visited, the start included."""
+    states = [state]
     for step in steps:
         a = _area3(state, step.z)
         if a <= 0:
-            return False
+            raise PlanError(f"{step.z} has non-positive area"
+                            f" {format_rational(a)} mid-plan")
         zz = _pd3(step.z)[3]
         if zz < 0 and step.t * (-zz) >= a:
-            return False
+            raise PlanError(
+                f"step ({step.z}, {format_rational(step.t)}) exceeds its"
+                f" range [0, {format_rational(a / -zz)})")
         state = _apply3(state, step.z, step.t)
-    return True
+        states.append(state)
+    return states
 
 
 class PlanError(ValueError):
@@ -130,32 +148,20 @@ class InflationPlan:
 
     def intermediates(self) -> list[NormalizedClass]:
         """Normalized points after each step (the last one equals `end`)."""
-        out = []
-        raw = raw_from(self.start)
-        for step in self.steps:
-            raw = apply_step(raw, step)
-            out.append(normalize(raw))
-        return out
+        return [_normalized(st)
+                for st in _certify(_state_of(self.start), self.steps)[1:]]
 
     def replay(self) -> NormalizedClass:
         """Re-run the steps, enforcing every range, and return the endpoint."""
-        raw = raw_from(self.start)
-        for step in self.steps:
-            bound = t_range_raw(raw, step.z)  # raises if area(z) <= 0
-            if bound is not None and step.t >= bound:
-                raise PlanError(
-                    f"step ({step.z}, {format_rational(step.t)}) exceeds its"
-                    f" range [0, {format_rational(bound)})")
-            raw = apply_step(raw, step)
-        return normalize(raw)
+        return _normalized(_certify(_state_of(self.start), self.steps)[-1])
 
     def stays_in_chamber(self) -> bool:
         """Whether every intermediate point is valid and in the start chamber."""
-        if not is_valid(self.start) or not is_valid(self.end):
+        if not is_valid(self.start):
             return False
         cid = chamber_of(self.start)
-        return cid.contains(self.end) and all(
-            is_valid(v) and cid.contains(v) for v in self.intermediates())
+        return all(is_valid(v) and cid.contains(v)
+                   for v in self.intermediates())
 
     def as_json(self) -> dict:
         return {
@@ -173,22 +179,7 @@ def _finish_plan(start: NormalizedClass, steps: list[InflationStep],
                  label: StratumLabel | None = None) -> InflationPlan:
     """Assemble a plan, certifying every range along the way."""
     kept = tuple(s for s in steps if s.t != 0)
-    state = _state_of(start)
-    for step in kept:
-        a = _area3(state, step.z)
-        if a <= 0:
-            raise PlanError(f"{step.z} has non-positive area"
-                            f" {format_rational(a)} mid-plan")
-        zz = _pd3(step.z)[3]
-        if zz < 0 and step.t * (-zz) >= a:
-            raise PlanError(
-                f"step ({step.z}, {format_rational(step.t)}) exceeds its"
-                f" range [0, {format_rational(a / -zz)})")
-        state = _apply3(state, step.z, step.t)
-    b, f, e = state
-    if f <= 0:  # pragma: no cover - impossible for valid inflation chains
-        raise PlanError("fiber area collapsed")
-    end = NormalizedClass(b / f, (e / f,))
+    end = _normalized(_certify(_state_of(start), kept)[-1])
     return InflationPlan(start, kept, end, label)
 
 
@@ -227,11 +218,28 @@ def _interleaved(state: State, first: tuple[ClassVector, Fraction],
         for _ in range(rounds):
             steps.append(_step(first[0], first[1] / rounds))
             steps.append(_step(second[0], second[1] / rounds))
-        if _steps_valid3(state, steps):
+        try:
+            _certify(state, steps)
             return steps
-        rounds *= 2
+        except PlanError:
+            rounds *= 2
     raise PlanError("could not realize the simultaneous inflation as"
                     " interleaved steps")  # pragma: no cover
+
+
+def _section(x: int, params: SurfaceParams) -> ClassVector:
+    """The open-stratum section class B + xF, for 0 <= x <= g."""
+    if not 0 <= x <= params.g:
+        raise PlanError(f"section coefficient x={x} outside 0..{params.g}")
+    return B + x * F
+
+
+def _core_class(label: StratumLabel) -> ClassVector:
+    """The single class a positive-codimension label's recipes move along."""
+    if len(label.core) != 1:
+        raise PlanError(f"no transport recipe for the multi-class label"
+                        f" {label.name}")
+    return label.core[0]
 
 
 def _vertical_steps(state: State, c_target: Fraction, label: StratumLabel,
@@ -248,26 +256,22 @@ def _vertical_steps(state: State, c_target: Fraction, label: StratumLabel,
         choices = [x] if x is not None else list(range(params.g, -1, -1))
         last_err: PlanError | None = None
         for xx in choices:
-            if not 0 <= xx <= params.g:
-                raise PlanError(f"section coefficient x={xx} outside 0..{params.g}")
+            section = _section(xx, params)
             try:
-                t1, t2 = _vertical_solve(state, B + xx * F, c_target)
+                t1, t2 = _vertical_solve(state, section, c_target)
             except PlanError as err:
                 last_err = err
                 continue
             # B+xF has square 2x >= 0; applying it first always stays in range
-            return [_step(B + xx * F, t1), _step(_FE, t2)]
+            return [_step(section, t1), _step(_FE, t2)]
         assert last_err is not None
         raise last_err
-    if len(label.core) != 1:
-        raise PlanError(f"no transport recipe for the multi-class label"
-                        f" {label.name}")
-    z = label.core[0]
+    z = _core_class(label)
     t1, t2 = _vertical_solve(state, z, c_target)
     return _interleaved(state, (_FE, t2), (z, t1))
 
 
-# -- leftward moves ----------------------------------------------------------
+# -- horizontal moves --------------------------------------------------------
 
 
 def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
@@ -285,8 +289,7 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
     if not 1 < mu_target < u.mu:
         raise PlanError(f"leftward target must lie in (1, mu); got"
                         f" {format_rational(mu_target)}")
-    # increment per unit t is (1, 1, ...): base and fiber slots both +1
-    return (u.mu - mu_target) / (mu_target - 1)
+    return _left_hop(_state_of(u), z, mu_target)[-1].t
 
 
 def _left_hop(state: State, z: ClassVector,
@@ -294,6 +297,7 @@ def _left_hop(state: State, z: ClassVector,
     """One leftward hop: fiber companion first, then z (replay-safe order)."""
     companion = 1 - _pd3(z)[0]
     b, f, _ = state
+    # increment per unit t is (1, 1, ...): base and fiber slots both +1
     t = (b - mu_target * f) / (mu_target - 1)
     if t <= 0:
         raise PlanError(f"hop target {format_rational(mu_target)} is not to"
@@ -328,8 +332,8 @@ def _hop_limit(z: ClassVector) -> Fraction:
 
 
 def _left_route(state: State, mu_target: Fraction, z: ClassVector,
-                c_cap: Fraction) -> list[InflationStep]:
-    """Chained hops along z down to normalized mu_target.
+                c_cap: Fraction) -> tuple[list[InflationStep], State]:
+    """Chained hops along z down to normalized mu_target, and the end state.
 
     A hop along B-kF-E raises the normalized blow-up area, which in turn
     worsens the next reach bound, so the area is dropped back to a floor
@@ -348,26 +352,58 @@ def _left_route(state: State, mu_target: Fraction, z: ClassVector,
     for _ in range(_MAX_HOPS):
         bound = _left_reach_bound(state, z)
         if mu_target > bound:
-            steps.extend(_left_hop(state, z, mu_target))
-            return steps
-        b, f, e = state
-        c = e / f
-        if c > c_floor:
-            drop = _step(E, f * (c - c_floor))
-            steps.append(drop)
-            state = _apply3(state, E, drop.t)
-            continue
-        mu_now = b / f
-        if bound >= mu_now:  # pragma: no cover - guarded by area checks
-            raise PlanError(f"no leftward progress possible along {z}")
-        # aim just right of the bound; small denominators keep plans compact
-        hop_to = simplest_between(bound, bound + (mu_now - bound) / 8)
+            hop_to = mu_target
+        else:
+            b, f, e = state
+            c = e / f
+            if c > c_floor:
+                drop = _step(E, f * (c - c_floor))
+                steps.append(drop)
+                state = _apply3(state, E, drop.t)
+                continue
+            mu_now = b / f
+            if bound >= mu_now:  # pragma: no cover - guarded by area checks
+                raise PlanError(f"no leftward progress possible along {z}")
+            # aim just right of the bound; small denominators keep plans compact
+            hop_to = simplest_between(bound, bound + (mu_now - bound) / 8)
         for s in _left_hop(state, z, hop_to):
             steps.append(s)
             state = _apply3(state, s.z, s.t)
+        if hop_to == mu_target:
+            return steps, state
     raise PlanError(
         f"leftward target {format_rational(mu_target)} not reached along {z}"
         f" within {_MAX_HOPS} hops; the binding constraint is the wall of {z}")
+
+
+def _horizontal_leg(u: NormalizedClass, mu_target: Fraction,
+                    label: StratumLabel, params: SurfaceParams | None,
+                    x: int | None,
+                    c_cap: Fraction) -> tuple[list[InflationStep], State]:
+    """Steps moving the normalized mu of u to mu_target, and the state they
+    reach.
+
+    Rightward is one F step.  Leftward on the open stratum is one hop along
+    the section B + xF (x defaults to g): the normalized base area along it
+    is x + (mu - x)/(1 + t), strictly decreasing with limit x, so targets at
+    or below x are unreachable.  Leftward in a stratum is `_left_route`
+    along the label's class, with the blow-up area capped at c_cap.
+    """
+    state = _state_of(u)
+    if mu_target == u.mu:
+        return [], state
+    if mu_target > u.mu:
+        step = _step(F, mu_target - u.mu)
+    elif label.is_open:
+        x = params.g if x is None else x
+        section = _section(x, params)
+        if mu_target <= x:
+            raise PlanError(f"mu' = {format_rational(mu_target)} is unreachable"
+                            f" along B+{x}F: the normalized limit is {x}")
+        step = _step(section, (u.mu - mu_target) / (mu_target - x))
+    else:
+        return _left_route(state, mu_target, _core_class(label), c_cap)
+    return [step], _apply3(state, step.z, step.t)
 
 
 # -- the published recipe surface -------------------------------------------
@@ -393,34 +429,25 @@ def plan_right(u: NormalizedClass, mu_target) -> InflationPlan:
     if mu_target < u.mu:
         raise PlanError(f"rightward target {format_rational(mu_target)} is"
                         f" below mu = {format_rational(u.mu)}")
-    return _finish_plan(u, [_step(F, mu_target - u.mu)])
+    # a rightward leg reads neither the label nor the surface parameters,
+    # and F leaves the normalized blow-up area unchanged
+    steps, _ = _horizontal_leg(u, mu_target, OPEN_LABEL, None, None, u.c)
+    return _finish_plan(u, steps)
 
 
 def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
                    x: int | None = None) -> InflationPlan:
-    """Decrease mu on the open stratum along a section B + xF, then restore c.
-
-    The normalized base area along the section hop is x + (mu - x)/(1 + t),
-    strictly decreasing with limit x, so targets at or below x are
-    unreachable; with x <= g every target above g works.
-    """
+    """Decrease mu on the open stratum along a section B + xF (x defaults
+    to g), then restore c; with x <= g every target above g works."""
     require_valid(u)
     mu_target = _Q(mu_target)
-    if mu_target == u.mu:
-        return _finish_plan(u, [], OPEN_LABEL)
-    x = params.g if x is None else x
-    if not 0 <= x <= params.g:
-        raise PlanError(f"section coefficient x={x} outside 0..{params.g}")
-    if mu_target <= x:
-        raise PlanError(f"mu' = {format_rational(mu_target)} is unreachable"
-                        f" along B+{x}F: the normalized limit is {x}")
-    if not params.g < mu_target < u.mu:
+    steps, state = _horizontal_leg(u, mu_target, OPEN_LABEL, params, x, u.c)
+    # checked after the leg, so a bad x or a target at or below x is the
+    # error reported for a leftward target
+    if mu_target != u.mu and not params.g < mu_target < u.mu:
         raise PlanError(f"open-stratum leftward targets must lie in"
                         f" ({params.g}, {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    t = (u.mu - mu_target) / (mu_target - x)
-    steps = [_step(B + x * F, t)]
-    state = _apply3(_state_of(u), steps[0].z, t)
     steps += _vertical_steps(state, u.c, OPEN_LABEL, params)
     return _finish_plan(u, steps, OPEN_LABEL)
 
@@ -432,19 +459,12 @@ def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
     mu_target = _Q(mu_target)
     if label.is_open or len(label.core) != 1:
         raise PlanError("leftward stratum moves need a single-class label")
-    if mu_target == u.mu:
-        _check_label_present(u, label)
-        return _finish_plan(u, [], label)
-    if not 1 < mu_target < u.mu:
+    if mu_target != u.mu and not 1 < mu_target < u.mu:
         raise PlanError(f"leftward targets must lie in (1,"
                         f" {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
     _check_label_present(u, label)
-    z = label.core[0]
-    steps = _left_route(_state_of(u), mu_target, z, u.c)
-    state = _state_of(u)
-    for s in steps:
-        state = _apply3(state, s.z, s.t)
+    steps, state = _horizontal_leg(u, mu_target, label, params, None, u.c)
     steps += _vertical_steps(state, u.c, label, params)
     return _finish_plan(u, steps, label)
 
@@ -479,31 +499,8 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
         if not (u1.mu > 1 and u2.mu > 1):
             raise PlanError("stratum transport needs mu > 1 at both endpoints")
         _check_label_present(u1, label)
-    if u1 == u2:
-        return _finish_plan(u1, [], label)
-
-    steps: list[InflationStep] = []
-    state = _state_of(u1)
-    if u2.mu > u1.mu:
-        steps.append(_step(F, u2.mu - u1.mu))
-        state = _apply3(state, F, steps[-1].t)
-    elif u2.mu < u1.mu:
-        if label.is_open:
-            xx = params.g if x is None else x
-            if not 0 <= xx <= params.g:
-                raise PlanError(f"section coefficient x={xx} outside"
-                                f" 0..{params.g}")
-            if u2.mu <= xx:
-                raise PlanError(f"mu' = {format_rational(u2.mu)} unreachable"
-                                f" along B+{xx}F: the normalized limit is {xx}")
-            t = (u1.mu - u2.mu) / (u2.mu - xx)
-            steps.append(_step(B + xx * F, t))
-            state = _apply3(state, steps[-1].z, t)
-        else:
-            left = _left_route(state, u2.mu, label.core[0], min(u1.c, u2.c))
-            steps.extend(left)
-            for s in left:
-                state = _apply3(state, s.z, s.t)
+    steps, state = _horizontal_leg(u1, u2.mu, label, params, x,
+                                   min(u1.c, u2.c))
     steps += _vertical_steps(state, u2.c, label, params, x)
     result = _finish_plan(u1, steps, label)
     if result.end != u2:  # pragma: no cover - replay exactness guard
@@ -643,7 +640,7 @@ def verify_stability(params: SurfaceParams, mu_max, grid_step,
 # -- discrepancy detection ----------------------------------------------------
 
 
-def detected_discrepancies(params: SurfaceParams | None = None) -> list[dict]:
+def detected_discrepancies() -> list[dict]:
     """The arithmetic slips in the published recipes, re-derived, not transcribed.
 
     Each record carries the stated expression, the recomputed one, and a
@@ -651,7 +648,6 @@ def detected_discrepancies(params: SurfaceParams | None = None) -> list[dict]:
     a silent transcription of the slip into this library would flip the flag
     and fail the build.
     """
-    del params  # the records are parameter-independent; kept for CLI symmetry
     items = []
 
     # 1. Fixed-mu transport on the open stratum: the displayed increment sum
@@ -664,14 +660,12 @@ def detected_discrepancies(params: SurfaceParams | None = None) -> list[dict]:
         u = normalized(mu, c1)
         t2_stated = (c2 - c1) / (1 - c2)
         t1_stated = (mu - x) * t2_stated
-        raw = apply_step(apply_step(raw_from(u), InflationStep(B + x * F, t1_stated)),
-                         InflationStep(_FE, t2_stated))
-        stated_end = normalize(raw)
+        stated_end = _normalized(_apply3(
+            _apply3(_state_of(u), B + x * F, t1_stated), _FE, t2_stated))
         t1 = (c2 - c1) / (mu - x - c2)
         t2 = (mu - x) * t1
-        raw = apply_step(apply_step(raw_from(u), InflationStep(B + x * F, t1)),
-                         InflationStep(_FE, t2))
-        recomputed_end = normalize(raw)
+        recomputed_end = _normalized(_apply3(
+            _apply3(_state_of(u), B + x * F, t1), _FE, t2))
         sample.append(recomputed_end == normalized(mu, c2)
                       and stated_end != normalized(mu, c2))
     items.append({

@@ -122,6 +122,21 @@ def test_plan_cross_chamber_is_invalid(capsys):
     assert code == 2 and "cross-chamber" in err
 
 
+@pytest.mark.parametrize("argv, stays, last_line", [
+    # the F companion of the left hop carries this route out of chamber 4
+    (["--from", "5/2,3/4", "--to", "9/4,1/2", "--label", "B-F"],
+     False, "end: (9/4, 1/2)"),
+    (["--from", "5/2,3/10", "--to", "5/2,2/5", "--label", "open"],
+     True, "end: (5/2, 2/5) (stays in chamber)"),
+])
+def test_plan_text_agrees_with_json_on_chamber(capsys, argv, stays, last_line):
+    argv = ["plan", "--g", "2", *argv]
+    assert check(capsys, "plan", *argv, "--json")["stays_in_chamber"] is stays
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.splitlines()[-1] == last_line
+
+
 def test_verify_stability_json(capsys):
     payload = check(capsys, "stability",
                     "verify-stability", "--g", "1", "--mu-max", "3",

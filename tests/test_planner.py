@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.cone import chamber_of, is_valid, normalized, same_chamber
+from ruledcone.cone import (area, chamber_of, is_valid, normalized,
+                            same_chamber)
 from ruledcone.inflation import apply_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams
 from ruledcone.planner import (ALWAYS, OPEN, STRATUM, InflationPlan, PlanError,
@@ -295,6 +296,39 @@ def test_intermediate_points_of_vertical_plans_stay_in_chamber():
         assert pl.stays_in_chamber()
         for v in pl.intermediates():
             assert is_valid(v) and same_chamber(u, v)
+
+
+def test_label_classes_keep_positive_area_along_certified_plans():
+    # every ordered same-chamber pair at index >= 2g of the step-1/4 grids
+    # with mu <= g + 3, every label: the label's classes (core plus E and
+    # F-E) keep positive area at each intermediate point of the plan
+    import itertools
+
+    step = Q(1, 4)
+    plans = 0
+    for params in (P1, P2):
+        by_chamber = {}
+        mu = max(1, params.g) + step
+        while mu <= params.g + 3:
+            c = step
+            while c < 1:
+                u = normalized(mu, c)
+                if is_valid(u):
+                    by_chamber.setdefault(chamber_of(u).index, []).append(u)
+                c += step
+            mu += step
+        for index, pts in by_chamber.items():
+            if index < 2 * params.g:
+                continue
+            labels = stratum_labels(pts[0], params)
+            for u1, u2 in itertools.permutations(pts, 2):
+                for label in labels:
+                    pl = plan(u1, u2, label, params)
+                    plans += 1
+                    for v in pl.intermediates():
+                        for z in label.classes():
+                            assert area(v, z) > 0, (u1, u2, label.name, v, z)
+    assert plans == 2340
 
 
 def test_plan_fuzz_off_grid_denominators():
