@@ -51,7 +51,7 @@ def _parse_label(text: str, params: SurfaceParams):
     if text.strip().lower() == "open":
         return OPEN_LABEL
     try:
-        cls = parse_class(text, params.n)
+        cls = parse_class(text)
         return label_for([cls], params)
     except ValueError as err:
         raise InputError(f"bad stratum label {text!r}: {err}") from None
@@ -205,7 +205,7 @@ def _cmd_verify_stability(args) -> int:
 
 def _cmd_gromov(args) -> int:
     params = SurfaceParams(args.g)
-    c = ClassVector(args.p, args.q, (0,) * params.n)
+    c = ClassVector(args.p, args.q, (0,))
     k = gromov_mod.virtual_dim_k(c, params)
     try:
         value = gromov_mod.gromov_invariant(args.p, args.q, params)
@@ -299,7 +299,7 @@ def _cmd_report(args) -> int:
         chambers.append(entry)
 
     payload = {
-        "g": params.g, "n": params.n,
+        "g": params.g, "n": 1,
         "mu_max": format_rational(mu_max),
         "grid_step": format_rational(step),
         "chambers": chambers,
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chamber", help="chamber of a normalized class")
     p.add_argument("--u", required=True, help="normalized class as mu,c")
-    p.add_argument("--g", type=int, default=1, help="base genus (default 1)")
     p.add_argument("--k-max", type=int, default=None,
                    help="wall scan bound (default ceil(mu)+1)")
     add_json(p)

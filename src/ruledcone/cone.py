@@ -1,24 +1,23 @@
 """The normalized symplectic cone of the one-point blow-up and its chambers.
 
-A normalized class is u = (mu, 1, e_1, ..., e_n): the areas of B, F and the
-exceptional spheres, with the fiber area scaled to 1.  Valid classes satisfy
+A normalized class is u = (mu, 1, c): the areas of B, F and the exceptional
+sphere E, with the fiber area scaled to 1.  Valid classes satisfy
 
-    mu > 0,  0 < e_i < 1,  e_1 >= e_2 >= ... >= e_n,
-    e_1 + e_2 < 1 (n >= 2),  e_1 < mu,
+    mu > 0,  0 < c < 1,  c < mu,
 
 plus the policy mu >= 1: the leftmost region of the cone is bounded by the
 Gromov width of the minimal surface, which is unknown in general and not
 representable by linear inequalities, so it is excluded outright.
 
-For n = 1 the cone is partitioned into half-open chambers indexed by the
-walls the class sits between:
+The cone is partitioned into half-open chambers indexed by the walls the
+class sits between:
 
     chamber 2k:    k < mu <= k + c        (between walls B-kF and B-kF-E)
     chamber 2k+1:  k + c < mu <= k + 1    (between walls B-kF-E and B-(k+1)F)
 
-where c = e_1.  A point on a wall belongs to the chamber on its left: the
-inequality signs are strict on the left condition and non-strict on the
-right, matching the half-open intervals of the minimal case.
+A point on a wall belongs to the chamber on its left: the inequality signs
+are strict on the left condition and non-strict on the right, matching the
+half-open intervals of the minimal case.
 """
 
 from __future__ import annotations
@@ -35,43 +34,40 @@ _Q = Fraction
 
 @dataclass(frozen=True)
 class NormalizedClass:
-    """Areas (mu, 1, e_1 ... e_n) of B, F, E_1 ... E_n, exact rationals.
+    """Areas (mu, 1, c) of B, F, E as exact rationals, c held as the
+    1-tuple e = (c,).
 
     Instances are plain data; they may violate the cone constraints (so that
     `is_valid` can report on them).  Use `validity_violations` to check.
     """
 
     mu: Fraction
-    e: tuple[Fraction, ...]
+    e: tuple[Fraction]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.e, tuple) or len(self.e) != 1:
+            raise ValueError(f"blow-up areas must be a 1-tuple (one blow-up),"
+                             f" got {self.e!r}")
         object.__setattr__(self, "mu", _Q(self.mu))
-        object.__setattr__(self, "e", tuple(_Q(x) for x in self.e))
-
-    @property
-    def n(self) -> int:
-        return len(self.e)
+        object.__setattr__(self, "e", (_Q(self.e[0]),))
 
     @property
     def c(self) -> Fraction:
-        """Blow-up area e_1, the vertical coordinate of the n=1 cone picture."""
+        """Blow-up area, the vertical coordinate of the cone picture."""
         return self.e[0]
 
     def __str__(self) -> str:
-        areas = ", ".join(format_rational(x) for x in (self.mu, *self.e))
-        return f"({areas})"
+        return f"({format_rational(self.mu)}, {format_rational(self.c)})"
 
 
 def normalized(mu, c) -> NormalizedClass:
-    """n = 1 convenience constructor."""
+    """Convenience constructor from (mu, c)."""
     return NormalizedClass(_Q(mu), (_Q(c),))
 
 
 def area(u: NormalizedClass, a: ClassVector) -> Fraction:
-    """Symplectic area p*mu + q + sum r_i e_i of the class a, linear in both."""
-    if a.n != u.n:
-        raise ValueError(f"class has n={a.n}, cone point has n={u.n}")
-    return a.p * u.mu + a.q + sum(r * e for r, e in zip(a.r, u.e))
+    """Symplectic area p*mu + q + r*c of the class a, linear in both."""
+    return a.p * u.mu + a.q + a.r[0] * u.c
 
 
 def validity_violations(u: NormalizedClass, policy: bool = True) -> list[str]:
@@ -82,16 +78,10 @@ def validity_violations(u: NormalizedClass, policy: bool = True) -> list[str]:
     bad: list[str] = []
     if u.mu <= 0:
         bad.append(f"mu > 0 violated (mu = {format_rational(u.mu)})")
-    for i, e in enumerate(u.e, 1):
-        if not 0 < e < 1:
-            bad.append(f"0 < e_{i} < 1 violated (e_{i} = {format_rational(e)})")
-    for i in range(u.n - 1):
-        if u.e[i] < u.e[i + 1]:
-            bad.append(f"e_{i+1} >= e_{i+2} violated")
-    if u.n >= 2 and u.e[0] + u.e[1] >= 1:
-        bad.append("e_1 + e_2 < 1 violated")
-    if u.n >= 1 and u.e[0] >= u.mu:
-        bad.append(f"e_1 < mu violated (e_1 = {format_rational(u.e[0])},"
+    if not 0 < u.c < 1:
+        bad.append(f"0 < e_1 < 1 violated (e_1 = {format_rational(u.c)})")
+    if u.c >= u.mu:
+        bad.append(f"e_1 < mu violated (e_1 = {format_rational(u.c)},"
                    f" mu = {format_rational(u.mu)})")
     if policy and u.mu < 1:
         bad.append(f"mu >= 1 policy violated (mu = {format_rational(u.mu)});"
@@ -111,7 +101,7 @@ def require_valid(u: NormalizedClass, policy: bool = True) -> None:
 
 @dataclass(frozen=True)
 class ChamberId:
-    """Region number of the n = 1 chamber decomposition (index >= 1)."""
+    """Region number of the chamber decomposition (index >= 1)."""
 
     index: int
 
@@ -152,8 +142,6 @@ class ChamberId:
 def chamber_of(u: NormalizedClass) -> ChamberId:
     """Chamber of a valid class: index 2k on k < mu <= k+c, 2k+1 on k+c < mu <= k+1."""
     require_valid(u)
-    if u.n != 1:
-        raise ValueError("chamber decomposition is defined for n = 1 only")
     k = math.ceil(u.mu) - 1  # the unique integer with k < mu <= k+1
     index = 2 * k if u.mu <= k + u.c else 2 * k + 1
     return ChamberId(index)
@@ -182,8 +170,6 @@ def active_walls(u: NormalizedClass, k_max: int | None = None) -> list[Wall]:
     required here, only the open cone constraints.
     """
     require_valid(u, policy=False)
-    if u.n != 1:
-        raise ValueError("walls are enumerated for n = 1 only")
     if k_max is None:
         k_max = math.ceil(u.mu) + 1
     walls = []
@@ -217,7 +203,7 @@ class RegionLabel:
 
 @dataclass(frozen=True)
 class FigureModel:
-    """Walls, cone boundaries and chamber labels of the n = 1 cone picture.
+    """Walls, cone boundaries and chamber labels of the cone picture.
 
     Coordinates are (mu, c).  Vertical walls mu = k carry B-kF, slanted
     walls from (k, 0) to (k+1, 1) carry B-kF-E, and the horizontal

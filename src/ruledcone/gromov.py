@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import NormalizedClass, area, normalized, require_valid
+from .cone import area, normalized
 from .lattice import ClassVector, SurfaceParams, canonical_class, pair
 
 _Q = Fraction
@@ -34,7 +34,7 @@ def virtual_dim_k(c: ClassVector, params: SurfaceParams) -> Fraction:
 
 def gromov_invariant(p: int, q: int, params: SurfaceParams) -> int:
     """Gr(pB + qF) = (p+1)^g, defined when k(C) >= 0."""
-    c = ClassVector(p, q, (0,) * params.n)
+    c = ClassVector(p, q, (0,))
     k = virtual_dim_k(c, params)
     if k < 0:
         raise ValueError(
@@ -77,22 +77,17 @@ class Decomposition:
 
 
 def section_decompositions(params: SurfaceParams, q_bound: int,
-                           u: NormalizedClass | None = None,
                            r_bound: int = 1) -> list[Decomposition]:
     """All splittings of B + gF into parts pB + qF + rE with p in {0, 1},
     0 <= q <= q_bound, |r| <= r_bound, zero total exceptional coefficient,
-    and positive area at u (default: (g+1, 1, 1/2), inside the mu > g range).
+    and positive area at the point u = (g+1, 1, 1/2), inside the mu > g range.
 
     The bound |r| <= 1 mirrors the one blow-up class available; it is a
     parameter so the restriction stays visible.
     """
-    if params.n != 1:
-        raise ValueError("the decomposition oracle is defined for n = 1 only")
     if q_bound < params.g:
         raise ValueError(f"q_bound must be at least g = {params.g}")
-    if u is None:
-        u = normalized(params.g + 1, _Q(1, 2))
-    require_valid(u)
+    u = normalized(params.g + 1, _Q(1, 2))
 
     def allowed(a: ClassVector) -> bool:
         return not a.is_zero() and area(u, a) > 0

@@ -2,8 +2,9 @@
 
 Inflating a form of class u along a curve class Z adds t * PD(Z) for
 t in [0, T), where T is infinite when Z.Z >= 0 and equals
-area(u, Z) / (-Z.Z) when Z.Z < 0.  On area vectors the increment per unit t
-is (Z.B, Z.F, Z.E_1, ...): pure linear algebra over the rationals.
+area(u, Z) / (-Z.Z) when Z.Z < 0.  On the area vector of B, F and the one
+exceptional class E the increment per unit t is (Z.B, Z.F, Z.E): pure linear
+algebra over the rationals.
 
 Steps chain on *unnormalized* area vectors; a plan replays by folding
 `apply_step` from the start point and normalizing once at the end.  The
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import NormalizedClass
-from .lattice import ClassVector, base_class, exceptional_class, fiber_class, pair
+from .lattice import B, E, F, ClassVector, pair
 from .rationals import format_rational
 
 _Q = Fraction
@@ -24,24 +25,24 @@ _Q = Fraction
 
 @dataclass(frozen=True)
 class RawClass:
-    """An unnormalized area vector (areas of B, F, E_1 ... E_n)."""
+    """An unnormalized area vector (areas of B, F, E), the E area held as a
+    1-tuple."""
 
     b_area: Fraction
     f_area: Fraction
-    e_area: tuple[Fraction, ...]
+    e_area: tuple[Fraction]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.e_area, tuple) or len(self.e_area) != 1:
+            raise ValueError(f"blow-up areas must be a 1-tuple (one blow-up),"
+                             f" got {self.e_area!r}")
         object.__setattr__(self, "b_area", _Q(self.b_area))
         object.__setattr__(self, "f_area", _Q(self.f_area))
-        object.__setattr__(self, "e_area", tuple(_Q(x) for x in self.e_area))
-
-    @property
-    def n(self) -> int:
-        return len(self.e_area)
+        object.__setattr__(self, "e_area", (_Q(self.e_area[0]),))
 
     def __str__(self) -> str:
         coords = ", ".join(format_rational(x)
-                           for x in (self.b_area, self.f_area, *self.e_area))
+                           for x in (self.b_area, self.f_area, self.e_area[0]))
         return f"[{coords}]"
 
 
@@ -72,14 +73,8 @@ class InflationStep:
 
 
 def pd_area_vector(z: ClassVector) -> RawClass:
-    """Areas gained per unit t: (z.B, z.F, z.E_1, ...)."""
-    bs = base_class(z.n)
-    fb = fiber_class(z.n)
-    return RawClass(
-        _Q(pair(z, bs)),
-        _Q(pair(z, fb)),
-        tuple(_Q(pair(z, exceptional_class(i, z.n))) for i in range(1, z.n + 1)),
-    )
+    """Areas gained per unit t: (z.B, z.F, z.E)."""
+    return RawClass(_Q(pair(z, B)), _Q(pair(z, F)), (_Q(pair(z, E)),))
 
 
 def raw_from(u: NormalizedClass) -> RawClass:
@@ -87,10 +82,7 @@ def raw_from(u: NormalizedClass) -> RawClass:
 
 
 def area_raw(raw: RawClass, a: ClassVector) -> Fraction:
-    if a.n != raw.n:
-        raise ValueError(f"class has n={a.n}, area vector has n={raw.n}")
-    return a.p * raw.b_area + a.q * raw.f_area + sum(
-        r * e for r, e in zip(a.r, raw.e_area))
+    return a.p * raw.b_area + a.q * raw.f_area + a.r[0] * raw.e_area[0]
 
 
 def t_range_raw(raw: RawClass, z: ClassVector) -> Fraction | None:
@@ -126,7 +118,7 @@ def apply_step(raw: RawClass, step: InflationStep) -> RawClass:
     return RawClass(
         raw.b_area + t * inc.b_area,
         raw.f_area + t * inc.f_area,
-        tuple(e + t * de for e, de in zip(raw.e_area, inc.e_area)),
+        (raw.e_area[0] + t * inc.e_area[0],),
     )
 
 
@@ -143,4 +135,4 @@ def normalize(raw: RawClass) -> NormalizedClass:
         raise ValueError(f"fiber area must be positive to normalize, got"
                          f" {format_rational(raw.f_area)}")
     return NormalizedClass(raw.b_area / raw.f_area,
-                           tuple(e / raw.f_area for e in raw.e_area))
+                           (raw.e_area[0] / raw.f_area,))

@@ -1,14 +1,14 @@
-"""Integer homology arithmetic for blow-ups of trivially ruled surfaces.
+"""Integer homology arithmetic for the one-point blow-up of a trivially ruled
+surface.
 
-Classes live in the basis B (base), F (fiber), E_1 ... E_n (exceptional
-spheres) of the second homology of a genus-g ruled surface blown up at n
-points.  The intersection form is
+Classes live in the basis B (base), F (fiber), E (exceptional sphere) of the
+second homology of a genus-g ruled surface blown up at one point.  The
+intersection form is
 
-    B.F = 1,  B.B = F.F = 0,  E_i.E_j = -delta_ij,  B.E_i = F.E_i = 0.
+    B.F = 1,  B.B = F.F = 0,  E.E = -1,  B.E = F.E = 0.
 
-The chamber machinery elsewhere in the package needs n = 1, but the pairing,
-the canonical class and adjunction work for any n.  Everything is exact
-integer arithmetic; there is no floating point in this module.
+Everything is exact integer arithmetic; there is no floating point in this
+module.
 """
 
 from __future__ import annotations
@@ -19,21 +19,18 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SurfaceParams:
-    """Topological input: base genus g and number of blow-up points n."""
+    """Topological input: the base genus g."""
 
     g: int
-    n: int = 1
 
     def __post_init__(self) -> None:
         if self.g < 0:
             raise ValueError(f"genus must be >= 0, got {self.g}")
-        if self.n < 0:
-            raise ValueError(f"blow-up count must be >= 0, got {self.n}")
 
 
 @dataclass(frozen=True, order=True)
 class ClassVector:
-    """p*B + q*F + sum_i r_i*E_i with integer coefficients.
+    """p*B + q*F + r*E with integer coefficients, r held as the 1-tuple (r,).
 
     Ordering is lexicographic in (p, q, r); the planner uses it for
     deterministic tie-breaking.
@@ -41,30 +38,29 @@ class ClassVector:
 
     p: int
     q: int
-    r: tuple[int, ...] = (0,)
+    r: tuple[int] = (0,)
 
-    @property
-    def n(self) -> int:
-        return len(self.r)
+    def __post_init__(self) -> None:
+        if not isinstance(self.r, tuple) or len(self.r) != 1:
+            raise ValueError(f"exceptional coefficients must be a 1-tuple"
+                             f" (one blow-up), got {self.r!r}")
 
     def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0 and not any(self.r)
+        return self.p == 0 and self.q == 0 and self.r[0] == 0
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
-        _check_same_n(self, other)
         return ClassVector(self.p + other.p, self.q + other.q,
-                           tuple(a + b for a, b in zip(self.r, other.r)))
+                           (self.r[0] + other.r[0],))
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
-        _check_same_n(self, other)
         return ClassVector(self.p - other.p, self.q - other.q,
-                           tuple(a - b for a, b in zip(self.r, other.r)))
+                           (self.r[0] - other.r[0],))
 
     def __neg__(self) -> "ClassVector":
-        return ClassVector(-self.p, -self.q, tuple(-a for a in self.r))
+        return ClassVector(-self.p, -self.q, (-self.r[0],))
 
     def __mul__(self, k: int) -> "ClassVector":
-        return ClassVector(self.p * k, self.q * k, tuple(a * k for a in self.r))
+        return ClassVector(self.p * k, self.q * k, (self.r[0] * k,))
 
     __rmul__ = __mul__
 
@@ -72,46 +68,24 @@ class ClassVector:
         return format_class(self)
 
 
-def base_class(n: int = 1) -> ClassVector:
-    return ClassVector(1, 0, (0,) * n)
-
-
-def fiber_class(n: int = 1) -> ClassVector:
-    return ClassVector(0, 1, (0,) * n)
-
-
-def exceptional_class(i: int = 1, n: int = 1) -> ClassVector:
-    """The i-th exceptional class E_i (1-based)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"exceptional index {i} out of range 1..{n}")
-    return ClassVector(0, 0, tuple(1 if j == i - 1 else 0 for j in range(n)))
-
-
-# The n = 1 basis, used throughout the chamber modules.
-B = base_class()
-F = fiber_class()
-E = exceptional_class()
-
-
-def _check_same_n(a: ClassVector, b: ClassVector) -> None:
-    if a.n != b.n:
-        raise ValueError(f"mismatched blow-up counts: {a.n} vs {b.n}")
+B = ClassVector(1, 0, (0,))
+F = ClassVector(0, 1, (0,))
+E = ClassVector(0, 0, (1,))
 
 
 def pair(a: ClassVector, b: ClassVector) -> int:
     """Intersection pairing a.b (symmetric, bilinear over the integers)."""
-    _check_same_n(a, b)
-    return a.p * b.q + a.q * b.p - sum(x * y for x, y in zip(a.r, b.r))
+    return a.p * b.q + a.q * b.p - a.r[0] * b.r[0]
 
 
 def canonical_class(params: SurfaceParams) -> ClassVector:
-    """K = -2B + (2g-2)F + E_1 + ... + E_n.
+    """K = -2B + (2g-2)F + E.
 
     With this choice adjunction gives genus g for every section-type class
     B - kF and B - kF - E, and genus 0 for E and F - E, which pins the
     stratum codimension table.
     """
-    return ClassVector(-2, 2 * params.g - 2, (1,) * params.n)
+    return ClassVector(-2, 2 * params.g - 2, (1,))
 
 
 def adjunction_genus(a: ClassVector, params: SurfaceParams) -> int | None:
@@ -123,8 +97,6 @@ def adjunction_genus(a: ClassVector, params: SurfaceParams) -> int | None:
     """
     if a.is_zero():
         raise ValueError("adjunction genus of the zero class is undefined")
-    if a.n != params.n:
-        raise ValueError(f"class has n={a.n}, surface has n={params.n}")
     k = canonical_class(params)
     twice = pair(k, a) + pair(a, a) + 2
     if twice % 2 != 0:  # unreachable for this lattice; kept as a guard
@@ -143,19 +115,18 @@ def codim(a: ClassVector, params: SurfaceParams) -> int:
 
 # -- text form ---------------------------------------------------------------
 #
-# `p*B + q*F + r1*E1 (+ ...)`, with +-1 coefficients and zero terms omitted,
-# e.g. "B-2F-E" for n=1.  "E" is accepted for "E1".
+# `p*B + q*F + r*E`, with +-1 coefficients and zero terms omitted, e.g.
+# "B-2F-E".  "E1" is accepted for "E".
 
 _TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*\*?\s*(B|F|E(\d+)?)", re.IGNORECASE)
 
 
-def parse_class(text: str, n: int = 1) -> ClassVector:
+def parse_class(text: str) -> ClassVector:
     """Parse the text form of a class, e.g. ``B-2F-E`` or ``-2B+3F-E1``."""
     s = re.sub(r"\s+", "", text)
     if s in ("0", ""):
-        return ClassVector(0, 0, (0,) * n)
-    p = q = 0
-    r = [0] * n
+        return ClassVector(0, 0, (0,))
+    p = q = r = 0
     pos = 0
     for m in _TERM_RE.finditer(s):
         if m.start() != pos:
@@ -170,19 +141,17 @@ def parse_class(text: str, n: int = 1) -> ClassVector:
             q += coeff
         else:
             idx = int(m.group(4)) if m.group(4) else 1
-            if not 1 <= idx <= n:
+            if idx != 1:
                 raise ValueError(f"exceptional index {idx} out of range in {text!r}")
-            r[idx - 1] += coeff
+            r += coeff
     if pos != len(s):
         raise ValueError(f"cannot parse class {text!r}")
-    return ClassVector(p, q, tuple(r))
+    return ClassVector(p, q, (r,))
 
 
 def format_class(a: ClassVector) -> str:
     parts: list[str] = []
-    names = ["B", "F"] + [("E" if a.n == 1 else f"E{i+1}") for i in range(a.n)]
-    coeffs = [a.p, a.q, *a.r]
-    for coeff, name in zip(coeffs, names):
+    for coeff, name in ((a.p, "B"), (a.q, "F"), (a.r[0], "E")):
         if coeff == 0:
             continue
         sign = "-" if coeff < 0 else ("+" if parts else "")

@@ -417,7 +417,10 @@ def plan_vertical(u: NormalizedClass, c_target, label: StratumLabel,
     if not 0 < c_target < 1:
         raise PlanError(f"target blow-up area must lie in (0, 1), got"
                         f" {format_rational(c_target)}")
+    # checking the end as well keeps `_interleaved` from searching for
+    # rounds that cannot exist when the label vanishes on the way
     _check_label_present(u, label)
+    _check_label_present(normalized(u.mu, c_target), label)
     steps = _vertical_steps(_state_of(u), c_target, label, params, x)
     return _finish_plan(u, steps, label)
 
@@ -465,6 +468,9 @@ def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
                         f" {format_rational(mu_target)}")
     _check_label_present(u, label)
     steps, state = _horizontal_leg(u, mu_target, label, params, None, u.c)
+    # checked after the leg, whose own "unreachable" error names the wall
+    # that blocks it; absent at the target, the vertical leg could not end
+    _check_label_present(normalized(mu_target, u.c), label)
     steps += _vertical_steps(state, u.c, label, params)
     return _finish_plan(u, steps, label)
 
@@ -486,6 +492,8 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
     """
     require_valid(u1)
     require_valid(u2)
+    if x is not None:  # up front: routes with no section step never read x
+        _section(x, params)
     cid = chamber_of(u1)
     if not cid.contains(u2):
         raise PlanError(
@@ -593,8 +601,6 @@ def verify_stability(params: SurfaceParams, mu_max, grid_step,
     (default 2g) are recorded as skipped, not attempted.  Cross-chamber
     pairs are out of scope and only counted.
     """
-    if params.n != 1:
-        raise ValueError("stability verification is defined for n = 1 only")
     mu_max = _Q(mu_max)
     grid_step = _Q(grid_step)
     if grid_step <= 0:

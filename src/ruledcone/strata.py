@@ -1,7 +1,7 @@
 """Negative curve classes present at a cone point and the stratum labels.
 
-For a valid n = 1 class u the negative-square classes with embedded
-representatives come from four families:
+For a valid class u of the one-point blow-up the negative-square classes with
+embedded representatives come from four families:
 
     E, F-E          square -1, genus 0, codimension 0 (present everywhere),
     B-kF  (k >= 1)  square -2k,   genus g, codimension 2(2k-1+g),
@@ -30,11 +30,6 @@ from .lattice import (B, E, F, ClassVector, SurfaceParams, adjunction_genus,
                       codim, pair)
 
 UBIQUITOUS = (E, F - E)
-
-
-def _require_n1(u: NormalizedClass, params: SurfaceParams) -> None:
-    if u.n != 1 or params.n != 1:
-        raise ValueError("stratum enumeration is defined for n = 1 only")
 
 
 @dataclass(frozen=True, order=True)
@@ -69,7 +64,6 @@ def negative_classes(u: NormalizedClass, params: SurfaceParams,
                      cod_max: int | None = None) -> list[ClassVector]:
     """All family classes of positive u-area (and codim <= cod_max), sorted
     by (codim, k)."""
-    _require_n1(u, params)
     require_valid(u)
     found: list[tuple[int, int, ClassVector]] = [
         (0, 0, E), (0, 1, F - E)]
@@ -161,7 +155,6 @@ def wide_negative_classes(u: NormalizedClass, params: SurfaceParams,
     outside the four families are tagged OUTSIDE_FAMILIES, not dropped:
     whether they actually occur is not settled arithmetic.
     """
-    _require_n1(u, params)
     require_valid(u)
     out: list[tuple[ClassVector, str]] = []
     for p, q, r in itertools.product(range(-bound, bound + 1), repeat=3):

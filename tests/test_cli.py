@@ -38,7 +38,7 @@ def check(capsys, schema_name, *argv):
 
 def test_chamber_json(capsys):
     payload = check(capsys, "chamber",
-                    "chamber", "--u", "5/2,3/10", "--g", "2", "--json")
+                    "chamber", "--u", "5/2,3/10", "--json")
     assert payload["chamber"] == 5
     assert payload["inequalities"] == ["mu > 2 + c", "mu <= 3"]
     assert payload["active_walls"] == []
@@ -120,6 +120,16 @@ def test_plan_cross_chamber_is_invalid(capsys):
     code, _, err = run(capsys, "plan", "--from", "5/2,3/10",
                        "--to", "11/5,3/10", "--g", "2", "--label", "open")
     assert code == 2 and "cross-chamber" in err
+
+
+@pytest.mark.parametrize("x", ["5", "-1"])
+def test_plan_rejects_out_of_range_x(capsys, x):
+    # this route needs no raising section step, so only an up-front check
+    # sees the pinned x
+    code, _, err = run(capsys, "plan", "--from", "5/2,2/5",
+                       "--to", "11/4,3/10", "--g", "2", "--label", "open",
+                       "--x", x)
+    assert code == 2 and "outside 0..2" in err
 
 
 @pytest.mark.parametrize("argv, stays, last_line", [

@@ -49,11 +49,12 @@ def test_validity():
 
 
 def test_validity_multi_blowup():
+    # a point of a blow-up at other than one point cannot even be built
     from ruledcone.cone import NormalizedClass
-    ok = NormalizedClass(Q(3), (Q(1, 3), Q(1, 4)))
-    assert is_valid(ok)
-    assert not is_valid(NormalizedClass(Q(3), (Q(1, 4), Q(1, 3))))  # unsorted
-    assert not is_valid(NormalizedClass(Q(3), (Q(2, 3), Q(1, 2))))  # sum >= 1
+    for e in [(), (Q(1, 3), Q(1, 4)), [Q(1, 3)], Q(1, 3)]:
+        with pytest.raises(ValueError, match="1-tuple"):
+            NormalizedClass(Q(3), e)
+    assert NormalizedClass(3, (Q(1, 3),)) == normalized(3, Q(1, 3))
 
 
 def test_chamber_examples():

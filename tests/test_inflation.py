@@ -60,6 +60,13 @@ def test_normalize():
         normalize(RawClass(1, 0, (Q(1, 2),)))
 
 
+def test_raw_class_holds_one_blowup_area():
+    for e_area in [(), (Q(1, 2), Q(1, 4)), [Q(1, 2)], Q(1, 2)]:
+        with pytest.raises(ValueError, match="1-tuple"):
+            RawClass(4, 1, e_area)
+    assert raw_from(normalized(4, Q(1, 2))) == RawClass(4, 1, (Q(1, 2),))
+
+
 def random_point(rng):
     mu = 1 + Q(rng.randint(1, 64), 16)
     c = Q(rng.randint(1, 15), 16)

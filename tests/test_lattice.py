@@ -6,13 +6,12 @@ import pytest
 
 from ruledcone.lattice import (B, E, F, ClassVector, SurfaceParams,
                                adjunction_genus, canonical_class, codim,
-                               exceptional_class, format_class, pair,
-                               parse_class)
+                               format_class, pair, parse_class)
 
 
-def random_class(rng, n=1, span=9):
+def random_class(rng, span=9):
     return ClassVector(rng.randint(-span, span), rng.randint(-span, span),
-                       tuple(rng.randint(-span, span) for _ in range(n)))
+                       (rng.randint(-span, span),))
 
 
 def test_form_on_basis():
@@ -42,24 +41,16 @@ def test_form_symmetric_bilinear():
         assert pair(m * a + n * b, c) == m * pair(a, c) + n * pair(b, c)
 
 
-def test_form_multi_blowup():
-    e1 = exceptional_class(1, n=3)
-    e2 = exceptional_class(2, n=3)
-    assert pair(e1, e1) == -1
-    assert pair(e1, e2) == 0
-    a = ClassVector(1, -2, (1, 0, -1))
-    assert pair(a, a) == 2 * 1 * (-2) - 1 - 0 - 1
-
-
 def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        pair(B, ClassVector(1, 0, (0, 0)))
+    # one blow-up: the exceptional coefficients are exactly a 1-tuple
+    for r in [(), (0, 0), (1, -1), [0], 0]:
+        with pytest.raises(ValueError, match="1-tuple"):
+            ClassVector(1, 0, r)
 
 
 def test_canonical_class():
-    assert canonical_class(SurfaceParams(2, 1)) == ClassVector(-2, 2, (1,))
-    assert canonical_class(SurfaceParams(1, 1)) == ClassVector(-2, 0, (1,))
-    assert canonical_class(SurfaceParams(0, 0)) == ClassVector(-2, -2, ())
+    assert canonical_class(SurfaceParams(2)) == ClassVector(-2, 2, (1,))
+    assert canonical_class(SurfaceParams(1)) == ClassVector(-2, 0, (1,))
 
 
 def test_adjunction_genus_values():
@@ -139,9 +130,9 @@ def test_parse_class(text, expected):
 
 
 def test_parse_class_multi_blowup():
-    assert parse_class("B-E1-E2", n=2) == ClassVector(1, 0, (-1, -1))
-    with pytest.raises(ValueError):
-        parse_class("E2", n=1)
+    for text in ("E2", "B-E1-E2", "E0"):
+        with pytest.raises(ValueError, match="exceptional index"):
+            parse_class(text)
     with pytest.raises(ValueError):
         parse_class("B-2G")
 

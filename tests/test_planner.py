@@ -217,6 +217,18 @@ def test_plan_label_absent():
              lab2, P1)
 
 
+def test_label_absent_at_the_target_fails_fast():
+    # B-F-E has zero area at (5/4, 1/4) and negative area at (3/2, 3/4); with
+    # no check at the target, the interleaved c-restore would double its
+    # rounds up to 2**20 before giving up
+    u = normalized(Q(3, 2), Q(1, 4))
+    lab = label_for([B - F - E], P1)
+    with pytest.raises(PlanError, match="absent at \\(5/4, 1/4\\)"):
+        plan_left_stratum(u, Q(5, 4), lab, P1)
+    with pytest.raises(PlanError, match="absent at \\(3/2, 3/4\\)"):
+        plan_vertical(u, Q(3, 4), lab, P1)
+
+
 def test_plan_replay_exactness_random_pairs():
     rng = random.Random(3)
     count = 0
