@@ -6,9 +6,12 @@ area(u, Z) / (-Z.Z) when Z.Z < 0.  On the area vector of B, F and the one
 exceptional class E the increment per unit t is (Z.B, Z.F, Z.E): pure linear
 algebra over the rationals.
 
-Steps chain on *unnormalized* area vectors; a plan replays by folding
-`apply_step` from the start point and normalizing once at the end.  The
-upper bound T is strict: at t = T the area of Z itself would reach zero.
+Steps chain on *unnormalized* area vectors: folding `apply_step` from a
+start point and normalizing once at the end replays a sequence of steps.
+This `Fraction` form serves the `inflate` command and the tests'
+independent replay of plans; the planner certifies and replays its plans
+on its own integer walk.  The upper bound T is strict: at t = T the area
+of Z itself would reach zero.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Every recipe is derived from the intersection pairing, never transcribed:
 the published display of the transport recipes contains sign and role
-slips (see `detected_discrepancies`), so the solver
-recomputes each family from `pd_area_vector` and the recipes' published
-conclusions are asserted as tests instead of assumed.
+slips (see `detected_discrepancies`), so the solver recomputes each family
+from the area increments (Z.B, Z.F, Z.E) of PD(Z) and the recipes'
+published conclusions are asserted as tests instead of assumed.
 
 Move catalogue (all parameters solved exactly, all steps replay-checked):
 
@@ -31,21 +31,28 @@ The open stratum guarantees a section B + xF for *some* x <= g only, so the
 x used by each step is recorded as that step's assumption; where x is free
 the planner searches x = g, g-1, ..., 0 and keeps the first that works.
 
-Internally a cone point is a plain triple (b, f, e) of areas; the public
-surface speaks NormalizedClass / InflationStep.  One walk, `_certify`,
-applies steps to a triple and checks every range: it certifies each plan as
-it is built, and it replays and traces the plan afterwards.  One leg builder,
-`_horizontal_leg`, moves mu (rightward, open-stratum hop or stratum route);
-every entry point then restores c with `_vertical_steps`.
+Internally a cone point is an integer projective state (b, f, e, d): the
+areas of B, F and E are b/d, f/d and e/d.  Normalization divides by the
+fiber area only, so a positive scale is free; a step with t = p/q becomes
+an integer multiply-add, and a range check t (-Z.Z) < area(Z) an integer
+comparison with the denominators cleared.  A `Fraction` is built only where
+a value leaves the walk (a step parameter, a normalized point, an error
+text); the public surface speaks NormalizedClass / InflationStep.  One walk,
+`_certify`, applies steps to a state and checks every range: it certifies
+each plan as it is built, and it replays and traces the plan afterwards.
+One leg builder, `_horizontal_leg`, moves mu (rightward, open-stratum hop
+or stratum route); every entry point then restores c with
+`_vertical_steps`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import (NormalizedClass, area, chamber_of, is_valid, normalized,
+from .cone import (NormalizedClass, chamber_of, is_valid, normalized,
                    require_valid)
 from .inflation import InflationStep, pd_area_vector
 from .lattice import B, E, F, ClassVector, SurfaceParams, pair
@@ -63,42 +70,53 @@ _FE = F - E
 _MAX_HOPS = 256
 _MAX_ROUNDS = 1 << 20
 
-# (b-increment, f-increment, e-increment, self-intersection) per class
-_PD3: dict[ClassVector, tuple[Fraction, Fraction, Fraction, int]] = {}
+# (Z.B, Z.F, Z.E, Z.Z) per class: the area increments per unit t of an
+# inflation along Z, and its self-intersection
+_PD3: dict[ClassVector, tuple[int, int, int, int]] = {}
 
 
-def _pd3(z: ClassVector) -> tuple[Fraction, Fraction, Fraction, int]:
+def _pd3(z: ClassVector) -> tuple[int, int, int, int]:
     hit = _PD3.get(z)
     if hit is None:
-        v = pd_area_vector(z)
-        hit = (v.b_area, v.f_area, v.e_area[0], pair(z, z))
+        hit = (pair(z, B), pair(z, F), pair(z, E), pair(z, z))
         _PD3[z] = hit
     return hit
 
 
-State = tuple[Fraction, Fraction, Fraction]
+# Integer projective state (b, f, e, d): the areas of B, F and E are b/d,
+# f/d and e/d, with d > 0 and the four integers coprime.  The start state of
+# a plan has fiber area 1, and each t is measured in those area units.
+State = tuple[int, int, int, int]
 
 
 def _state_of(u: NormalizedClass) -> State:
-    return (u.mu, _ONE, u.c)
+    mu, c = u.mu, u.c
+    d = math.lcm(mu.denominator, c.denominator)
+    return (mu.numerator * (d // mu.denominator), d,
+            c.numerator * (d // c.denominator), d)
 
 
-def _area3(state: State, z: ClassVector) -> Fraction:
-    b, f, e = state
+def _area3(state: State, z: ClassVector) -> int:
+    """d times the area of z at the state (same sign as the area)."""
+    b, f, e, _ = state
     return z.p * b + z.q * f + z.r[0] * e
 
 
 def _apply3(state: State, z: ClassVector, t: Fraction) -> State:
     db, df, de, _ = _pd3(z)
-    b, f, e = state
-    return (b + t * db, f + t * df, e + t * de)
+    b, f, e, d = state
+    p, q = t.numerator, t.denominator
+    pd = p * d
+    b, f, e, d = b * q + pd * db, f * q + pd * df, e * q + pd * de, d * q
+    g = math.gcd(b, f, e, d)
+    return (b // g, f // g, e // g, d // g)
 
 
 def _normalized(state: State) -> NormalizedClass:
-    b, f, e = state
+    b, f, e, _ = state
     if f <= 0:  # pragma: no cover - impossible for valid inflation chains
         raise PlanError("fiber area collapsed")
-    return NormalizedClass(b / f, (e / f,))
+    return NormalizedClass(Fraction(b, f), (Fraction(e, f),))
 
 
 def _certify(state: State, steps) -> list[State]:
@@ -107,16 +125,19 @@ def _certify(state: State, steps) -> list[State]:
     Returns the states visited, the start included."""
     states = [state]
     for step in steps:
-        a = _area3(state, step.z)
+        z, t = step.z, step.t
+        a = _area3(state, z)
+        d = state[3]
         if a <= 0:
-            raise PlanError(f"{step.z} has non-positive area"
-                            f" {format_rational(a)} mid-plan")
-        zz = _pd3(step.z)[3]
-        if zz < 0 and step.t * (-zz) >= a:
+            raise PlanError(f"{z} has non-positive area"
+                            f" {format_rational(Fraction(a, d))} mid-plan")
+        zz = _pd3(z)[3]
+        # t (-Z.Z) < a/d, denominators cleared
+        if zz < 0 and t.numerator * -zz * d >= t.denominator * a:
             raise PlanError(
-                f"step ({step.z}, {format_rational(step.t)}) exceeds its"
-                f" range [0, {format_rational(a / -zz)})")
-        state = _apply3(state, step.z, step.t)
+                f"step ({z}, {format_rational(t)}) exceeds its"
+                f" range [0, {format_rational(Fraction(a, d * -zz))})")
+        state = _apply3(state, z, t)
         states.append(state)
     return states
 
@@ -192,17 +213,22 @@ def _vertical_solve(state: State, z1: ClassVector,
     normalized blow-up area c_target.  Raises when no positive solution
     exists (the recipe's feasibility constraint)."""
     vb, vf, ve, _ = _pd3(z1)
-    b, f, e = state
-    mu = b / f
-    den = (mu - c_target) * vf - vb + ve
+    b, f, e, d = state
+    cn, cd = c_target.numerator, c_target.denominator
+    # with mu = b/f and c = e/f the denominator of the solution,
+    # (mu - c_target) Z.F - Z.B + Z.E, is den / (f cd), and
+    #   t1 = (f/d) (c_target - c) / that = rise f / (d den),
+    #   t2 = t1 (mu Z.F - Z.B) = rise (b Z.F - Z.B f) / (d den)
+    den = (b * cd - cn * f) * vf + (ve - vb) * f * cd
     if den <= 0:
         raise PlanError(
             f"raising the blow-up area to {format_rational(c_target)} along"
             f" {z1} and {_FE} needs mu >"
             f" {format_rational(vb - ve + c_target * vf)}"
-            f" (mu = {format_rational(mu)}): no positive solution")
-    t1 = f * (c_target - e / f) / den
-    t2 = t1 * (mu * vf - vb)
+            f" (mu = {format_rational(Fraction(b, f))}): no positive solution")
+    rise = cn * f - e * cd
+    t1 = Fraction(rise * f, d * den)
+    t2 = Fraction(rise * (b * vf - vb * f), d * den)
     if t1 <= 0 or t2 < 0:  # pragma: no cover - den>0 and c_target>c ensure this
         raise PlanError(f"vertical solve along {z1} gave non-positive"
                         f" parameters t1={t1}, t2={t2}")
@@ -242,16 +268,25 @@ def _core_class(label: StratumLabel) -> ClassVector:
     return label.core[0]
 
 
+def _drop(state: State, c_floor: Fraction) -> InflationStep:
+    """The E step lowering the normalized blow-up area e/f to c_floor:
+    t = (f/d) (e/f - c_floor)."""
+    _, f, e, d = state
+    cn, cd = c_floor.numerator, c_floor.denominator
+    return _step(E, Fraction(e * cd - cn * f, cd * d))
+
+
 def _vertical_steps(state: State, c_target: Fraction, label: StratumLabel,
                     params: SurfaceParams,
                     x: int | None = None) -> list[InflationStep]:
     """Steps moving normalized (mu, c) to (mu, c_target) from `state`."""
-    b, f, e = state
-    c = e / f
-    if c_target == c:
+    _, f, e, _ = state
+    # the sign of c - c_target, with c = e/f
+    above = e * c_target.denominator - c_target.numerator * f
+    if above == 0:
         return []
-    if c_target < c:
-        return [_step(E, f * (c - c_target))]  # an embedded E always exists
+    if above > 0:
+        return [_drop(state, c_target)]  # an embedded E always exists
     if label.is_open:
         choices = [x] if x is not None else list(range(params.g, -1, -1))
         last_err: PlanError | None = None
@@ -296,9 +331,11 @@ def _left_hop(state: State, z: ClassVector,
               mu_target: Fraction) -> list[InflationStep]:
     """One leftward hop: fiber companion first, then z (replay-safe order)."""
     companion = 1 - _pd3(z)[0]
-    b, f, _ = state
-    # increment per unit t is (1, 1, ...): base and fiber slots both +1
-    t = (b - mu_target * f) / (mu_target - 1)
+    b, f, _, d = state
+    mn, md = mu_target.numerator, mu_target.denominator
+    # increment per unit t is (1, 1, ...): base and fiber slots both +1, so
+    # t = (b/d - mu_target f/d) / (mu_target - 1)
+    t = Fraction(b * md - mn * f, d * (mn - md))
     if t <= 0:
         raise PlanError(f"hop target {format_rational(mu_target)} is not to"
                         " the left of the current point")
@@ -320,8 +357,9 @@ def _left_reach_bound(state: State, z: ClassVector) -> Fraction:
     drift = zz + 1 - vb
     if drift >= 0:
         return _ONE
+    # the scale d of the state cancels from the ratio
     a = _area3(state, z)
-    return ((-drift) * state[0] + a) / ((-drift) * state[1] + a)
+    return Fraction(-drift * state[0] + a, -drift * state[1] + a)
 
 
 def _hop_limit(z: ClassVector) -> Fraction:
@@ -354,14 +392,13 @@ def _left_route(state: State, mu_target: Fraction, z: ClassVector,
         if mu_target > bound:
             hop_to = mu_target
         else:
-            b, f, e = state
-            c = e / f
-            if c > c_floor:
-                drop = _step(E, f * (c - c_floor))
+            b, f, e, _ = state
+            if e * c_floor.denominator > c_floor.numerator * f:  # c > c_floor
+                drop = _drop(state, c_floor)
                 steps.append(drop)
                 state = _apply3(state, E, drop.t)
                 continue
-            mu_now = b / f
+            mu_now = Fraction(b, f)
             if bound >= mu_now:  # pragma: no cover - guarded by area checks
                 raise PlanError(f"no leftward progress possible along {z}")
             # aim just right of the bound; small denominators keep plans compact
@@ -476,8 +513,9 @@ def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
 
 
 def _check_label_present(u: NormalizedClass, label: StratumLabel) -> None:
+    state = _state_of(u)
     for a in label.classes():
-        if area(u, a) <= 0:
+        if _area3(state, a) <= 0:
             raise PlanError(f"label {label.name} is absent at {u}:"
                             f" {a} has non-positive area")
 
@@ -490,11 +528,10 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
     then the vertical leg to c2.  Every step is replay-checked; failures
     raise PlanError naming the violated recipe precondition.
     """
-    require_valid(u1)
+    cid = chamber_of(u1)  # checks that u1 is valid
     require_valid(u2)
     if x is not None:  # up front: routes with no section step never read x
         _section(x, params)
-    cid = chamber_of(u1)
     if not cid.contains(u2):
         raise PlanError(
             f"{u1} and {u2} lie in chambers {cid.index} and"

@@ -8,7 +8,7 @@ import pytest
 
 from ruledcone.cone import (area, chamber_of, is_valid, normalized,
                             same_chamber)
-from ruledcone.inflation import apply_step, normalize, raw_from
+from ruledcone.inflation import InflationStep, apply_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams
 from ruledcone.planner import (ALWAYS, OPEN, STRATUM, InflationPlan, PlanError,
                                detected_discrepancies, plan, plan_left_open,
@@ -64,6 +64,11 @@ def test_vertical_open_searches_section_coefficient():
     assert str(pl.steps[0].z) == "B"  # x = 1 fails, x = 0 works
     with pytest.raises(PlanError, match="mu >"):
         plan_vertical(u, Q(7, 8), OPEN_LABEL, P1, x=1)
+    with pytest.raises(PlanError) as err:
+        plan_vertical(u, Q(7, 8), OPEN_LABEL, P2, x=2)
+    assert str(err.value) == (
+        "raising the blow-up area to 7/8 along B+2F and F-E needs"
+        " mu > 23/8 (mu = 9/8): no positive solution")
 
 
 def test_vertical_stratum_interleaves_near_wall():
@@ -254,17 +259,40 @@ def test_plan_replay_exactness_random_pairs():
 
 
 def test_plan_steps_respect_ranges_by_replay():
-    # tampering with a certified plan makes replay fail
+    # tampering with a certified plan makes replay fail; the first step to
+    # leave its range is the B-2F-E hop, and the message names its bound
     u = normalized(4, Q(1, 2))
     lab = label_for([B - 2 * F - E], P2)
     pl = plan_left_stratum(u, 3, lab, P2)
-    from ruledcone.inflation import InflationStep
+    for factor, text in (
+            (50, "step (B-2F-E, 25) exceeds its range [0, 153/10)"),
+            (2, "step (B-2F-E, 1) exceeds its range [0, 9/10)")):
+        bad = InflationPlan(pl.start,
+                            tuple(InflationStep(s.z, factor * s.t, s.assumption)
+                                  for s in pl.steps), pl.end, pl.label)
+        with pytest.raises(PlanError) as err:
+            bad.replay()
+        assert str(err.value) == text
 
-    bad = InflationPlan(pl.start,
-                        tuple(InflationStep(s.z, 50 * s.t, s.assumption)
-                              for s in pl.steps), pl.end, pl.label)
-    with pytest.raises(PlanError):
-        bad.replay()
+
+def test_certified_walk_range_boundaries():
+    # (7/3, 2/5) is held with denominators cleared; the bound of a step is
+    # strict and exact, whatever the scale of the state
+    u = normalized(Q(7, 3), Q(2, 5))
+    at_bound = InflationPlan(u, (InflationStep(E, Q(2, 5)),), u)
+    with pytest.raises(PlanError) as err:
+        at_bound.replay()
+    assert str(err.value) == "step (E, 2/5) exceeds its range [0, 2/5)"
+    inside = InflationPlan(u, (InflationStep(E, Q(2, 5) - Q(1, 10**9)),), u)
+    assert inside.replay() == normalized(Q(7, 3), Q(1, 10**9))
+    assert str(inside.intermediates()[-1]) == "(7/3, 1/1000000000)"
+    # after (F, 1/3) the areas are (8/3, 1, 2/5): B-3F has area -1/3
+    negative = InflationPlan(u, (InflationStep(F, Q(1, 3)),
+                                 InflationStep(B - 3 * F, Q(1))), u)
+    for walk in (negative.replay, negative.intermediates):
+        with pytest.raises(PlanError) as err:
+            walk()
+        assert str(err.value) == "B-3F has non-positive area -1/3 mid-plan"
 
 
 def test_plan_reachability_is_symmetric_on_grid():
@@ -312,8 +340,10 @@ def test_intermediate_points_of_vertical_plans_stay_in_chamber():
 
 def test_label_classes_keep_positive_area_along_certified_plans():
     # every ordered same-chamber pair at index >= 2g of the step-1/4 grids
-    # with mu <= g + 3, every label: the label's classes (core plus E and
-    # F-E) keep positive area at each intermediate point of the plan
+    # with mu <= g + 3, every label: each intermediate point of the plan
+    # equals the independent replay (apply_step, then normalize) after the
+    # same step, and the label's classes (core plus E and F-E) keep positive
+    # area there
     import itertools
 
     step = Q(1, 4)
@@ -337,7 +367,11 @@ def test_label_classes_keep_positive_area_along_certified_plans():
                 for label in labels:
                     pl = plan(u1, u2, label, params)
                     plans += 1
-                    for v in pl.intermediates():
+                    raw = raw_from(u1)
+                    for s, v in zip(pl.steps, pl.intermediates(),
+                                    strict=True):
+                        raw = apply_step(raw, s)
+                        assert v == normalize(raw), (u1, u2, label.name, s)
                         for z in label.classes():
                             assert area(v, z) > 0, (u1, u2, label.name, v, z)
     assert plans == 2340
