@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import gromov as gromov_mod
@@ -36,11 +37,37 @@ class InputError(ValueError):
     """Bad user input; maps to exit code 2."""
 
 
+@contextmanager
+def _user_input():
+    """Re-raise a ValueError from reading or checking user input as an
+    InputError, message unchanged; any other ValueError is a fault."""
+    try:
+        yield
+    except ValueError as err:
+        raise InputError(str(err)) from None
+
+
+def _rational(text: str) -> Fraction:
+    with _user_input():
+        return parse_rational(text)
+
+
+def _params(g: int) -> SurfaceParams:
+    with _user_input():
+        return SurfaceParams(g)
+
+
+def _grid_step(step: Fraction) -> Fraction:
+    if step <= 0:
+        raise InputError("grid step must be positive")
+    return step
+
+
 def _parse_point(text: str, policy: bool = True):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"expected mu,c with rational entries, got {text!r}")
-    u = normalized(parse_rational(parts[0]), parse_rational(parts[1]))
+    u = normalized(_rational(parts[0]), _rational(parts[1]))
     bad = validity_violations(u, policy=policy)
     if bad:
         raise InputError(f"invalid normalized class {text!r}: " + "; ".join(bad))
@@ -103,7 +130,7 @@ def _cmd_walls(args) -> int:
 
 def _cmd_strata(args) -> int:
     u = _parse_point(args.u)
-    params = SurfaceParams(args.g)
+    params = _params(args.g)
     cid = chamber_of(u)
     labels = stratum_labels(u, params, args.cod_max)
     payload = {
@@ -125,11 +152,12 @@ def _cmd_strata(args) -> int:
 
 def _cmd_inflate(args) -> int:
     u = _parse_point(args.u)
-    z = parse_class(args.z)
-    t = parse_rational(args.t)
-    bound = t_range(u, z)
-    step = InflationStep(z, t)
-    raw = inflate(u, step)
+    with _user_input():  # a bad class, a class of no area, a t out of range
+        z = parse_class(args.z)
+        t = parse_rational(args.t)
+        bound = t_range(u, z)
+        step = InflationStep(z, t)
+        raw = inflate(u, step)
     end = normalize(raw)
     payload = {
         "start": {"mu": format_rational(u.mu), "c": format_rational(u.c)},
@@ -153,7 +181,7 @@ def _cmd_inflate(args) -> int:
 def _cmd_plan(args) -> int:
     u1 = _parse_point(getattr(args, "from"))
     u2 = _parse_point(args.to)
-    params = SurfaceParams(args.g)
+    params = _params(args.g)
     label = _parse_label(args.label, params)
     result = plan(u1, u2, label, params, x=args.x)
     payload = result.as_json()
@@ -170,11 +198,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify_stability(args) -> int:
-    params = SurfaceParams(args.g)
-    report = verify_stability(params, parse_rational(args.mu_max),
-                              parse_rational(args.step),
-                              mu_min=(parse_rational(args.mu_min)
-                                      if args.mu_min else None),
+    params = _params(args.g)
+    mu_max, step = _rational(args.mu_max), _rational(args.step)
+    mu_min = _rational(args.mu_min) if args.mu_min else None
+    report = verify_stability(params, mu_max, _grid_step(step), mu_min=mu_min,
                               min_index=args.min_index, workers=args.workers)
     payload = report.as_json()
     lines = [
@@ -204,13 +231,11 @@ def _cmd_verify_stability(args) -> int:
 
 
 def _cmd_gromov(args) -> int:
-    params = SurfaceParams(args.g)
+    params = _params(args.g)
     c = ClassVector(args.p, args.q, (0,))
     k = gromov_mod.virtual_dim_k(c, params)
-    try:
+    with _user_input():
         value = gromov_mod.gromov_invariant(args.p, args.q, params)
-    except ValueError as err:
-        raise InputError(str(err)) from None
     criterion = gromov_mod.gromov_nonzero_criterion(args.p, args.q, params)
     payload = {
         "p": args.p, "q": args.q, "g": args.g,
@@ -230,12 +255,10 @@ def _cmd_gromov(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    params = SurfaceParams(args.g)
-    try:
+    params = _params(args.g)
+    with _user_input():
         decs = gromov_mod.section_decompositions(params, args.q_bound,
                                                  r_bound=args.r_bound)
-    except ValueError as err:
-        raise InputError(str(err)) from None
     payload = {
         "g": args.g, "q_bound": args.q_bound, "r_bound": args.r_bound,
         "total": str(B + args.g * F),
@@ -256,7 +279,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    mu_max = parse_rational(args.mu_max)
+    mu_max = _rational(args.mu_max)
     if mu_max <= 1:
         raise InputError("mu-max must exceed 1")
     model = figure_data(mu_max, args.k_max)
@@ -274,9 +297,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    params = SurfaceParams(args.g)
-    mu_max = parse_rational(args.mu_max)
-    step = parse_rational(args.step)
+    params = _params(args.g)
+    mu_max = _rational(args.mu_max)
+    step = _grid_step(_rational(args.step))
     report = verify_stability(params, mu_max, step, workers=args.workers)
 
     chambers = []
@@ -446,10 +469,7 @@ def main(argv=None) -> int:
     except (InputError, PlanError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except Exception as err:  # pragma: no cover - defensive
+    except Exception as err:  # a fault of the program, not of its input
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -64,8 +64,10 @@ class InflationStep:
     assumption: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _Q(self.t))
-        if self.t < 0:
+        # the planner passes Fractions; ints and "p/q" strings are converted
+        if not isinstance(self.t, Fraction):
+            object.__setattr__(self, "t", _Q(self.t))
+        if self.t.numerator < 0:
             raise ValueError(f"inflation parameter must be >= 0, got {self.t}")
 
     def as_json(self) -> dict:

@@ -6,7 +6,7 @@ slips (see `detected_discrepancies`), so the solver recomputes each family
 from the area increments (Z.B, Z.F, Z.E) of PD(Z) and the recipes'
 published conclusions are asserted as tests instead of assumed.
 
-Move catalogue (all parameters solved exactly, all steps replay-checked):
+Move catalogue (all parameters solved exactly, all steps certified):
 
   right     (F, t): areas (mu+t, 1, c); unbounded, stratum-blind.
   drop      (E, t): lowers the blow-up area at fixed mu; always available.
@@ -38,11 +38,12 @@ an integer multiply-add, and a range check t (-Z.Z) < area(Z) an integer
 comparison with the denominators cleared.  A `Fraction` is built only where
 a value leaves the walk (a step parameter, a normalized point, an error
 text); the public surface speaks NormalizedClass / InflationStep.  One walk,
-`_certify`, applies steps to a state and checks every range: it certifies
-each plan as it is built, and it replays and traces the plan afterwards.
-One leg builder, `_horizontal_leg`, moves mu (rightward, open-stratum hop
-or stratum route); every entry point then restores c with
-`_vertical_steps`.
+`_certify`, checks every t against its range and every class of the plan's
+label at every state, the start included: a certified plan stays in its
+stratum.  Leg builders advance states only through the walk, so a plan is
+certified once, as it is built.  One route, `_route`, serves every entry
+point: `_horizontal_leg` moves mu (rightward, open-stratum hop or stratum
+route), then `_vertical_steps` moves c.
 """
 
 from __future__ import annotations
@@ -119,12 +120,21 @@ def _normalized(state: State) -> NormalizedClass:
     return NormalizedClass(Fraction(b, f), (Fraction(e, f),))
 
 
-def _certify(state: State, steps) -> list[State]:
-    """Apply `steps` to `state`, raising PlanError unless every inflated
-    class keeps positive area and every t lies in its range [0, T).
-    Returns the states visited, the start included."""
-    states = [state]
-    for step in steps:
+def _certify(state: State, steps, label: StratumLabel | None) -> list[State]:
+    """Walk `steps` from `state`, raising PlanError unless every t lies in
+    its range [0, T) of a class of positive area and every class of `label`
+    has positive area at every state; returns the states, the start first."""
+    classes = () if label is None else label.classes()
+    states = []
+    for step in (*steps, None):  # None: the last state is reached
+        for a in classes:
+            if _area3(state, a) <= 0:
+                raise PlanError(f"label {label.name} is absent at"
+                                f" {_normalized(state)}: {a} has non-positive"
+                                " area")
+        states.append(state)
+        if step is None:
+            return states
         z, t = step.z, step.t
         a = _area3(state, z)
         d = state[3]
@@ -138,8 +148,12 @@ def _certify(state: State, steps) -> list[State]:
                 f"step ({z}, {format_rational(t)}) exceeds its"
                 f" range [0, {format_rational(Fraction(a, d * -zz))})")
         state = _apply3(state, z, t)
-        states.append(state)
-    return states
+
+
+def _advance(state: State, steps: list[InflationStep],
+             label: StratumLabel | None) -> tuple[list[InflationStep], State]:
+    """`steps` and the state they reach, certified by the walk."""
+    return steps, _certify(state, steps, label)[-1]
 
 
 class PlanError(ValueError):
@@ -160,7 +174,7 @@ def _step(z: ClassVector, t: Fraction) -> InflationStep:
 
 @dataclass(frozen=True)
 class InflationPlan:
-    """A replay-checked sequence of inflation steps from start to end."""
+    """A certified sequence of inflation steps from start to end."""
 
     start: NormalizedClass
     steps: tuple[InflationStep, ...]
@@ -169,12 +183,13 @@ class InflationPlan:
 
     def intermediates(self) -> list[NormalizedClass]:
         """Normalized points after each step (the last one equals `end`)."""
-        return [_normalized(st)
-                for st in _certify(_state_of(self.start), self.steps)[1:]]
+        states = _certify(_state_of(self.start), self.steps, self.label)
+        return [_normalized(st) for st in states[1:]]
 
     def replay(self) -> NormalizedClass:
-        """Re-run the steps, enforcing every range, and return the endpoint."""
-        return _normalized(_certify(_state_of(self.start), self.steps)[-1])
+        """Re-run and re-certify the steps, and return the endpoint."""
+        states = _certify(_state_of(self.start), self.steps, self.label)
+        return _normalized(states[-1])
 
     def stays_in_chamber(self) -> bool:
         """Whether every intermediate point is valid and in the start chamber."""
@@ -194,14 +209,6 @@ class InflationPlan:
             "steps": [s.as_json() for s in self.steps],
             "stays_in_chamber": self.stays_in_chamber(),
         }
-
-
-def _finish_plan(start: NormalizedClass, steps: list[InflationStep],
-                 label: StratumLabel | None = None) -> InflationPlan:
-    """Assemble a plan, certifying every range along the way."""
-    kept = tuple(s for s in steps if s.t != 0)
-    end = _normalized(_certify(_state_of(start), kept)[-1])
-    return InflationPlan(start, kept, end, label)
 
 
 # -- vertical moves ----------------------------------------------------------
@@ -236,8 +243,9 @@ def _vertical_solve(state: State, z1: ClassVector,
 
 
 def _interleaved(state: State, first: tuple[ClassVector, Fraction],
-                 second: tuple[ClassVector, Fraction]) -> list[InflationStep]:
-    """Realize a simultaneous two-class inflation as N valid rounds."""
+                 second: tuple[ClassVector, Fraction], label: StratumLabel
+                 ) -> tuple[list[InflationStep], State]:
+    """Realize a simultaneous two-class inflation as N certified rounds."""
     rounds = 1
     while rounds <= _MAX_ROUNDS:
         steps = []
@@ -245,8 +253,7 @@ def _interleaved(state: State, first: tuple[ClassVector, Fraction],
             steps.append(_step(first[0], first[1] / rounds))
             steps.append(_step(second[0], second[1] / rounds))
         try:
-            _certify(state, steps)
-            return steps
+            return _advance(state, steps, label)
         except PlanError:
             rounds *= 2
     raise PlanError("could not realize the simultaneous inflation as"
@@ -276,17 +283,18 @@ def _drop(state: State, c_floor: Fraction) -> InflationStep:
     return _step(E, Fraction(e * cd - cn * f, cd * d))
 
 
-def _vertical_steps(state: State, c_target: Fraction, label: StratumLabel,
-                    params: SurfaceParams,
-                    x: int | None = None) -> list[InflationStep]:
-    """Steps moving normalized (mu, c) to (mu, c_target) from `state`."""
-    _, f, e, _ = state
+def _vertical_steps(state: State, c_target: Fraction,
+                    label: StratumLabel | None, params: SurfaceParams | None,
+                    x: int | None) -> tuple[list[InflationStep], State]:
+    """Steps moving normalized (mu, c) to (mu, c_target), and their end."""
+    b, f, e, d = state
+    cn, cd = c_target.numerator, c_target.denominator
     # the sign of c - c_target, with c = e/f
-    above = e * c_target.denominator - c_target.numerator * f
+    above = e * cd - cn * f
     if above == 0:
-        return []
-    if above > 0:
-        return [_drop(state, c_target)]  # an embedded E always exists
+        return [], state
+    if above > 0:  # an embedded E always exists
+        return _advance(state, [_drop(state, c_target)], label)
     if label.is_open:
         choices = [x] if x is not None else list(range(params.g, -1, -1))
         last_err: PlanError | None = None
@@ -298,12 +306,15 @@ def _vertical_steps(state: State, c_target: Fraction, label: StratumLabel,
                 last_err = err
                 continue
             # B+xF has square 2x >= 0; applying it first always stays in range
-            return [_step(section, t1), _step(_FE, t2)]
+            return _advance(state, [_step(section, t1), _step(_FE, t2)], label)
         assert last_err is not None
         raise last_err
+    # rounds exist only if the label is present at the target (its classes
+    # then stay positive on the straight path), so check (mu, c_target) first
+    _certify((b * cd, f * cd, cn * f, d * cd), (), label)
     z = _core_class(label)
     t1, t2 = _vertical_solve(state, z, c_target)
-    return _interleaved(state, (_FE, t2), (z, t1))
+    return _interleaved(state, (_FE, t2), (z, t1), label)
 
 
 # -- horizontal moves --------------------------------------------------------
@@ -369,9 +380,9 @@ def _hop_limit(z: ClassVector) -> Fraction:
     return _Q(max(1, -z.q))
 
 
-def _left_route(state: State, mu_target: Fraction, z: ClassVector,
+def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
                 c_cap: Fraction) -> tuple[list[InflationStep], State]:
-    """Chained hops along z down to normalized mu_target, and the end state.
+    """Hops along the label's class z down to mu_target, and the end state.
 
     A hop along B-kF-E raises the normalized blow-up area, which in turn
     worsens the next reach bound, so the area is dropped back to a floor
@@ -380,6 +391,7 @@ def _left_route(state: State, mu_target: Fraction, z: ClassVector,
     shrunken blow-up area, strictly left of mu_target; c_cap additionally
     caps it (the caller never wants the area raised here).
     """
+    z = _core_class(label)
     limit = _hop_limit(z)
     if mu_target <= limit:
         raise PlanError(
@@ -394,18 +406,16 @@ def _left_route(state: State, mu_target: Fraction, z: ClassVector,
         else:
             b, f, e, _ = state
             if e * c_floor.denominator > c_floor.numerator * f:  # c > c_floor
-                drop = _drop(state, c_floor)
-                steps.append(drop)
-                state = _apply3(state, E, drop.t)
+                drop, state = _advance(state, [_drop(state, c_floor)], label)
+                steps += drop
                 continue
             mu_now = Fraction(b, f)
             if bound >= mu_now:  # pragma: no cover - guarded by area checks
                 raise PlanError(f"no leftward progress possible along {z}")
             # aim just right of the bound; small denominators keep plans compact
             hop_to = simplest_between(bound, bound + (mu_now - bound) / 8)
-        for s in _left_hop(state, z, hop_to):
-            steps.append(s)
-            state = _apply3(state, s.z, s.t)
+        hop, state = _advance(state, _left_hop(state, z, hop_to), label)
+        steps += hop
         if hop_to == mu_target:
             return steps, state
     raise PlanError(
@@ -413,34 +423,53 @@ def _left_route(state: State, mu_target: Fraction, z: ClassVector,
         f" within {_MAX_HOPS} hops; the binding constraint is the wall of {z}")
 
 
-def _horizontal_leg(u: NormalizedClass, mu_target: Fraction,
-                    label: StratumLabel, params: SurfaceParams | None,
+def _horizontal_leg(state: State, mu: Fraction, mu_target: Fraction,
+                    label: StratumLabel | None, params: SurfaceParams | None,
                     x: int | None,
                     c_cap: Fraction) -> tuple[list[InflationStep], State]:
-    """Steps moving the normalized mu of u to mu_target, and the state they
-    reach.
+    """Steps moving the normalized mu of `state` from mu to mu_target, and
+    the state they reach.
 
     Rightward is one F step.  Leftward on the open stratum is one hop along
     the section B + xF (x defaults to g): the normalized base area along it
     is x + (mu - x)/(1 + t), strictly decreasing with limit x, so targets at
-    or below x are unreachable.  Leftward in a stratum is `_left_route`
-    along the label's class, with the blow-up area capped at c_cap.
+    or below x are unreachable, and those at or below g are refused.
+    Leftward in a stratum is `_left_route` along the label's class, with the
+    blow-up area capped at c_cap.
     """
-    state = _state_of(u)
-    if mu_target == u.mu:
+    if mu_target == mu:
         return [], state
-    if mu_target > u.mu:
-        step = _step(F, mu_target - u.mu)
-    elif label.is_open:
-        x = params.g if x is None else x
-        section = _section(x, params)
-        if mu_target <= x:
-            raise PlanError(f"mu' = {format_rational(mu_target)} is unreachable"
-                            f" along B+{x}F: the normalized limit is {x}")
-        step = _step(section, (u.mu - mu_target) / (mu_target - x))
-    else:
-        return _left_route(state, mu_target, _core_class(label), c_cap)
-    return [step], _apply3(state, step.z, step.t)
+    if mu_target > mu:
+        return _advance(state, [_step(F, mu_target - mu)], label)
+    if not label.is_open:
+        return _left_route(state, mu_target, label, c_cap)
+    x = params.g if x is None else x
+    section = _section(x, params)
+    if mu_target <= x:
+        raise PlanError(f"mu' = {format_rational(mu_target)} is unreachable"
+                        f" along B+{x}F: the normalized limit is {x}")
+    if mu_target <= params.g:
+        raise PlanError(f"open-stratum leftward targets must lie in"
+                        f" ({params.g}, {format_rational(mu)}), got"
+                        f" {format_rational(mu_target)}")
+    step = _step(section, (mu - mu_target) / (mu_target - x))
+    return _advance(state, [step], label)
+
+
+def _route(u: NormalizedClass, mu_target: Fraction, c_target: Fraction,
+           label: StratumLabel | None, params: SurfaceParams | None,
+           hop_x: int | None = None,
+           raise_x: int | None = None) -> InflationPlan:
+    """Horizontal leg to mu_target (open-stratum hops along B + hop_x F),
+    then vertical leg to c_target (raises along B + raise_x F), certified as
+    built; the label is checked at the start first, so its absence is
+    reported ahead of any leg error."""
+    state = _state_of(u)
+    _certify(state, (), label)
+    steps, state = _horizontal_leg(state, u.mu, mu_target, label, params,
+                                   hop_x, min(u.c, c_target))
+    more, state = _vertical_steps(state, c_target, label, params, raise_x)
+    return InflationPlan(u, tuple(steps + more), _normalized(state), label)
 
 
 # -- the published recipe surface -------------------------------------------
@@ -454,12 +483,7 @@ def plan_vertical(u: NormalizedClass, c_target, label: StratumLabel,
     if not 0 < c_target < 1:
         raise PlanError(f"target blow-up area must lie in (0, 1), got"
                         f" {format_rational(c_target)}")
-    # checking the end as well keeps `_interleaved` from searching for
-    # rounds that cannot exist when the label vanishes on the way
-    _check_label_present(u, label)
-    _check_label_present(normalized(u.mu, c_target), label)
-    steps = _vertical_steps(_state_of(u), c_target, label, params, x)
-    return _finish_plan(u, steps, label)
+    return _route(u, u.mu, c_target, label, params, raise_x=x)
 
 
 def plan_right(u: NormalizedClass, mu_target) -> InflationPlan:
@@ -469,10 +493,8 @@ def plan_right(u: NormalizedClass, mu_target) -> InflationPlan:
     if mu_target < u.mu:
         raise PlanError(f"rightward target {format_rational(mu_target)} is"
                         f" below mu = {format_rational(u.mu)}")
-    # a rightward leg reads neither the label nor the surface parameters,
-    # and F leaves the normalized blow-up area unchanged
-    steps, _ = _horizontal_leg(u, mu_target, OPEN_LABEL, None, None, u.c)
-    return _finish_plan(u, steps)
+    # F keeps c, so the route reads neither a label nor the surface params
+    return _route(u, mu_target, u.c, None, None)
 
 
 def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
@@ -481,15 +503,12 @@ def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
     to g), then restore c; with x <= g every target above g works."""
     require_valid(u)
     mu_target = _Q(mu_target)
-    steps, state = _horizontal_leg(u, mu_target, OPEN_LABEL, params, x, u.c)
-    # checked after the leg, so a bad x or a target at or below x is the
-    # error reported for a leftward target
-    if mu_target != u.mu and not params.g < mu_target < u.mu:
+    # a target at or below g is refused by the hop, after its checks of x
+    if mu_target > u.mu:
         raise PlanError(f"open-stratum leftward targets must lie in"
                         f" ({params.g}, {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    steps += _vertical_steps(state, u.c, OPEN_LABEL, params)
-    return _finish_plan(u, steps, OPEN_LABEL)
+    return _route(u, mu_target, u.c, OPEN_LABEL, params, hop_x=x)
 
 
 def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
@@ -503,21 +522,7 @@ def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
         raise PlanError(f"leftward targets must lie in (1,"
                         f" {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    _check_label_present(u, label)
-    steps, state = _horizontal_leg(u, mu_target, label, params, None, u.c)
-    # checked after the leg, whose own "unreachable" error names the wall
-    # that blocks it; absent at the target, the vertical leg could not end
-    _check_label_present(normalized(mu_target, u.c), label)
-    steps += _vertical_steps(state, u.c, label, params)
-    return _finish_plan(u, steps, label)
-
-
-def _check_label_present(u: NormalizedClass, label: StratumLabel) -> None:
-    state = _state_of(u)
-    for a in label.classes():
-        if _area3(state, a) <= 0:
-            raise PlanError(f"label {label.name} is absent at {u}:"
-                            f" {a} has non-positive area")
+    return _route(u, mu_target, u.c, label, params)
 
 
 def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
@@ -525,8 +530,8 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
     """Certified transport u1 -> u2 inside one chamber and one stratum.
 
     Route: rightward or leftward leg to mu2 first (stratum-dictated class),
-    then the vertical leg to c2.  Every step is replay-checked; failures
-    raise PlanError naming the violated recipe precondition.
+    then the vertical leg to c2.  Every step is certified as it is built;
+    failures raise PlanError naming the violated recipe precondition.
     """
     cid = chamber_of(u1)  # checks that u1 is valid
     require_valid(u2)
@@ -540,16 +545,11 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
         if not (u1.mu > params.g and u2.mu > params.g):
             raise PlanError(f"open-stratum transport needs mu > g ="
                             f" {params.g} at both endpoints")
-    else:
-        if not (u1.mu > 1 and u2.mu > 1):
-            raise PlanError("stratum transport needs mu > 1 at both endpoints")
-        _check_label_present(u1, label)
-    steps, state = _horizontal_leg(u1, u2.mu, label, params, x,
-                                   min(u1.c, u2.c))
-    steps += _vertical_steps(state, u2.c, label, params, x)
-    result = _finish_plan(u1, steps, label)
-    if result.end != u2:  # pragma: no cover - replay exactness guard
-        raise PlanError(f"plan replay ended at {result.end}, expected {u2}")
+    elif not (u1.mu > 1 and u2.mu > 1):
+        raise PlanError("stratum transport needs mu > 1 at both endpoints")
+    result = _route(u1, u2.mu, u2.c, label, params, hop_x=x, raise_x=x)
+    if result.end != u2:  # pragma: no cover - exactness guard
+        raise PlanError(f"plan ended at {result.end}, expected {u2}")
     return result
 
 

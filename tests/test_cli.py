@@ -132,6 +132,49 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     assert code == 2 and "outside 0..2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("chamber --u 5/2,3/0", "zero denominator: '3/0'"),
+    ("chamber --u 5/2,0.3", "not an integer or p/q rational: '0.3'"),
+    ("strata --u 5/2,3/10 --g -1", "genus must be >= 0, got -1"),
+    ("plan --from 5/2,3/10 --to 5/2,2/5 --g -1 --label open",
+     "genus must be >= 0, got -1"),
+    ("inflate --u 4,1/2 --z B-2Q --t 1/5", "cannot parse class 'B-2Q'"),
+    ("inflate --u 3/2,1/2 --z B-2F --t 1/5", "B-2F has non-positive area"
+     " -1/2; it is not symplectic here, cannot inflate"),
+    ("inflate --u 4,1/2 --z B-2F-E --t 1",
+     "t = 1 outside [0, 3/10) for inflation along B-2F-E"),
+    ("inflate --u 4,1/2 --z B-2F-E --t=-1/5",
+     "inflation parameter must be >= 0, got -1/5"),
+    ("inflate --u 4,1/2 --z B --t 1/0", "zero denominator: '1/0'"),
+    ("verify-stability --g 1 --mu-max 3 --step 0",
+     "grid step must be positive"),
+    ("verify-stability --g 1 --mu-max 3/0 --step 1/4",
+     "zero denominator: '3/0'"),
+    ("report --g 1 --mu-max 3 --step=-1/4", "grid step must be positive"),
+    ("report --g -2 --mu-max 3", "genus must be >= 0, got -2"),
+    ("gromov --p 1 --q 2 --g -1", "genus must be >= 0, got -1"),
+    ("figure --mu-max 1/0", "zero denominator: '1/0'"),
+])
+def test_bad_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_library_fault_exits_1(capsys, monkeypatch):
+    # a ValueError that no user input explains is an internal error
+    import ruledcone.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("fiber area must be positive to normalize, got 0")
+
+    monkeypatch.setattr(cli, "normalize", broken)
+    code, out, err = run(capsys, "inflate", "--u", "4,1/2", "--z", "F",
+                         "--t", "1/5")
+    assert (code, out) == (1, "")
+    assert err == ("internal error: fiber area must be positive to"
+                   " normalize, got 0\n")
+
+
 @pytest.mark.parametrize("argv, stays, last_line", [
     # the F companion of the left hop carries this route out of chamber 4
     (["--from", "5/2,3/4", "--to", "9/4,1/2", "--label", "B-F"],

@@ -146,3 +146,16 @@ def test_step_serialization():
     step = InflationStep(B - 2 * F - E, Q(3, 20), "stratum")
     assert step.as_json() == {"z": "B-2F-E", "t": "3/20",
                               "assumption": "stratum"}
+
+
+def test_step_parameter_is_a_fraction():
+    # a Fraction is kept as given; an int or a "p/q" string is converted
+    t = Q(3, 20)
+    assert InflationStep(F, t).t is t
+    for given, expected in ((2, Q(2)), (0, Q(0)), ("3/4", Q(3, 4)),
+                            ("-0", Q(0))):
+        step = InflationStep(F, given)
+        assert type(step.t) is Q and step.t == expected
+    for bad in (-1, Q(-1, 3), "-2/5"):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            InflationStep(E, bad)

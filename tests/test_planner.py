@@ -234,6 +234,18 @@ def test_label_absent_at_the_target_fails_fast():
         plan_vertical(u, Q(3, 4), lab, P1)
 
 
+def test_replay_keeps_the_stratum():
+    # every range holds, but the one step leaves the stratum of B-2F: its
+    # area is 2 at (4, 1/2) and 0 at (2, 1/4)
+    pl = InflationPlan(normalized(4, Q(1, 2)), (InflationStep(B, 1),),
+                       normalized(2, Q(1, 4)), label_for([B - 2 * F], P2))
+    text = "label B-2F is absent at (2, 1/4): B-2F has non-positive area"
+    for use in (pl.replay, pl.intermediates, pl.as_json):
+        with pytest.raises(PlanError) as err:
+            use()
+        assert str(err.value) == text
+
+
 def test_plan_replay_exactness_random_pairs():
     rng = random.Random(3)
     count = 0
