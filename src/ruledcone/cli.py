@@ -57,10 +57,15 @@ def _params(g: int) -> SurfaceParams:
         return SurfaceParams(g)
 
 
-def _grid_step(step: Fraction) -> Fraction:
+def _verify(params: SurfaceParams, mu_max, step, mu_min=None, **kwargs):
+    """verify_stability on a checked grid: an empty one certifies nothing."""
     if step <= 0:
         raise InputError("grid step must be positive")
-    return step
+    low = max(1, params.g) if mu_min is None else mu_min
+    if mu_max <= low:
+        raise InputError(f"mu-max must exceed the grid's lower end"
+                         f" {format_rational(low)}: the grid is empty")
+    return verify_stability(params, mu_max, step, mu_min=mu_min, **kwargs)
 
 
 def _parse_point(text: str, policy: bool = True):
@@ -201,8 +206,8 @@ def _cmd_verify_stability(args) -> int:
     params = _params(args.g)
     mu_max, step = _rational(args.mu_max), _rational(args.step)
     mu_min = _rational(args.mu_min) if args.mu_min else None
-    report = verify_stability(params, mu_max, _grid_step(step), mu_min=mu_min,
-                              min_index=args.min_index, workers=args.workers)
+    report = _verify(params, mu_max, step, mu_min=mu_min,
+                     min_index=args.min_index, workers=args.workers)
     payload = report.as_json()
     lines = [
         f"stability verification, g = {report.g}, mu in"
@@ -282,6 +287,8 @@ def _cmd_figure(args) -> int:
     mu_max = _rational(args.mu_max)
     if mu_max <= 1:
         raise InputError("mu-max must exceed 1")
+    if args.scale <= 0:
+        raise InputError(f"scale must be positive, got {args.scale}")
     model = figure_data(mu_max, args.k_max)
     if args.format == "csv":
         text = model.to_csv()
@@ -299,8 +306,8 @@ def _cmd_figure(args) -> int:
 def _cmd_report(args) -> int:
     params = _params(args.g)
     mu_max = _rational(args.mu_max)
-    step = _grid_step(_rational(args.step))
-    report = verify_stability(params, mu_max, step, workers=args.workers)
+    step = _rational(args.step)
+    report = _verify(params, mu_max, step, workers=args.workers)
 
     chambers = []
     verdicts = {v.index: v for v in report.chambers}

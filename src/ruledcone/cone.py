@@ -18,6 +18,9 @@ class sits between:
 A point on a wall belongs to the chamber on its left: the inequality signs
 are strict on the left condition and non-strict on the right, matching the
 half-open intervals of the minimal case.
+
+Validity and chamber membership are integer comparisons on the cached form
+(m, n, d) of a class, with mu = m/d and c = n/d.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import B, E, F, ClassVector
 from .rationals import format_rational
@@ -48,8 +52,19 @@ class NormalizedClass:
         if not isinstance(self.e, tuple) or len(self.e) != 1:
             raise ValueError(f"blow-up areas must be a 1-tuple (one blow-up),"
                              f" got {self.e!r}")
-        object.__setattr__(self, "mu", _Q(self.mu))
-        object.__setattr__(self, "e", (_Q(self.e[0]),))
+        if not isinstance(self.mu, Fraction):  # an int or a "p/q" string
+            object.__setattr__(self, "mu", _Q(self.mu))
+        if not isinstance(self.e[0], Fraction):
+            object.__setattr__(self, "e", (_Q(self.e[0]),))
+
+    @cached_property
+    def ints(self) -> tuple[int, int, int]:
+        """(m, n, d) with mu = m/d, c = n/d and d the lcm of the two
+        denominators; cached outside the fields (==, hash, repr ignore it)."""
+        mu, c = self.mu, self.e[0]
+        d = math.lcm(mu.denominator, c.denominator)
+        return (mu.numerator * (d // mu.denominator),
+                c.numerator * (d // c.denominator), d)
 
     @property
     def c(self) -> Fraction:
@@ -75,15 +90,16 @@ def validity_violations(u: NormalizedClass, policy: bool = True) -> list[str]:
 
     With policy=True the global assumption mu >= 1 is enforced as well.
     """
+    m, n, d = u.ints
     bad: list[str] = []
-    if u.mu <= 0:
+    if m <= 0:
         bad.append(f"mu > 0 violated (mu = {format_rational(u.mu)})")
-    if not 0 < u.c < 1:
+    if not 0 < n < d:
         bad.append(f"0 < e_1 < 1 violated (e_1 = {format_rational(u.c)})")
-    if u.c >= u.mu:
+    if n >= m:
         bad.append(f"e_1 < mu violated (e_1 = {format_rational(u.c)},"
                    f" mu = {format_rational(u.mu)})")
-    if policy and u.mu < 1:
+    if policy and m < d:
         bad.append(f"mu >= 1 policy violated (mu = {format_rational(u.mu)});"
                    " the leftmost chamber is out of scope")
     return bad
@@ -131,19 +147,20 @@ class ChamberId:
         return [f"mu > {k} + c", f"mu <= {k + 1}"]
 
     def contains(self, u: NormalizedClass) -> bool:
-        # inline area(B-kF), area(B-kF-E) signs; equivalent to the
-        # defining_classes inequalities but without object churn
-        k = self.k
-        if self.is_even:
-            return k < u.mu <= k + u.c
-        return k + u.c < u.mu <= k + 1
+        # defining_classes signs: d area(B-kF) = m-kd, d area(B-kF-E) = m-kd-n
+        m, n, d = u.ints
+        kd = self.index // 2 * d
+        if self.index % 2 == 0:
+            return kd < m <= kd + n
+        return kd + n < m <= kd + d
 
 
 def chamber_of(u: NormalizedClass) -> ChamberId:
     """Chamber of a valid class: index 2k on k < mu <= k+c, 2k+1 on k+c < mu <= k+1."""
     require_valid(u)
-    k = math.ceil(u.mu) - 1  # the unique integer with k < mu <= k+1
-    index = 2 * k if u.mu <= k + u.c else 2 * k + 1
+    m, n, d = u.ints
+    k = -(-m // d) - 1  # ceil(mu) - 1, the unique integer with k < mu <= k+1
+    index = 2 * k if m <= k * d + n else 2 * k + 1
     return ChamberId(index)
 
 

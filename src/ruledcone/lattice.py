@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,11 @@ class ClassVector:
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0 and self.r[0] == 0
+
+    @cached_property
+    def pairings(self) -> tuple[int, int, int, int]:
+        """(Z.B, Z.F, Z.E, Z.Z): area increments per unit t along Z, and Z.Z."""
+        return (pair(self, B), pair(self, F), pair(self, E), pair(self, self))
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         return ClassVector(self.p + other.p, self.q + other.q,

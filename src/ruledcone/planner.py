@@ -32,18 +32,19 @@ x used by each step is recorded as that step's assumption; where x is free
 the planner searches x = g, g-1, ..., 0 and keeps the first that works.
 
 Internally a cone point is an integer projective state (b, f, e, d): the
-areas of B, F and E are b/d, f/d and e/d.  Normalization divides by the
-fiber area only, so a positive scale is free; a step with t = p/q becomes
-an integer multiply-add, and a range check t (-Z.Z) < area(Z) an integer
-comparison with the denominators cleared.  A `Fraction` is built only where
-a value leaves the walk (a step parameter, a normalized point, an error
-text); the public surface speaks NormalizedClass / InflationStep.  One walk,
-`_certify`, checks every t against its range and every class of the plan's
-label at every state, the start included: a certified plan stays in its
-stratum.  Leg builders advance states only through the walk, so a plan is
-certified once, as it is built.  One route, `_route`, serves every entry
-point: `_horizontal_leg` moves mu (rightward, open-stratum hop or stratum
-route), then `_vertical_steps` moves c.
+areas of B, F and E are b/d, f/d and e/d.  A NormalizedClass (m/d, n/d)
+enters as (m, d, n, d) from its cached integer form; a step with t = p/q
+is an integer multiply-add with the pairings (Z.B, Z.F, Z.E, Z.Z) cached
+on Z; range checks t (-Z.Z) < area(Z) and `plan`'s preconditions are
+integer comparisons.  A `Fraction` is built only where a value leaves the
+walk (a step parameter, a leg target, an error text).  One walk,
+`_certify`, checks every t against its range and every class of the
+plan's label at every state it reaches; `_route` checks the start once,
+so a certified plan stays in its stratum.  Leg builders advance states
+only through the walk, so a plan is certified once, as it is built.  One
+route, `_route`, serves every entry point: `_horizontal_leg` moves mu,
+then `_vertical_steps` moves c, and the end state must equal the target
+exactly, compared in integers.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from fractions import Fraction
 from .cone import (NormalizedClass, chamber_of, is_valid, normalized,
                    require_valid)
 from .inflation import InflationStep, pd_area_vector
-from .lattice import B, E, F, ClassVector, SurfaceParams, pair
+from .lattice import B, E, F, ClassVector, SurfaceParams
 from .rationals import format_rational, simplest_between
 from .strata import OPEN_LABEL, StratumLabel, stratum_labels
 
@@ -71,18 +72,6 @@ _FE = F - E
 _MAX_HOPS = 256
 _MAX_ROUNDS = 1 << 20
 
-# (Z.B, Z.F, Z.E, Z.Z) per class: the area increments per unit t of an
-# inflation along Z, and its self-intersection
-_PD3: dict[ClassVector, tuple[int, int, int, int]] = {}
-
-
-def _pd3(z: ClassVector) -> tuple[int, int, int, int]:
-    hit = _PD3.get(z)
-    if hit is None:
-        hit = (pair(z, B), pair(z, F), pair(z, E), pair(z, z))
-        _PD3[z] = hit
-    return hit
-
 
 # Integer projective state (b, f, e, d): the areas of B, F and E are b/d,
 # f/d and e/d, with d > 0 and the four integers coprime.  The start state of
@@ -91,10 +80,8 @@ State = tuple[int, int, int, int]
 
 
 def _state_of(u: NormalizedClass) -> State:
-    mu, c = u.mu, u.c
-    d = math.lcm(mu.denominator, c.denominator)
-    return (mu.numerator * (d // mu.denominator), d,
-            c.numerator * (d // c.denominator), d)
+    m, n, d = u.ints
+    return (m, d, n, d)
 
 
 def _area3(state: State, z: ClassVector) -> int:
@@ -104,7 +91,7 @@ def _area3(state: State, z: ClassVector) -> int:
 
 
 def _apply3(state: State, z: ClassVector, t: Fraction) -> State:
-    db, df, de, _ = _pd3(z)
+    db, df, de, _ = z.pairings
     b, f, e, d = state
     p, q = t.numerator, t.denominator
     pd = p * d
@@ -120,40 +107,47 @@ def _normalized(state: State) -> NormalizedClass:
     return NormalizedClass(Fraction(b, f), (Fraction(e, f),))
 
 
-def _certify(state: State, steps, label: StratumLabel | None) -> list[State]:
+def _require_label(state: State, label: StratumLabel | None) -> None:
+    """Raise PlanError unless every class of `label` has positive area."""
+    for a in () if label is None else label.classes():
+        if _area3(state, a) <= 0:
+            raise PlanError(f"label {label.name} is absent at"
+                            f" {_normalized(state)}: {a} has non-positive"
+                            " area")
+
+
+def _certify(state: State, steps, label: StratumLabel | None,
+             start_certified: bool = False) -> list[State]:
     """Walk `steps` from `state`, raising PlanError unless every t lies in
     its range [0, T) of a class of positive area and every class of `label`
-    has positive area at every state; returns the states, the start first."""
-    classes = () if label is None else label.classes()
-    states = []
-    for step in (*steps, None):  # None: the last state is reached
-        for a in classes:
-            if _area3(state, a) <= 0:
-                raise PlanError(f"label {label.name} is absent at"
-                                f" {_normalized(state)}: {a} has non-positive"
-                                " area")
-        states.append(state)
-        if step is None:
-            return states
+    has positive area at every state, the start too unless a walk already
+    certified it; returns the states, the start first."""
+    if not start_certified:
+        _require_label(state, label)
+    states = [state]
+    for step in steps:
         z, t = step.z, step.t
         a = _area3(state, z)
         d = state[3]
         if a <= 0:
             raise PlanError(f"{z} has non-positive area"
                             f" {format_rational(Fraction(a, d))} mid-plan")
-        zz = _pd3(z)[3]
+        zz = z.pairings[3]
         # t (-Z.Z) < a/d, denominators cleared
         if zz < 0 and t.numerator * -zz * d >= t.denominator * a:
             raise PlanError(
                 f"step ({z}, {format_rational(t)}) exceeds its"
                 f" range [0, {format_rational(Fraction(a, d * -zz))})")
         state = _apply3(state, z, t)
+        _require_label(state, label)
+        states.append(state)
+    return states
 
 
 def _advance(state: State, steps: list[InflationStep],
              label: StratumLabel | None) -> tuple[list[InflationStep], State]:
-    """`steps` and the state they reach, certified by the walk."""
-    return steps, _certify(state, steps, label)[-1]
+    """`steps` and the state they reach, walked from a certified state."""
+    return steps, _certify(state, steps, label, start_certified=True)[-1]
 
 
 class PlanError(ValueError):
@@ -219,7 +213,7 @@ def _vertical_solve(state: State, z1: ClassVector,
     """Solve state + t1 PD(z1) + t2 PD(F-E) for unchanged normalized mu and
     normalized blow-up area c_target.  Raises when no positive solution
     exists (the recipe's feasibility constraint)."""
-    vb, vf, ve, _ = _pd3(z1)
+    vb, vf, ve, _ = z1.pairings
     b, f, e, d = state
     cn, cd = c_target.numerator, c_target.denominator
     # with mu = b/f and c = e/f the denominator of the solution,
@@ -311,7 +305,7 @@ def _vertical_steps(state: State, c_target: Fraction,
         raise last_err
     # rounds exist only if the label is present at the target (its classes
     # then stay positive on the straight path), so check (mu, c_target) first
-    _certify((b * cd, f * cd, cn * f, d * cd), (), label)
+    _require_label((b * cd, f * cd, cn * f, d * cd), label)
     z = _core_class(label)
     t1, t2 = _vertical_solve(state, z, c_target)
     return _interleaved(state, (_FE, t2), (z, t1), label)
@@ -328,7 +322,7 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
     base-area slot of the family grows by exactly t per unit; solving
     (mu + t) / (1 + t) = mu_target gives the closed form.
     """
-    vb = _pd3(z)[0]
+    vb = z.pairings[0]
     if 1 - vb < 0:
         raise PlanError(f"{z} is not a leftward class")
     mu_target = _Q(mu_target)
@@ -341,7 +335,7 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
 def _left_hop(state: State, z: ClassVector,
               mu_target: Fraction) -> list[InflationStep]:
     """One leftward hop: fiber companion first, then z (replay-safe order)."""
-    companion = 1 - _pd3(z)[0]
+    companion = 1 - z.pairings[0]
     b, f, _, d = state
     mn, md = mu_target.numerator, mu_target.denominator
     # increment per unit t is (1, 1, ...): base and fiber slots both +1, so
@@ -364,7 +358,7 @@ def _left_reach_bound(state: State, z: ClassVector) -> Fraction:
     that drift is negative the hop dies where the area of z hits zero, which
     is the wall of z.  Returns 1 when the drift is non-negative (any target
     above 1 is reachable in one hop)."""
-    vb, _, _, zz = _pd3(z)
+    vb, _, _, zz = z.pairings
     drift = zz + 1 - vb
     if drift >= 0:
         return _ONE
@@ -456,20 +450,25 @@ def _horizontal_leg(state: State, mu: Fraction, mu_target: Fraction,
     return _advance(state, [step], label)
 
 
-def _route(u: NormalizedClass, mu_target: Fraction, c_target: Fraction,
+def _route(u: NormalizedClass, target: NormalizedClass,
            label: StratumLabel | None, params: SurfaceParams | None,
            hop_x: int | None = None,
            raise_x: int | None = None) -> InflationPlan:
-    """Horizontal leg to mu_target (open-stratum hops along B + hop_x F),
-    then vertical leg to c_target (raises along B + raise_x F), certified as
+    """Horizontal leg to target.mu (open-stratum hops along B + hop_x F),
+    then vertical leg to target.c (raises along B + raise_x F), certified as
     built; the label is checked at the start first, so its absence is
-    reported ahead of any leg error."""
+    reported ahead of any leg error.  The end state must be the target
+    exactly: with target = (m, n, d), b/f = m/d and e/f = n/d."""
     state = _state_of(u)
-    _certify(state, (), label)
-    steps, state = _horizontal_leg(state, u.mu, mu_target, label, params,
-                                   hop_x, min(u.c, c_target))
-    more, state = _vertical_steps(state, c_target, label, params, raise_x)
-    return InflationPlan(u, tuple(steps + more), _normalized(state), label)
+    _require_label(state, label)
+    steps, state = _horizontal_leg(state, u.mu, target.mu, label, params,
+                                   hop_x, min(u.c, target.c))
+    more, state = _vertical_steps(state, target.c, label, params, raise_x)
+    b, f, e, _ = state
+    m, n, d = target.ints
+    if b * d != m * f or e * d != n * f:  # pragma: no cover - exactness guard
+        raise PlanError(f"plan ended at {_normalized(state)}, expected {target}")
+    return InflationPlan(u, tuple(steps + more), target, label)
 
 
 # -- the published recipe surface -------------------------------------------
@@ -483,7 +482,7 @@ def plan_vertical(u: NormalizedClass, c_target, label: StratumLabel,
     if not 0 < c_target < 1:
         raise PlanError(f"target blow-up area must lie in (0, 1), got"
                         f" {format_rational(c_target)}")
-    return _route(u, u.mu, c_target, label, params, raise_x=x)
+    return _route(u, normalized(u.mu, c_target), label, params, raise_x=x)
 
 
 def plan_right(u: NormalizedClass, mu_target) -> InflationPlan:
@@ -494,7 +493,7 @@ def plan_right(u: NormalizedClass, mu_target) -> InflationPlan:
         raise PlanError(f"rightward target {format_rational(mu_target)} is"
                         f" below mu = {format_rational(u.mu)}")
     # F keeps c, so the route reads neither a label nor the surface params
-    return _route(u, mu_target, u.c, None, None)
+    return _route(u, normalized(mu_target, u.c), None, None)
 
 
 def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
@@ -508,7 +507,7 @@ def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
         raise PlanError(f"open-stratum leftward targets must lie in"
                         f" ({params.g}, {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    return _route(u, mu_target, u.c, OPEN_LABEL, params, hop_x=x)
+    return _route(u, normalized(mu_target, u.c), OPEN_LABEL, params, hop_x=x)
 
 
 def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
@@ -522,7 +521,7 @@ def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
         raise PlanError(f"leftward targets must lie in (1,"
                         f" {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    return _route(u, mu_target, u.c, label, params)
+    return _route(u, normalized(mu_target, u.c), label, params)
 
 
 def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
@@ -531,7 +530,8 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
 
     Route: rightward or leftward leg to mu2 first (stratum-dictated class),
     then the vertical leg to c2.  Every step is certified as it is built;
-    failures raise PlanError naming the violated recipe precondition.
+    failures raise PlanError naming the violated recipe precondition, which
+    is checked on the endpoints' integer forms (m, n, d), mu = m/d, c = n/d.
     """
     cid = chamber_of(u1)  # checks that u1 is valid
     require_valid(u2)
@@ -541,16 +541,15 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
         raise PlanError(
             f"{u1} and {u2} lie in chambers {cid.index} and"
             f" {chamber_of(u2).index}; cross-chamber transport is out of scope")
+    m1, _, d1 = u1.ints
+    m2, _, d2 = u2.ints
     if label.is_open:
-        if not (u1.mu > params.g and u2.mu > params.g):
+        if not (m1 > params.g * d1 and m2 > params.g * d2):
             raise PlanError(f"open-stratum transport needs mu > g ="
                             f" {params.g} at both endpoints")
-    elif not (u1.mu > 1 and u2.mu > 1):
+    elif not (m1 > d1 and m2 > d2):
         raise PlanError("stratum transport needs mu > 1 at both endpoints")
-    result = _route(u1, u2.mu, u2.c, label, params, hop_x=x, raise_x=x)
-    if result.end != u2:  # pragma: no cover - exactness guard
-        raise PlanError(f"plan ended at {result.end}, expected {u2}")
-    return result
+    return _route(u1, u2, label, params, hop_x=x, raise_x=x)
 
 
 # -- grid verification of intra-chamber transport ----------------------------

@@ -154,10 +154,25 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("report --g -2 --mu-max 3", "genus must be >= 0, got -2"),
     ("gromov --p 1 --q 2 --g -1", "genus must be >= 0, got -1"),
     ("figure --mu-max 1/0", "zero denominator: '1/0'"),
+    ("figure --mu-max 3 --scale -5", "scale must be positive, got -5"),
+    ("figure --mu-max 3 --scale 0", "scale must be positive, got 0"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, low", [
+    ("report --g 1 --mu-max 0", "1"),
+    ("report --g 3 --mu-max 3", "3"),
+    ("verify-stability --g 1 --mu-max 0 --step 1/4", "1"),
+    ("verify-stability --g 1 --mu-max 3/2 --mu-min 2 --step 1/4", "2"),
+])
+def test_empty_grid_exits_2(capsys, argv, low):
+    # an empty grid certifies nothing, so it is refused, not "all certified"
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: mu-max must exceed the grid's"
+                                       f" lower end {low}: the grid is empty\n")
 
 
 def test_library_fault_exits_1(capsys, monkeypatch):

@@ -1,13 +1,16 @@
 """Cone validity, chamber identification, walls and the figure model."""
 
+import math
+import pickle
 from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.cone import (ChamberId, active_walls, area, chamber_of,
-                            figure_data, is_valid, normalized, same_chamber,
-                            validity_violations)
+from ruledcone.cone import (ChamberId, NormalizedClass, active_walls, area,
+                            chamber_of, figure_data, is_valid, normalized,
+                            same_chamber, validity_violations)
 from ruledcone.lattice import B, E, F, parse_class
+from ruledcone.rationals import format_rational
 
 
 def oracle_chamber_index(mu: Q, c: Q) -> int:
@@ -214,3 +217,86 @@ def test_wall_sign_determines_index_threshold():
                 assert (area(u, B - k * F - E) > 0) == (idx >= 2 * k + 1)
             c += step
         mu += step
+
+
+# -- the integer form against the Fraction closed forms ------------------------
+
+
+def fraction_violations(mu: Q, c: Q, policy: bool) -> list[str]:
+    """The cone constraints as Fraction comparisons, with their messages."""
+    fm, fc = format_rational(mu), format_rational(c)
+    bad = []
+    if mu <= 0:
+        bad.append(f"mu > 0 violated (mu = {fm})")
+    if not 0 < c < 1:
+        bad.append(f"0 < e_1 < 1 violated (e_1 = {fc})")
+    if c >= mu:
+        bad.append(f"e_1 < mu violated (e_1 = {fc}, mu = {fm})")
+    if policy and mu < 1:
+        bad.append(f"mu >= 1 policy violated (mu = {fm});"
+                   " the leftmost chamber is out of scope")
+    return bad
+
+
+def fraction_chamber(mu: Q, c: Q) -> int:
+    k = math.ceil(mu) - 1
+    return 2 * k if mu <= k + c else 2 * k + 1
+
+
+def fraction_contains(index: int, mu: Q, c: Q) -> bool:
+    k = index // 2
+    if index % 2 == 0:
+        return k < mu <= k + c
+    return k + c < mu <= k + 1
+
+
+def sweep_points():
+    cs = [Q(1, 2), Q(1, 3), Q(2, 3), Q(3, 4), Q(5, 12), Q(6, 7), Q(1, 16)]
+    for k in range(1, 6):
+        for c in cs:
+            yield k, c                    # vertical wall B-kF
+            yield k + c, c                # slanted wall B-kF-E
+            yield k + c / 2, c            # odd chamber interior
+            yield k + c + (1 - c) / 3, c  # even chamber interior
+    for mu, c in [(0, Q(1, 2)), (Q(-1, 2), Q(1, 4)), (Q(-3), Q(-1)),  # mu <= 0
+                  (2, 0), (2, 1), (3, Q(3, 2)), (Q(5, 2), Q(-1, 3)),   # c
+                  (Q(1, 2), Q(1, 2)), (Q(1, 3), Q(1, 2)), (1, 1),      # c >= mu
+                  (Q(1, 2), Q(1, 4)), (Q(9, 10), Q(3, 5)),             # mu < 1
+                  (Q(2, 3), Q(5, 7))]:
+        yield Q(mu), Q(c)
+
+
+def test_integer_form_agrees_with_fraction_closed_forms():
+    for mu, c in sweep_points():
+        u = normalized(mu, c)
+        m, n, d = u.ints
+        assert (Q(m, d), Q(n, d), d) == (mu, c, math.lcm(mu.denominator,
+                                                         c.denominator))
+        for policy in (True, False):
+            assert validity_violations(u, policy=policy) == \
+                fraction_violations(mu, c, policy), (mu, c, policy)
+        if is_valid(u):
+            assert chamber_of(u).index == fraction_chamber(mu, c)
+        for index in range(1, 2 * max(1, math.ceil(mu)) + 3):
+            assert ChamberId(index).contains(u) == \
+                fraction_contains(index, mu, c), (index, mu, c)
+
+
+def test_cached_integer_form_is_invisible_and_pickles():
+    u, v = normalized(Q(7, 3), Q(1, 2)), normalized(Q(7, 3), Q(1, 2))
+    assert u.ints == (14, 3, 6)
+    assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
+    assert repr(u) == ("NormalizedClass(mu=Fraction(7, 3),"
+                       " e=(Fraction(1, 2),))")
+    w = pickle.loads(pickle.dumps(u))
+    assert w == u and hash(w) == hash(u) and w.ints == (14, 3, 6)
+    assert pickle.loads(pickle.dumps(v)).ints == (14, 3, 6)
+
+
+def test_normalized_class_keeps_fractions_and_converts_the_rest():
+    mu, c = Q(7, 3), Q(1, 2)
+    u = NormalizedClass(mu, (c,))
+    assert u.mu is mu and u.e[0] is c
+    for raw in (NormalizedClass(3, ("1/2",)), NormalizedClass("3", (Q(1, 2),))):
+        assert raw == normalized(3, Q(1, 2))
+        assert type(raw.mu) is Q and type(raw.c) is Q

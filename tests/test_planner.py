@@ -454,6 +454,24 @@ def test_verify_stability_empty_grid():
     assert rep.ok and rep.chambers == []
 
 
+def test_verify_stability_plans_once_per_verdict(monkeypatch):
+    # every verdict is one call of the module-level `plan`, failures included
+    import ruledcone.planner as planner
+
+    calls = []
+    real = planner.plan
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "plan", counted)
+    rep = verify_stability(SurfaceParams(3), 5, Q(1, 4), mu_min=1,
+                           min_index=1)
+    assert not rep.ok and any(v.failed == 0 for v in rep.chambers)
+    assert len(calls) == sum(v.checked for v in rep.chambers) == 1560
+
+
 def test_verify_stability_workers_match_sequential():
     seq = verify_stability(P1, Q(5, 2), Q(1, 4))
     par = verify_stability(P1, Q(5, 2), Q(1, 4), workers=2)
