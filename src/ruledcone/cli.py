@@ -57,15 +57,25 @@ def _params(g: int) -> SurfaceParams:
         return SurfaceParams(g)
 
 
-def _verify(params: SurfaceParams, mu_max, step, mu_min=None, **kwargs):
-    """verify_stability on a checked grid: an empty one certifies nothing."""
+def _bound(value: int | None, name: str) -> int | None:
+    """A scan bound from the command line: absent or non-negative."""
+    if value is not None and value < 0:
+        raise InputError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _verify(params: SurfaceParams, mu_max, step, **kwargs):
+    """verify_stability on a checked step; a grid that puts no point in an
+    attempted chamber certifies nothing, so it is refused."""
     if step <= 0:
         raise InputError("grid step must be positive")
-    low = max(1, params.g) if mu_min is None else mu_min
-    if mu_max <= low:
-        raise InputError(f"mu-max must exceed the grid's lower end"
-                         f" {format_rational(low)}: the grid is empty")
-    return verify_stability(params, mu_max, step, mu_min=mu_min, **kwargs)
+    report = verify_stability(params, mu_max, step, **kwargs)
+    if not report.chambers:
+        raise InputError(
+            f"no grid point of ({format_rational(report.mu_min)},"
+            f" {format_rational(report.mu_max)}] lies in a chamber of index"
+            f" {report.min_index} or more: nothing to certify")
+    return report
 
 
 def _parse_point(text: str, policy: bool = True):
@@ -100,7 +110,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _cmd_chamber(args) -> int:
     u = _parse_point(args.u)
     cid = chamber_of(u)
-    walls = active_walls(u, args.k_max)
+    walls = active_walls(u)
     payload = {
         "mu": format_rational(u.mu),
         "c": format_rational(u.c),
@@ -121,7 +131,8 @@ def _cmd_chamber(args) -> int:
 def _cmd_walls(args) -> int:
     # wall queries make sense anywhere in the open cone, policy aside
     u = _parse_point(args.u, policy=False)
-    k_max = args.k_max if args.k_max is not None else math.ceil(u.mu) + 1
+    k_max = _bound(args.k_max, "k-max")
+    k_max = k_max if k_max is not None else math.ceil(u.mu) + 1
     walls = active_walls(u, k_max)
     payload = {
         "mu": format_rational(u.mu), "c": format_rational(u.c),
@@ -137,7 +148,7 @@ def _cmd_strata(args) -> int:
     u = _parse_point(args.u)
     params = _params(args.g)
     cid = chamber_of(u)
-    labels = stratum_labels(u, params, args.cod_max)
+    labels = stratum_labels(u, params, _bound(args.cod_max, "cod-max"))
     payload = {
         "chamber": cid.index,
         "labels": [lb.as_json() for lb in labels],
@@ -145,7 +156,7 @@ def _cmd_strata(args) -> int:
     lines = [f"u = {u} (chamber {cid.index}, g = {params.g})",
              f"{len(labels)} stratum labels:"]
     lines += [f"  {lb.name:<14} codim {lb.codim}" for lb in labels]
-    if args.wide is not None:
+    if _bound(args.wide, "wide scan bound") is not None:
         wide = wide_negative_classes(u, params, args.wide)
         payload["wide_scan"] = [
             {"class": str(a), "status": status} for a, status in wide]
@@ -261,6 +272,7 @@ def _cmd_gromov(args) -> int:
 
 def _cmd_decompose(args) -> int:
     params = _params(args.g)
+    _bound(args.r_bound, "r-bound")
     with _user_input():
         decs = gromov_mod.section_decompositions(params, args.q_bound,
                                                  r_bound=args.r_bound)
@@ -289,7 +301,7 @@ def _cmd_figure(args) -> int:
         raise InputError("mu-max must exceed 1")
     if args.scale <= 0:
         raise InputError(f"scale must be positive, got {args.scale}")
-    model = figure_data(mu_max, args.k_max)
+    model = figure_data(mu_max, _bound(args.k_max, "k-max"))
     if args.format == "csv":
         text = model.to_csv()
     else:
@@ -307,6 +319,7 @@ def _cmd_report(args) -> int:
     params = _params(args.g)
     mu_max = _rational(args.mu_max)
     step = _rational(args.step)
+    cod_max = _bound(args.cod_max, "cod-max")
     report = _verify(params, mu_max, step, workers=args.workers)
 
     chambers = []
@@ -318,7 +331,7 @@ def _cmd_report(args) -> int:
         if sample is not None:
             entry["labels"] = [lb.as_json()
                                for lb in stratum_labels(sample, params,
-                                                        args.cod_max)]
+                                                        cod_max)]
         if index in verdicts:
             v = verdicts[index]
             entry["stability"] = "verified" if v.failed == 0 else "failed"
@@ -381,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chamber", help="chamber of a normalized class")
     p.add_argument("--u", required=True, help="normalized class as mu,c")
-    p.add_argument("--k-max", type=int, default=None,
-                   help="wall scan bound (default ceil(mu)+1)")
     add_json(p)
     p.set_defaults(func=_cmd_chamber)
 
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'open' or a core class such as B-2F")
     p.add_argument("--x", type=int, default=None,
                    help="pin the open-stratum section coefficient (default:"
-                        " g, searched downward where needed)")
+                        " g, or the largest working x <= g for a raise)")
     add_json(p)
     p.set_defaults(func=_cmd_plan)
 

@@ -182,17 +182,13 @@ class Wall:
 def active_walls(u: NormalizedClass, k_max: int | None = None) -> list[Wall]:
     """Walls through u: classes B-kF, B-kF-E (1 <= k <= k_max) of zero area.
 
-    The boundary classes E and F-E are reported too if their areas vanish,
-    which cannot happen for a strictly valid u.  The mu >= 1 policy is not
-    required here, only the open cone constraints.
+    The boundary classes E and F-E never qualify: the open cone constraints,
+    required here (the mu >= 1 policy is not), give them positive area.
     """
     require_valid(u, policy=False)
     if k_max is None:
         k_max = math.ceil(u.mu) + 1
     walls = []
-    for a in (E, F - E):
-        if area(u, a) == 0:
-            walls.append(Wall(a))
     for k in range(1, k_max + 1):
         for a in (B - k * F, B - k * F - E):
             if area(u, a) == 0:
@@ -318,7 +314,8 @@ def figure_data(mu_max, k_max: int | None = None) -> FigureModel:
 
 
 def _polygon_centroid(pts: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """Exact centroid of a simple polygon given by its vertices in order."""
+    """Exact centroid of a simple polygon of positive area given by its
+    vertices in order."""
     twice_area = _Q(0)
     cx = cy = _Q(0)
     for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
@@ -326,7 +323,4 @@ def _polygon_centroid(pts: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, F
         twice_area += cross
         cx += (x1 + x2) * cross
         cy += (y1 + y2) * cross
-    if twice_area == 0:  # degenerate region, fall back to the vertex mean
-        m = len(pts)
-        return (sum(p[0] for p in pts) / m, sum(p[1] for p in pts) / m)
     return (cx / (3 * twice_area), cy / (3 * twice_area))

@@ -29,7 +29,8 @@ Move catalogue (all parameters solved exactly, all steps certified):
 
 The open stratum guarantees a section B + xF for *some* x <= g only, so the
 x used by each step is recorded as that step's assumption; where x is free
-the planner searches x = g, g-1, ..., 0 and keeps the first that works.
+a raise to c' takes the largest x <= g with x < mu - c', in closed form
+min(g, ceil(mu - c') - 1): its solution is positive exactly there.
 
 Internally a cone point is an integer projective state (b, f, e, d): the
 areas of B, F and E are b/d, f/d and e/d.  A NormalizedClass (m/d, n/d)
@@ -116,14 +117,11 @@ def _require_label(state: State, label: StratumLabel | None) -> None:
                             " area")
 
 
-def _certify(state: State, steps, label: StratumLabel | None,
-             start_certified: bool = False) -> list[State]:
+def _certify(state: State, steps, label: StratumLabel | None) -> list[State]:
     """Walk `steps` from `state`, raising PlanError unless every t lies in
     its range [0, T) of a class of positive area and every class of `label`
-    has positive area at every state, the start too unless a walk already
-    certified it; returns the states, the start first."""
-    if not start_certified:
-        _require_label(state, label)
+    has positive area at every state after the start (its caller checks the
+    start); returns the states, the start first."""
     states = [state]
     for step in steps:
         z, t = step.z, step.t
@@ -147,7 +145,7 @@ def _certify(state: State, steps, label: StratumLabel | None,
 def _advance(state: State, steps: list[InflationStep],
              label: StratumLabel | None) -> tuple[list[InflationStep], State]:
     """`steps` and the state they reach, walked from a certified state."""
-    return steps, _certify(state, steps, label, start_certified=True)[-1]
+    return steps, _certify(state, steps, label)[-1]
 
 
 class PlanError(ValueError):
@@ -175,15 +173,19 @@ class InflationPlan:
     end: NormalizedClass
     label: StratumLabel | None = None
 
+    def _walk(self) -> list[State]:
+        """The certified states of the steps from the start, the start first."""
+        state = _state_of(self.start)
+        _require_label(state, self.label)
+        return _certify(state, self.steps, self.label)
+
     def intermediates(self) -> list[NormalizedClass]:
         """Normalized points after each step (the last one equals `end`)."""
-        states = _certify(_state_of(self.start), self.steps, self.label)
-        return [_normalized(st) for st in states[1:]]
+        return [_normalized(st) for st in self._walk()[1:]]
 
     def replay(self) -> NormalizedClass:
         """Re-run and re-certify the steps, and return the endpoint."""
-        states = _certify(_state_of(self.start), self.steps, self.label)
-        return _normalized(states[-1])
+        return _normalized(self._walk()[-1])
 
     def stays_in_chamber(self) -> bool:
         """Whether every intermediate point is valid and in the start chamber."""
@@ -290,19 +292,14 @@ def _vertical_steps(state: State, c_target: Fraction,
     if above > 0:  # an embedded E always exists
         return _advance(state, [_drop(state, c_target)], label)
     if label.is_open:
-        choices = [x] if x is not None else list(range(params.g, -1, -1))
-        last_err: PlanError | None = None
-        for xx in choices:
-            section = _section(xx, params)
-            try:
-                t1, t2 = _vertical_solve(state, section, c_target)
-            except PlanError as err:
-                last_err = err
-                continue
-            # B+xF has square 2x >= 0; applying it first always stays in range
-            return _advance(state, [_step(section, t1), _step(_FE, t2)], label)
-        assert last_err is not None
-        raise last_err
+        if x is None:
+            # the largest x <= g with x < mu - c_target (`_vertical_solve`'s
+            # test); 0 if none, whose solve then names the binding constraint
+            x = max(0, min(params.g, (b * cd - cn * f - 1) // (f * cd)))
+        section = _section(x, params)
+        t1, t2 = _vertical_solve(state, section, c_target)
+        # B+xF has square 2x >= 0; applying it first always stays in range
+        return _advance(state, [_step(section, t1), _step(_FE, t2)], label)
     # rounds exist only if the label is present at the target (its classes
     # then stay positive on the straight path), so check (mu, c_target) first
     _require_label((b * cd, f * cd, cn * f, d * cd), label)

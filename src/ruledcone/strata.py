@@ -13,11 +13,15 @@ codimensions.  E and F-E exist for every compatible structure, so they are
 implicit members of every label and the display name shows only the
 positive-codimension core ("open" for the empty core).
 
-Within the families above, distinct positive-codimension classes always pair
-negatively, so cores are singletons; the admissibility search is still
-written generically.  `wide_negative_classes` is the safety net: it scans all
-bounded (p, q, r) under principled arithmetic filters and marks anything
-outside the four families instead of silently dropping it.
+Distinct positive-codimension family classes pair negatively, as
+(B-kF).(B-jF) = (B-kF).(B-jF-E) = -(k+j) and (B-kF-E).(B-jF-E) = -(k+j+1),
+and each pairs non-negatively with E and F-E, so a core is empty or one
+class.  The halves 2k-1+g and 2j+g of the codimensions have opposite parity,
+so labels never tie and the (codim, k) order of `negative_classes` is theirs.
+
+`wide_negative_classes` is the safety net: it scans all bounded (p, q, r)
+under principled arithmetic filters and marks anything outside the four
+families instead of silently dropping it.
 """
 
 from __future__ import annotations
@@ -65,26 +69,14 @@ def negative_classes(u: NormalizedClass, params: SurfaceParams,
     """All family classes of positive u-area (and codim <= cod_max), sorted
     by (codim, k)."""
     require_valid(u)
-    found: list[tuple[int, int, ClassVector]] = [
-        (0, 0, E), (0, 1, F - E)]
-    k = 1
-    while True:  # B - kF: positive area means k < mu
-        a = B - k * F
-        if area(u, a) <= 0:
-            break
-        found.append((codim(a, params), k, a))
-        k += 1
-    k = 0
-    while True:  # B - kF - E: positive area means k < mu - c
-        a = B - k * F - E
-        if area(u, a) <= 0:
-            break
-        found.append((codim(a, params), k, a))
-        k += 1
-    if cod_max is not None:
-        found = [f for f in found if f[0] <= cod_max]
-    found.sort(key=lambda f: (f[0], f[1]))
-    return [a for _, _, a in found]
+    m, n, d = u.ints
+    # positive area: k < mu for B-kF, k < mu - c for B-kF-E
+    sections = [B - k * F for k in range(1, -(-m // d))]
+    sections += [B - k * F - E for k in range(-(-(m - n) // d))]
+    found = [(0, 0, E), (0, 1, F - E)]
+    found += [(codim(a, params), -a.q, a) for a in sections]
+    return [a for cod, _, a in sorted(found, key=lambda f: f[:2])
+            if cod_max is None or cod <= cod_max]
 
 
 def is_admissible(classes) -> bool:
@@ -103,29 +95,12 @@ def cod_of_set(classes, params: SurfaceParams) -> int:
 
 def stratum_labels(u: NormalizedClass, params: SurfaceParams,
                    cod_max: int | None = None) -> list[StratumLabel]:
-    """All labels present at u: admissible subsets of the negative classes,
-    each implicitly containing E and F-E, sorted by codimension."""
-    candidates = [a for a in negative_classes(u, params, cod_max)
-                  if codim(a, params) > 0]
-    labels = {OPEN_LABEL}
-    # grow admissible cores; every core member must also pair >= 0 with the
-    # ubiquitous classes (true for the families, checked for wide inputs)
-    stack: list[tuple[tuple[ClassVector, ...], int]] = [((), 0)]
-    while stack:
-        core, start = stack.pop()
-        for i in range(start, len(candidates)):
-            cand = candidates[i]
-            if any(pair(cand, c) < 0 for c in core):
-                continue
-            if any(pair(cand, c) < 0 for c in UBIQUITOUS):
-                continue
-            new_core = tuple(sorted(core + (cand,)))
-            total = sum(codim(a, params) for a in new_core)
-            if cod_max is not None and total > cod_max:
-                continue
-            labels.add(StratumLabel(total, new_core))
-            stack.append((new_core, i + 1))
-    return sorted(labels)
+    """All labels present at u, sorted by codimension: the open label and one
+    singleton core per positive-codimension negative class (see the module
+    docstring for why no larger core is admissible)."""
+    return [OPEN_LABEL] + [StratumLabel(cod, (a,))
+                           for a in negative_classes(u, params, cod_max)
+                           if (cod := codim(a, params)) > 0]
 
 
 def label_for(core_classes, params: SurfaceParams) -> StratumLabel:

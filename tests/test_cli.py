@@ -50,6 +50,14 @@ def test_chamber_wall_point(capsys):
     assert payload["active_walls"] == ["B-2F"]
 
 
+@pytest.mark.parametrize("u, wall", [("3,1/2", "B-3F"), ("5/2,1/2", "B-2F-E")])
+def test_chamber_names_the_wall_through_the_point(capsys, u, wall):
+    payload = check(capsys, "chamber", "chamber", "--u", u, "--json")
+    assert payload["active_walls"] == [wall]
+    code, out, _ = run(capsys, "chamber", "--u", u)
+    assert code == 0 and f"active walls: {wall}\n" in out
+
+
 def test_chamber_rejects_policy_violation(capsys):
     code, out, err = run(capsys, "chamber", "--u", "1/2,1/4")
     assert code == 2
@@ -156,6 +164,14 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("figure --mu-max 1/0", "zero denominator: '1/0'"),
     ("figure --mu-max 3 --scale -5", "scale must be positive, got -5"),
     ("figure --mu-max 3 --scale 0", "scale must be positive, got 0"),
+    ("walls --u 3,1/2 --k-max -2 --json", "k-max must be >= 0, got -2"),
+    ("decompose --g 2 --q-bound 2 --r-bound -1 --json",
+     "r-bound must be >= 0, got -1"),
+    ("strata --u 3,1/2 --g 1 --wide -1",
+     "wide scan bound must be >= 0, got -1"),
+    ("strata --u 3,1/2 --g 1 --cod-max -1", "cod-max must be >= 0, got -1"),
+    ("report --g 1 --mu-max 3 --cod-max -1", "cod-max must be >= 0, got -1"),
+    ("figure --mu-max 3 --k-max -1", "k-max must be >= 0, got -1"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
@@ -167,12 +183,23 @@ def test_bad_input_exits_2(capsys, argv, message):
     ("report --g 3 --mu-max 3", "3"),
     ("verify-stability --g 1 --mu-max 0 --step 1/4", "1"),
     ("verify-stability --g 1 --mu-max 3/2 --mu-min 2 --step 1/4", "2"),
+    # a non-empty interval whose first grid point 5/4 lies beyond it
+    ("verify-stability --g 1 --mu-max 9/8 --step 1/4", "1"),
+    ("report --g 1 --mu-max 9/8 --step 1/4", "1"),
+    # every grid point lies below the lowest attempted chamber
+    ("verify-stability --g 2 --mu-max 3 --step 1/4 --min-index 9", "2"),
 ])
 def test_empty_grid_exits_2(capsys, argv, low):
-    # an empty grid certifies nothing, so it is refused, not "all certified"
-    code, out, err = run(capsys, *argv.split())
-    assert (code, out, err) == (2, "", f"error: mu-max must exceed the grid's"
-                                       f" lower end {low}: the grid is empty\n")
+    # a grid with no point in an attempted chamber certifies nothing, so it
+    # is refused, not "all certified"; the message names the grid (low,
+    # mu-max] and the lowest attempted chamber (--min-index, default 2g)
+    words = argv.split()
+    flag = dict(zip(words[1::2], words[2::2]))
+    index = flag.get("--min-index", str(2 * int(flag["--g"])))
+    code, out, err = run(capsys, *words)
+    assert (code, out, err) == (
+        2, "", f"error: no grid point of ({low}, {flag['--mu-max']}] lies in"
+               f" a chamber of index {index} or more: nothing to certify\n")
 
 
 def test_library_fault_exits_1(capsys, monkeypatch):

@@ -71,6 +71,36 @@ def test_vertical_open_searches_section_coefficient():
         " mu > 23/8 (mu = 9/8): no positive solution")
 
 
+def test_free_section_coefficient_is_the_largest_that_works():
+    # the closed form for x against a downward search over pinned x
+    step = Q(1, 8)
+    for g in range(4):
+        params = SurfaceParams(g)
+        for i in range(8, 33):  # mu = 1 .. 4
+            for j in range(1, 8):
+                u = normalized(i * step, j * step)
+                for k in range(j + 1, 8):
+                    pinned = None
+                    for x in range(g, -1, -1):
+                        try:
+                            pinned = plan_vertical(u, k * step, OPEN_LABEL,
+                                                   params, x=x)
+                            break
+                        except PlanError:
+                            pass
+                    assert plan_vertical(u, k * step, OPEN_LABEL,
+                                         params) == pinned
+
+
+def test_free_section_coefficient_reports_x_0_when_none_works():
+    # at g = 0 a leftward open hop may end below the blow-up area to restore
+    with pytest.raises(PlanError) as err:
+        plan_left_open(normalized(2, Q(1, 2)), Q(1, 5), SurfaceParams(0))
+    assert str(err.value) == (
+        "raising the blow-up area to 1/2 along B and F-E needs mu > 1/2"
+        " (mu = 1/5): no positive solution")
+
+
 def test_vertical_stratum_interleaves_near_wall():
     u = normalized(Q(21, 10), Q(1, 5))
     lab = label_for([B - 2 * F], P1)

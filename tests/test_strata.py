@@ -1,5 +1,6 @@
 """Negative class enumeration, admissibility, stratum labels."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -87,6 +88,30 @@ def test_stratum_labels_enumeration():
 
 def test_stratum_labels_cod_max_zero():
     assert stratum_labels(U, P2, 0) == [OPEN_LABEL]
+
+
+def test_labels_are_singletons_because_cores_pair_negatively():
+    # the mathematics behind the singleton form of `stratum_labels`
+    step = Q(1, 8)
+    for g in range(5):
+        params = SurfaceParams(g)
+        for i in range(8, 49):  # mu = 1 .. 6
+            for j in range(1, 8):
+                u = normalized(i * step, j * step)
+                core = [a for a in negative_classes(u, params)
+                        if codim(a, params) > 0]
+                for a, b in itertools.combinations(core, 2):
+                    assert not is_admissible([a, b]), (g, u, a, b)
+                for a in core:
+                    assert pair(a, E) >= 0 and pair(a, F - E) >= 0
+                labels = stratum_labels(u, params)
+                assert labels == [OPEN_LABEL] + [label_for([a], params)
+                                                 for a in core]
+                assert labels == sorted(set(labels))
+    # at g = 0 the section class B-E has codimension 0, so it labels nothing
+    u, params = normalized(3, Q(1, 2)), SurfaceParams(0)
+    assert B - E in negative_classes(u, params)
+    assert all(lb.core != (B - E,) for lb in stratum_labels(u, params))
 
 
 def test_stratum_labels_constant_on_chambers():
