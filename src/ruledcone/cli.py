@@ -24,7 +24,7 @@ from .lattice import B, F, ClassVector, SurfaceParams, parse_class
 from .planner import (PlanError, detected_discrepancies, plan,
                       verify_stability)
 from .rationals import format_rational, parse_rational
-from .strata import (OPEN_LABEL, label_for, stratum_labels,
+from .strata import (OPEN_LABEL, chamber_labels, label_for, stratum_labels,
                      wide_negative_classes)
 
 EXIT_OK = 0
@@ -301,7 +301,7 @@ def _cmd_figure(args) -> int:
         raise InputError("mu-max must exceed 1")
     if args.scale <= 0:
         raise InputError(f"scale must be positive, got {args.scale}")
-    model = figure_data(mu_max, _bound(args.k_max, "k-max"))
+    model = figure_data(mu_max)
     if args.format == "csv":
         text = model.to_csv()
     else:
@@ -324,14 +324,11 @@ def _cmd_report(args) -> int:
 
     chambers = []
     verdicts = {v.index: v for v in report.chambers}
-    for index in range(1, 2 * math.ceil(mu_max)):
-        sample = _chamber_sample(index, mu_max)
-        entry = {"index": index,
-                 "inequalities": ChamberId(index).inequalities()}
-        if sample is not None:
-            entry["labels"] = [lb.as_json()
-                               for lb in stratum_labels(sample, params,
-                                                        cod_max)]
+    for index in range(1, 2 * math.ceil(mu_max)):  # each meets the window
+        cid = ChamberId(index)
+        entry = {"index": index, "inequalities": cid.inequalities(),
+                 "labels": [lb.as_json()
+                            for lb in chamber_labels(cid, params, cod_max)]}
         if index in verdicts:
             v = verdicts[index]
             entry["stability"] = "verified" if v.failed == 0 else "failed"
@@ -351,33 +348,16 @@ def _cmd_report(args) -> int:
     }
     lines = [f"report, g = {params.g}, mu_max = {format_rational(mu_max)}"]
     for entry in chambers:
-        labels = entry.get("labels", [])
         lines.append(f"  chamber {entry['index']:3d}: "
                      + " and ".join(entry["inequalities"])
-                     + f"; {len(labels)} labels; stability {entry['stability']}")
+                     + f"; {len(entry['labels'])} labels;"
+                     f" stability {entry['stability']}")
     lines.append("recorded source discrepancies: "
                  + ", ".join(d["id"] for d in payload["paper_discrepancies"]))
     lines.append("stability verdict: "
                  + ("all certified" if report.ok else "counterexample found"))
     _emit(args, payload, lines)
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
-
-
-def _chamber_sample(index: int, mu_max: Fraction):
-    """An interior grid-friendly point of the chamber, or None if the chamber
-    does not meet mu <= mu_max."""
-    k, even = index // 2, index % 2 == 0
-    if even:
-        mu = Fraction(k) + Fraction(1, 2)
-        c = Fraction(3, 4)
-    else:
-        mu = Fraction(k) + Fraction(3, 4)
-        c = Fraction(1, 4)
-    if index == 1:
-        mu, c = Fraction(1), Fraction(1, 2)
-    if mu > mu_max:
-        return None
-    return normalized(mu, c)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit the chamber diagram")
     p.add_argument("--mu-max", required=True)
-    p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--format", choices=["svg", "csv"], default="svg")
     p.add_argument("--scale", type=int, default=100,
                    help="SVG pixels per unit of mu")

@@ -140,6 +140,14 @@ class ChamberId:
             return B - k * F, B - k * F - E
         return B - k * F - E, B - (k + 1) * F
 
+    def section_classes(self) -> list[ClassVector]:
+        """The classes B-jF (j >= 1) and B-jF-E (j >= 0) of positive area on
+        the chamber, by codimension: B-jF for j <= k, and B-jF-E for j < k on
+        chamber 2k (mu - c in (k-1, k]) or j <= k on 2k+1 (mu - c in
+        (k, k+1-c]); that is, the first `index` of B-E, B-F, B-F-E, B-2F..."""
+        return [B - (i + 1) // 2 * F - (1 - i % 2) * E
+                for i in range(self.index)]
+
     def inequalities(self) -> list[str]:
         k = self.k
         if self.is_even:
@@ -180,20 +188,20 @@ class Wall:
 
 
 def active_walls(u: NormalizedClass, k_max: int | None = None) -> list[Wall]:
-    """Walls through u: classes B-kF, B-kF-E (1 <= k <= k_max) of zero area.
+    """Walls through u: classes B-kF, B-kF-E (1 <= k <= k_max) of zero area;
+    at most one, since 0 < c < 1.
 
     The boundary classes E and F-E never qualify: the open cone constraints,
     required here (the mu >= 1 policy is not), give them positive area.
     """
     require_valid(u, policy=False)
-    if k_max is None:
-        k_max = math.ceil(u.mu) + 1
-    walls = []
-    for k in range(1, k_max + 1):
-        for a in (B - k * F, B - k * F - E):
-            if area(u, a) == 0:
-                walls.append(Wall(a))
-    return walls
+    m, n, d = u.ints
+    # mu = k + rest/d lies on B-kF when rest = 0 and on B-kF-E when rest = n;
+    # 0 < n < d makes these exclusive, and k >= 1 as mu > c
+    k, rest = divmod(m, d)
+    if rest not in (0, n) or (k_max is not None and k > k_max):
+        return []
+    return [Wall(B - k * F - E if rest else B - k * F)]
 
 
 # -- figure model ------------------------------------------------------------
@@ -270,28 +278,20 @@ class FigureModel:
         return "\n".join(out) + "\n"
 
 
-def figure_data(mu_max, k_max: int | None = None) -> FigureModel:
+def figure_data(mu_max) -> FigureModel:
     """Wall segments and chamber labels for the strip 1 <= mu <= mu_max.
 
-    Without an explicit k_max only walls strictly inside the window are
-    emitted: verticals mu = k for k < mu_max, slants (k,0)-(k+1,1) for
-    k+1 < mu_max.  With k_max given: verticals k = 1..k_max and slants
-    k = 0..k_max-1.
+    Only walls strictly inside the window are emitted: verticals mu = k for
+    k < mu_max, slants (k,0)-(k+1,1) for k+1 < mu_max.
     """
     mu_max = _Q(mu_max)
     if mu_max <= 1:
         raise ValueError("mu_max must exceed 1")
-    if k_max is None:
-        vert_ks = range(1, math.ceil(mu_max))
-        slant_ks = range(0, math.ceil(mu_max) - 1)
-    else:
-        vert_ks = range(1, k_max + 1)
-        slant_ks = range(0, k_max)
 
     walls = [WallSegment(B - k * F, (_Q(k), _Q(0)), (_Q(k), _Q(1)))
-             for k in vert_ks]
+             for k in range(1, math.ceil(mu_max))]
     walls += [WallSegment(B - k * F - E, (_Q(k), _Q(0)), (_Q(k + 1), _Q(1)))
-              for k in slant_ks]
+              for k in range(0, math.ceil(mu_max) - 1)]
 
     boundaries = (
         WallSegment(E, (_Q(1), _Q(0)), (mu_max, _Q(0))),

@@ -55,12 +55,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import (NormalizedClass, chamber_of, is_valid, normalized,
-                   require_valid)
+from .cone import (ChamberId, NormalizedClass, chamber_of, is_valid,
+                   normalized, require_valid)
 from .inflation import InflationStep, pd_area_vector
 from .lattice import B, E, F, ClassVector, SurfaceParams
 from .rationals import format_rational, simplest_between
-from .strata import OPEN_LABEL, StratumLabel, stratum_labels
+from .strata import OPEN_LABEL, StratumLabel, chamber_labels
 
 _Q = Fraction
 _ONE = _Q(1)
@@ -191,9 +191,12 @@ class InflationPlan:
         """Whether every intermediate point is valid and in the start chamber."""
         if not is_valid(self.start):
             return False
-        cid = chamber_of(self.start)
-        return all(is_valid(v) and cid.contains(v)
-                   for v in self.intermediates())
+        left, right = chamber_of(self.start).defining_classes()
+        # a state (b, f, e, d) is valid (mu >= 1 policy) iff 0 < e < f <= b,
+        # and in the chamber iff its defining classes have these signs
+        return all(0 < s[2] < s[1] <= s[0]
+                   and _area3(s, left) > 0 >= _area3(s, right)
+                   for s in self._walk()[1:])
 
     def as_json(self) -> dict:
         return {
@@ -294,8 +297,8 @@ def _vertical_steps(state: State, c_target: Fraction,
     if label.is_open:
         if x is None:
             # the largest x <= g with x < mu - c_target (`_vertical_solve`'s
-            # test); 0 if none, whose solve then names the binding constraint
-            x = max(0, min(params.g, (b * cd - cn * f - 1) // (f * cd)))
+            # test), >= 0 as every route ends at mu >= 1 > c_target
+            x = min(params.g, (b * cd - cn * f - 1) // (f * cd))
         section = _section(x, params)
         t1, t2 = _vertical_solve(state, section, c_target)
         # B+xF has square 2x >= 0; applying it first always stays in range
@@ -414,6 +417,14 @@ def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
         f" within {_MAX_HOPS} hops; the binding constraint is the wall of {z}")
 
 
+def _open_left_refusal(params: SurfaceParams, mu: Fraction,
+                       mu_target: Fraction) -> PlanError:
+    """Open-stratum leftward targets lie above g, and in the cone (mu >= 1)."""
+    low = f"({params.g}" if params.g else "[1"
+    return PlanError(f"open-stratum leftward targets must lie in {low},"
+                     f" {format_rational(mu)}), got {format_rational(mu_target)}")
+
+
 def _horizontal_leg(state: State, mu: Fraction, mu_target: Fraction,
                     label: StratumLabel | None, params: SurfaceParams | None,
                     x: int | None,
@@ -424,7 +435,7 @@ def _horizontal_leg(state: State, mu: Fraction, mu_target: Fraction,
     Rightward is one F step.  Leftward on the open stratum is one hop along
     the section B + xF (x defaults to g): the normalized base area along it
     is x + (mu - x)/(1 + t), strictly decreasing with limit x, so targets at
-    or below x are unreachable, and those at or below g are refused.
+    or below x are unreachable, and targets <= g or < 1 are refused.
     Leftward in a stratum is `_left_route` along the label's class, with the
     blow-up area capped at c_cap.
     """
@@ -439,10 +450,8 @@ def _horizontal_leg(state: State, mu: Fraction, mu_target: Fraction,
     if mu_target <= x:
         raise PlanError(f"mu' = {format_rational(mu_target)} is unreachable"
                         f" along B+{x}F: the normalized limit is {x}")
-    if mu_target <= params.g:
-        raise PlanError(f"open-stratum leftward targets must lie in"
-                        f" ({params.g}, {format_rational(mu)}), got"
-                        f" {format_rational(mu_target)}")
+    if mu_target <= params.g or mu_target < 1:
+        raise _open_left_refusal(params, mu, mu_target)
     step = _step(section, (mu - mu_target) / (mu_target - x))
     return _advance(state, [step], label)
 
@@ -496,14 +505,12 @@ def plan_right(u: NormalizedClass, mu_target) -> InflationPlan:
 def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
                    x: int | None = None) -> InflationPlan:
     """Decrease mu on the open stratum along a section B + xF (x defaults
-    to g), then restore c; with x <= g every target above g works."""
+    to g), then restore c; with x <= g every target > g and >= 1 works."""
     require_valid(u)
     mu_target = _Q(mu_target)
-    # a target at or below g is refused by the hop, after its checks of x
+    # targets <= g or < 1 are refused by the hop, after its checks of x
     if mu_target > u.mu:
-        raise PlanError(f"open-stratum leftward targets must lie in"
-                        f" ({params.g}, {format_rational(u.mu)}), got"
-                        f" {format_rational(mu_target)}")
+        raise _open_left_refusal(params, u.mu, mu_target)
     return _route(u, normalized(mu_target, u.c), OPEN_LABEL, params, hop_x=x)
 
 
@@ -604,7 +611,7 @@ class StabilityReport:
 
 def _verify_chamber(args) -> ChamberVerdict:
     params, index, points = args
-    labels = stratum_labels(points[0], params)
+    labels = chamber_labels(ChamberId(index), params)
     verdict = ChamberVerdict(index=index, points=len(points),
                              labels=[lb.name for lb in labels])
     for ua, ub in itertools.combinations(points, 2):

@@ -17,7 +17,9 @@ Distinct positive-codimension family classes pair negatively, as
 (B-kF).(B-jF) = (B-kF).(B-jF-E) = -(k+j) and (B-kF-E).(B-jF-E) = -(k+j+1),
 and each pairs non-negatively with E and F-E, so a core is empty or one
 class.  The halves 2k-1+g and 2j+g of the codimensions have opposite parity,
-so labels never tie and the (codim, k) order of `negative_classes` is theirs.
+so labels never tie.  Which family classes have positive area is fixed by
+the chamber (`ChamberId.section_classes`), so labels are a property of the
+chamber: `chamber_labels`.
 
 `wide_negative_classes` is the safety net: it scans all bounded (p, q, r)
 under principled arithmetic filters and marks anything outside the four
@@ -29,8 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cone import NormalizedClass, area, require_valid
-from .lattice import (B, E, F, ClassVector, SurfaceParams, adjunction_genus,
+from .cone import ChamberId, NormalizedClass, area, chamber_of, require_valid
+from .lattice import (E, F, ClassVector, SurfaceParams, adjunction_genus,
                       codim, pair)
 
 UBIQUITOUS = (E, F - E)
@@ -68,13 +70,9 @@ def negative_classes(u: NormalizedClass, params: SurfaceParams,
                      cod_max: int | None = None) -> list[ClassVector]:
     """All family classes of positive u-area (and codim <= cod_max), sorted
     by (codim, k)."""
-    require_valid(u)
-    m, n, d = u.ints
-    # positive area: k < mu for B-kF, k < mu - c for B-kF-E
-    sections = [B - k * F for k in range(1, -(-m // d))]
-    sections += [B - k * F - E for k in range(-(-(m - n) // d))]
     found = [(0, 0, E), (0, 1, F - E)]
-    found += [(codim(a, params), -a.q, a) for a in sections]
+    found += [(codim(a, params), -a.q, a)
+              for a in chamber_of(u).section_classes()]
     return [a for cod, _, a in sorted(found, key=lambda f: f[:2])
             if cod_max is None or cod <= cod_max]
 
@@ -93,14 +91,20 @@ def cod_of_set(classes, params: SurfaceParams) -> int:
     return sum(codim(a, params) for a in classes)
 
 
+def chamber_labels(cid: ChamberId, params: SurfaceParams,
+                   cod_max: int | None = None) -> list[StratumLabel]:
+    """All labels present on the chamber, sorted by codimension: the open
+    label and one singleton core per positive-codimension section class (see
+    the module docstring for why no larger core is admissible)."""
+    return [OPEN_LABEL] + [
+        StratumLabel(cod, (a,)) for a in cid.section_classes()
+        if 0 < (cod := codim(a, params)) and (cod_max is None or cod <= cod_max)]
+
+
 def stratum_labels(u: NormalizedClass, params: SurfaceParams,
                    cod_max: int | None = None) -> list[StratumLabel]:
-    """All labels present at u, sorted by codimension: the open label and one
-    singleton core per positive-codimension negative class (see the module
-    docstring for why no larger core is admissible)."""
-    return [OPEN_LABEL] + [StratumLabel(cod, (a,))
-                           for a in negative_classes(u, params, cod_max)
-                           if (cod := codim(a, params)) > 0]
+    """All labels present at the valid class u: those of its chamber."""
+    return chamber_labels(chamber_of(u), params, cod_max)
 
 
 def label_for(core_classes, params: SurfaceParams) -> StratumLabel:

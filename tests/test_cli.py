@@ -171,7 +171,6 @@ def test_plan_rejects_out_of_range_x(capsys, x):
      "wide scan bound must be >= 0, got -1"),
     ("strata --u 3,1/2 --g 1 --cod-max -1", "cod-max must be >= 0, got -1"),
     ("report --g 1 --mu-max 3 --cod-max -1", "cod-max must be >= 0, got -1"),
-    ("figure --mu-max 3 --k-max -1", "k-max must be >= 0, got -1"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
@@ -324,6 +323,23 @@ def test_report_json(capsys):
     assert ids == ["vertical-transport-solutions", "left-inflation-family",
                    "section-virtual-dimension"]
     jsonschema.validate(payload["stability"], load_schema("stability"))
+
+
+def test_report_gives_every_chamber_its_labels(capsys):
+    # chambers 4 and 5 reach past mu-max = 9/4; their labels are the ones
+    # the verifier certified there
+    argv = ["report", "--g", "1", "--mu-max", "9/4", "--step", "1/8"]
+    payload = check(capsys, "report", *argv, "--json")
+    verified = {v["chamber"]: v["labels"]
+                for v in payload["stability"]["chambers"]}
+    assert sorted(verified) == [2, 3, 4, 5]
+    for entry in payload["chambers"]:
+        names = [" + ".join(lb["core"]) or "open" for lb in entry["labels"]]
+        assert names == verified.get(entry["index"], names)
+    assert verified[4] == ["open", "B-E", "B-F", "B-F-E", "B-2F"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "0 labels" not in out
+    assert "chamber   4: mu > 2 and mu <= 2 + c; 5 labels;" in out
 
 
 def run_module(*argv):

@@ -122,6 +122,41 @@ def test_chamber_locally_constant():
         assert chamber_of(normalized(u.mu + dmu, u.c + dc)).index == idx
 
 
+def _walls_by_scan(u, k_max=None):
+    """Every B-kF and B-kF-E of zero area with 1 <= k <= k_max, by a scan."""
+    if k_max is None:
+        k_max = math.ceil(u.mu) + 1
+    return [a for k in range(1, k_max + 1)
+            for a in (B - k * F, B - k * F - E) if area(u, a) == 0]
+
+
+def test_active_walls_match_a_scan_over_k():
+    # valid points, and points with mu < 1 that only the policy excludes
+    points = {normalized(i * Q(1, n), j * Q(1, n)) for n in (8, 12)
+              for i in range(1, 5 * n + 1) for j in range(1, n)}
+    on_walls = 0
+    for u in points:
+        if not is_valid(u, policy=False):
+            continue
+        for k_max in [None, *range(math.ceil(u.mu) + 2)]:
+            walls = [w.curve_class for w in active_walls(u, k_max)]
+            assert walls == _walls_by_scan(u, k_max), (u, k_max)
+        on_walls += bool(_walls_by_scan(u))
+    assert on_walls > 50
+
+
+def test_chamber_section_classes():
+    assert ChamberId(1).section_classes() == [B - E]
+    assert ChamberId(4).section_classes() == [B - E, B - F, B - F - E,
+                                              B - 2 * F]
+    assert ChamberId(5).section_classes()[-1] == B - 2 * F - E
+    for n in range(1, 12):
+        cid = ChamberId(n)
+        left, right = cid.defining_classes()
+        assert cid.section_classes()[-1] == left
+        assert ChamberId(n + 1).section_classes()[-1] == right
+
+
 def test_active_walls():
     assert active_walls(normalized(2, Q(1, 2)), 8) == \
         [w for w in active_walls(normalized(2, Q(1, 2)), 8)]
@@ -144,13 +179,6 @@ def test_figure_walls_for_window():
     assert [(s.start, s.end) for s in slants] == \
         [((0, 0), (1, 1)), ((1, 0), (2, 1)), ((2, 0), (3, 1))]
     assert [str(s.curve_class) for s in model.boundaries] == ["E", "F-E"]
-
-
-def test_figure_explicit_k_max():
-    model = figure_data(4, k_max=3)
-    verticals = [s for s in model.walls if s.start[0] == s.end[0]]
-    slants = [s for s in model.walls if s.start[0] != s.end[0]]
-    assert len(verticals) == 3 and len(slants) == 3
 
 
 def test_figure_segments_lie_on_zero_loci():

@@ -1,8 +1,9 @@
 """Golden surface of the five planner entry points over a fixed sweep.
 
-For g = 1 and 2 the sweep takes the step-1/4 grid of points (mu, c) with
-1 <= mu <= g + 2, every label that can occur there (present at the start
-point or not) and every pinned section coefficient x in -1..g+1, and calls
+For g = 0, 1 and 2 the sweep takes the step-1/4 grid of points (mu, c)
+with 1 <= mu <= g + 2, every label that can occur there (present at the
+start point or not; B-E has codimension 0 at g = 0, so it labels nothing
+there) and every pinned section coefficient x in -1..g+1, and calls
 
     plan                every ordered same-chamber pair and one vertical
                         neighbour pair per mu, every label; x pinned on `open`
@@ -34,7 +35,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 from ruledcone.cone import normalized, same_chamber
-from ruledcone.lattice import B, E, F, SurfaceParams
+from ruledcone.lattice import B, E, F, SurfaceParams, codim
 from ruledcone.planner import (PlanError, plan, plan_left_open, plan_left_stratum,
                                plan_right, plan_vertical)
 from ruledcone.strata import OPEN_LABEL, label_for
@@ -64,9 +65,10 @@ def _calls(g: int):
     mus = [1 + i * STEP for i in range(4 * (g + 1) + 1)]
     points = [normalized(mu, c) for mu in mus for c in (Q(1, 4), Q(1, 2),
                                                         Q(3, 4))]
-    labels = ([OPEN_LABEL]
-              + [label_for([B - k * F], params) for k in range(1, g + 2)]
-              + [label_for([B - k * F - E], params) for k in range(g + 2)])
+    cores = ([B - k * F for k in range(1, g + 2)]
+             + [B - k * F - E for k in range(g + 2)])
+    labels = [OPEN_LABEL] + [label_for([a], params) for a in cores
+                             if codim(a, params) > 0]
     pinned = list(range(-1, g + 2))
     mu_targets = [Q(3, 4)] + mus[::2]
     c_targets = [i * STEP for i in range(5)]
@@ -104,7 +106,7 @@ def _calls(g: int):
 def corpus() -> dict:
     """'<entry point> g=<g>' -> calls, sha256 of the outcomes, error counts."""
     out = {}
-    for g in (1, 2):
+    for g in (0, 1, 2):
         digests: dict[str, object] = {}
         calls: Counter = Counter()
         errors: dict[str, Counter] = {}

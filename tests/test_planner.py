@@ -92,13 +92,22 @@ def test_free_section_coefficient_is_the_largest_that_works():
                                          params) == pinned
 
 
-def test_free_section_coefficient_reports_x_0_when_none_works():
-    # at g = 0 a leftward open hop may end below the blow-up area to restore
+def test_open_left_target_below_1_is_refused_at_g_0():
+    # at g = 0 the hop along B reaches any mu > 0, but the cone ends at 1
     with pytest.raises(PlanError) as err:
         plan_left_open(normalized(2, Q(1, 2)), Q(1, 5), SurfaceParams(0))
-    assert str(err.value) == (
-        "raising the blow-up area to 1/2 along B and F-E needs mu > 1/2"
-        " (mu = 1/5): no positive solution")
+    assert str(err.value) == ("open-stratum leftward targets must lie in"
+                              " [1, 2), got 1/5")
+
+
+def test_open_left_keeps_its_target_in_the_cone_at_g_0():
+    # (1/2, 1/4) fails the mu >= 1 policy; it was once planned and certified
+    u, P0 = normalized(2, Q(1, 4)), SurfaceParams(0)
+    with pytest.raises(PlanError, match=r"must lie in \[1, 2\), got 1/2"):
+        plan_left_open(u, Q(1, 2), P0)
+    pl = plan_left_open(u, 1, P0)
+    assert_certified(pl, normalized(1, Q(1, 4)))
+    assert is_valid(pl.end)
 
 
 def test_vertical_stratum_interleaves_near_wall():
@@ -378,6 +387,42 @@ def test_intermediate_points_of_vertical_plans_stay_in_chamber():
         assert pl.stays_in_chamber()
         for v in pl.intermediates():
             assert is_valid(v) and same_chamber(u, v)
+
+
+def _stays_by_points(pl: InflationPlan) -> bool:
+    """The chamber test on normalized points: each intermediate point is
+    valid and in the start chamber."""
+    if not is_valid(pl.start):
+        return False
+    cid = chamber_of(pl.start)
+    return all(is_valid(v) and cid.contains(v) for v in pl.intermediates())
+
+
+def test_stays_in_chamber_matches_the_point_test():
+    rng = random.Random(10)
+    verdicts = []
+    for g in range(4):
+        params = SurfaceParams(g)
+        for _ in range(400):
+            u1 = normalized(Q(rng.randint(8, 48), 8), Q(rng.randint(1, 15), 16))
+            u2 = normalized(Q(rng.randint(8, 48), 8), Q(rng.randint(1, 15), 16))
+            if not (is_valid(u2) and same_chamber(u1, u2)):
+                continue
+            try:
+                pl = plan(u1, u2, rng.choice(stratum_labels(u1, params)),
+                          params)
+            except PlanError:
+                continue
+            verdicts.append(pl.stays_in_chamber())
+            assert verdicts[-1] == _stays_by_points(pl), (g, u1, u2)
+    assert True in verdicts and False in verdicts
+    # a step along B to mu = 1/2 leaves the cone; a start outside it
+    out = InflationPlan(normalized(2, Q(1, 4)), (InflationStep(B, Q(3)),),
+                        normalized(Q(1, 2), Q(1, 16)))
+    outside = InflationPlan(normalized(Q(1, 2), Q(1, 4)), (),
+                            normalized(Q(1, 2), Q(1, 4)))
+    for pl in (out, outside):
+        assert pl.stays_in_chamber() is _stays_by_points(pl) is False
 
 
 def test_label_classes_keep_positive_area_along_certified_plans():

@@ -5,12 +5,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.cone import normalized, same_chamber
+from ruledcone.cone import area, chamber_of, normalized, same_chamber
 from ruledcone.lattice import (B, E, F, SurfaceParams, adjunction_genus, codim,
                                pair)
 from ruledcone.strata import (IN_FAMILIES, OPEN_LABEL, OUTSIDE_FAMILIES,
-                              cod_of_set, is_admissible, label_for,
-                              negative_classes, stratum_labels,
+                              chamber_labels, cod_of_set, is_admissible,
+                              label_for, negative_classes, stratum_labels,
                               wide_negative_classes)
 
 P2 = SurfaceParams(2)
@@ -112,6 +112,27 @@ def test_labels_are_singletons_because_cores_pair_negatively():
     u, params = normalized(3, Q(1, 2)), SurfaceParams(0)
     assert B - E in negative_classes(u, params)
     assert all(lb.core != (B - E,) for lb in stratum_labels(u, params))
+
+
+def test_chamber_labels_are_the_labels_at_each_point():
+    # the chamber's labels against the family classes of positive area,
+    # computed here, at every step-1/8 point of chambers 1..11
+    step = Q(1, 8)
+    families = ([B - k * F for k in range(1, 8)]
+                + [B - k * F - E for k in range(8)])
+    for g in range(5):
+        params = SurfaceParams(g)
+        seen = set()
+        for i in range(8, 49):  # mu = 1 .. 6
+            for j in range(1, 8):
+                u = normalized(i * step, j * step)
+                cid = chamber_of(u)
+                at_u = sorted(label_for([a], params) for a in families
+                              if area(u, a) > 0 and codim(a, params) > 0)
+                assert chamber_labels(cid, params) == [OPEN_LABEL] + at_u
+                assert stratum_labels(u, params) == [OPEN_LABEL] + at_u
+                seen.add(cid.index)
+        assert seen == set(range(1, 12))
 
 
 def test_stratum_labels_constant_on_chambers():
