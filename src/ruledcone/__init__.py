@@ -15,9 +15,8 @@ from .planner import (InflationPlan, PlanError, StabilityReport,
                       plan_left_stratum, plan_right, plan_vertical,
                       stratum_left_parameter, verify_stability)
 from .rationals import format_rational, parse_rational
-from .strata import (OPEN_LABEL, StratumLabel, cod_of_set, is_admissible,
-                     label_for, negative_classes, stratum_labels,
-                     wide_negative_classes)
+from .strata import (OPEN_LABEL, StratumLabel, label_for, negative_classes,
+                     stratum_labels, wide_negative_classes)
 
 __version__ = "0.1.0"
 
@@ -26,10 +25,10 @@ __all__ = [
     "InflationPlan", "InflationStep", "NormalizedClass", "OPEN_LABEL",
     "PlanError", "RawClass", "StabilityReport", "StratumLabel",
     "SurfaceParams", "Wall", "active_walls", "adjunction_genus", "area",
-    "canonical_class", "chamber_of", "cod_of_set", "codim",
-    "detected_discrepancies", "figure_data", "format_rational",
-    "gromov_invariant", "gromov_nonzero_criterion", "inflate", "is_admissible",
-    "is_valid", "label_for", "negative_classes", "normalize", "normalized",
+    "canonical_class", "chamber_of", "codim", "detected_discrepancies",
+    "figure_data", "format_rational", "gromov_invariant",
+    "gromov_nonzero_criterion", "inflate", "is_valid", "label_for",
+    "negative_classes", "normalize", "normalized",
     "pair", "parse_class", "parse_rational", "pd_area_vector", "plan",
     "plan_left_open", "plan_left_stratum", "plan_right", "plan_vertical",
     "same_chamber", "section_decompositions", "stratum_labels",

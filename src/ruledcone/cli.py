@@ -94,7 +94,7 @@ def _parse_label(text: str, params: SurfaceParams):
         return OPEN_LABEL
     try:
         cls = parse_class(text)
-        return label_for([cls], params)
+        return label_for(cls, params)
     except ValueError as err:
         raise InputError(f"bad stratum label {text!r}: {err}") from None
 
@@ -332,7 +332,7 @@ def _cmd_report(args) -> int:
         if index in verdicts:
             v = verdicts[index]
             entry["stability"] = "verified" if v.failed == 0 else "failed"
-        elif index in report.skipped_chambers or index < report.min_index:
+        elif index < report.min_index:
             entry["stability"] = "skipped"
         else:
             entry["stability"] = "no-grid-points"

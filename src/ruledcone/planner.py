@@ -17,8 +17,8 @@ Move catalogue (all parameters solved exactly, all steps certified):
               t2 = t1 (mu (Z.F) - Z.B).
             Near a wall neither single-class order satisfies its range even
             though the straight path stays positive, so the pair is realized
-            as N interleaved rounds (admissibility, Z.(F-E) >= 0, is what
-            makes the interleaving converge).
+            as N interleaved rounds (Z.(F-E) >= 0 is what makes the
+            interleaving converge).
   left hop  inflate along Z together with (1 - Z.B) t fibers so the family
             is (mu+t, 1+t, ...); the solved parameter for a normalized start
             is t = (mu - mu') / (mu' - 1).  One hop reaches mu' down to a
@@ -266,14 +266,6 @@ def _section(x: int, params: SurfaceParams) -> ClassVector:
     return B + x * F
 
 
-def _core_class(label: StratumLabel) -> ClassVector:
-    """The single class a positive-codimension label's recipes move along."""
-    if len(label.core) != 1:
-        raise PlanError(f"no transport recipe for the multi-class label"
-                        f" {label.name}")
-    return label.core[0]
-
-
 def _drop(state: State, c_floor: Fraction) -> InflationStep:
     """The E step lowering the normalized blow-up area e/f to c_floor:
     t = (f/d) (e/f - c_floor)."""
@@ -306,7 +298,7 @@ def _vertical_steps(state: State, c_target: Fraction,
     # rounds exist only if the label is present at the target (its classes
     # then stay positive on the straight path), so check (mu, c_target) first
     _require_label((b * cd, f * cd, cn * f, d * cd), label)
-    z = _core_class(label)
+    z = label.core[0]
     t1, t2 = _vertical_solve(state, z, c_target)
     return _interleaved(state, (_FE, t2), (z, t1), label)
 
@@ -385,7 +377,7 @@ def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
     shrunken blow-up area, strictly left of mu_target; c_cap additionally
     caps it (the caller never wants the area raised here).
     """
-    z = _core_class(label)
+    z = label.core[0]
     limit = _hop_limit(z)
     if mu_target <= limit:
         raise PlanError(
@@ -417,12 +409,23 @@ def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
         f" within {_MAX_HOPS} hops; the binding constraint is the wall of {z}")
 
 
+def _left_refusal(what: str, low: int, closed: bool, mu: Fraction,
+                  mu_target: Fraction) -> PlanError:
+    """Refuse a leftward target outside the accepted set: the interval from
+    low (included iff closed) up to mu, with mu itself (an empty leg)."""
+    got = format_rational(mu_target)
+    if mu < low or (mu == low and not closed):
+        return PlanError(f"{what} must equal mu = {format_rational(mu)}"
+                         f" (an empty leg), got {got}")
+    return PlanError(f"{what} must lie in {'[' if closed else '('}{low},"
+                     f" {format_rational(mu)}], got {got}")
+
+
 def _open_left_refusal(params: SurfaceParams, mu: Fraction,
                        mu_target: Fraction) -> PlanError:
     """Open-stratum leftward targets lie above g, and in the cone (mu >= 1)."""
-    low = f"({params.g}" if params.g else "[1"
-    return PlanError(f"open-stratum leftward targets must lie in {low},"
-                     f" {format_rational(mu)}), got {format_rational(mu_target)}")
+    return _left_refusal("open-stratum leftward targets", params.g or 1,
+                         not params.g, mu, mu_target)
 
 
 def _horizontal_leg(state: State, mu: Fraction, mu_target: Fraction,
@@ -519,12 +522,11 @@ def plan_left_stratum(u: NormalizedClass, mu_target, label: StratumLabel,
     """Decrease mu inside a positive-codimension stratum, then restore c."""
     require_valid(u)
     mu_target = _Q(mu_target)
-    if label.is_open or len(label.core) != 1:
-        raise PlanError("leftward stratum moves need a single-class label")
+    if label.is_open:
+        raise PlanError("leftward stratum moves need a positive-codimension"
+                        " label")
     if mu_target != u.mu and not 1 < mu_target < u.mu:
-        raise PlanError(f"leftward targets must lie in (1,"
-                        f" {format_rational(u.mu)}), got"
-                        f" {format_rational(mu_target)}")
+        raise _left_refusal("leftward targets", 1, False, u.mu, mu_target)
     return _route(u, normalized(mu_target, u.c), label, params)
 
 

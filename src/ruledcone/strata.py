@@ -7,19 +7,18 @@ embedded representatives come from four families:
     B-kF  (k >= 1)  square -2k,   genus g, codimension 2(2k-1+g),
     B-kF-E (k >= 0) square -2k-1, genus g, codimension 2(2k+g),
 
-restricted to positive u-area.  A stratum label is an admissible subset
-(pairwise non-negative intersections); its codimension is the sum of member
-codimensions.  E and F-E exist for every compatible structure, so they are
-implicit members of every label and the display name shows only the
-positive-codimension core ("open" for the empty core).
-
-Distinct positive-codimension family classes pair negatively, as
-(B-kF).(B-jF) = (B-kF).(B-jF-E) = -(k+j) and (B-kF-E).(B-jF-E) = -(k+j+1),
-and each pairs non-negatively with E and F-E, so a core is empty or one
-class.  The halves 2k-1+g and 2j+g of the codimensions have opposite parity,
-so labels never tie.  Which family classes have positive area is fixed by
-the chamber (`ChamberId.section_classes`), so labels are a property of the
-chamber: `chamber_labels`.
+restricted to positive u-area.  E and F-E exist for every compatible
+structure, so they are implicit in every label.  Distinct embedded curves
+meet non-negatively, and distinct positive-codimension family classes pair
+negatively, as (B-kF).(B-jF) = (B-kF).(B-jF-E) = -(k+j) and
+(B-kF-E).(B-jF-E) = -(k+j+1), so no structure carries two of them: a
+stratum label is the open label or one positive-codimension class, named by
+that class and carrying its codimension.  `StratumLabel` refuses any larger
+core.  Each such class pairs non-negatively with E and F-E.  The halves
+2k-1+g and 2j+g of the codimensions have opposite parity, so labels never
+tie.  Which family classes have positive area is fixed by the chamber
+(`ChamberId.section_classes`), so labels are a property of the chamber:
+`chamber_labels`.
 
 `wide_negative_classes` is the safety net: it scans all bounded (p, q, r)
 under principled arithmetic filters and marks anything outside the four
@@ -40,16 +39,20 @@ UBIQUITOUS = (E, F - E)
 
 @dataclass(frozen=True, order=True)
 class StratumLabel:
-    """An admissible set of negative classes, shown by its positive-codim core."""
+    """The open label (empty core) or one positive-codimension class."""
 
     codim: int
     core: tuple[ClassVector, ...]
 
+    def __post_init__(self):
+        if len(self.core) > 1:
+            raise ValueError(
+                "a stratum label has at most one core class, got "
+                + ", ".join(str(a) for a in self.core))
+
     @property
     def name(self) -> str:
-        if not self.core:
-            return "open"
-        return " + ".join(str(a) for a in self.core)
+        return str(self.core[0]) if self.core else "open"
 
     @property
     def is_open(self) -> bool:
@@ -77,25 +80,10 @@ def negative_classes(u: NormalizedClass, params: SurfaceParams,
             if cod_max is None or cod <= cod_max]
 
 
-def is_admissible(classes) -> bool:
-    """True iff all distinct pairs intersect non-negatively."""
-    classes = list(classes)
-    return all(pair(a, b) >= 0 for a, b in itertools.combinations(classes, 2))
-
-
-def cod_of_set(classes, params: SurfaceParams) -> int:
-    """Total codimension of an admissible set (codim-0 members contribute 0)."""
-    classes = list(classes)
-    if not is_admissible(classes):
-        raise ValueError("set is not admissible: some pair intersects negatively")
-    return sum(codim(a, params) for a in classes)
-
-
 def chamber_labels(cid: ChamberId, params: SurfaceParams,
                    cod_max: int | None = None) -> list[StratumLabel]:
     """All labels present on the chamber, sorted by codimension: the open
-    label and one singleton core per positive-codimension section class (see
-    the module docstring for why no larger core is admissible)."""
+    label and one per positive-codimension section class."""
     return [OPEN_LABEL] + [
         StratumLabel(cod, (a,)) for a in cid.section_classes()
         if 0 < (cod := codim(a, params)) and (cod_max is None or cod <= cod_max)]
@@ -107,16 +95,16 @@ def stratum_labels(u: NormalizedClass, params: SurfaceParams,
     return chamber_labels(chamber_of(u), params, cod_max)
 
 
-def label_for(core_classes, params: SurfaceParams) -> StratumLabel:
-    """Build a label from its core classes, validating admissibility."""
-    core = tuple(sorted(set(core_classes)))
-    for a in core:
-        if codim(a, params) <= 0:
-            raise ValueError(f"{a} has codimension 0; it is implicit in every label")
-        if pair(a, a) >= 0:
-            raise ValueError(f"{a} has non-negative square")
-    total = cod_of_set(core, params)
-    return StratumLabel(total, core)
+def label_for(a: ClassVector, params: SurfaceParams) -> StratumLabel:
+    """The label of the negative class a of positive codimension."""
+    cod = codim(a, params)
+    if cod <= 0:
+        why = ("it is implicit in every label" if a in UBIQUITOUS
+               else "only positive-codimension classes label strata")
+        raise ValueError(f"{a} has codimension {cod}; {why}")
+    if pair(a, a) >= 0:
+        raise ValueError(f"{a} has non-negative square")
+    return StratumLabel(cod, (a,))
 
 
 IN_FAMILIES = "family"

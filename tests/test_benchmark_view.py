@@ -35,6 +35,6 @@ def test_every_traced_name_resolves():
 def test_single_class_tuples_read_by_index():
     a = B - 2 * F
     assert a.r[0] == 0
-    label = label_for([a], SurfaceParams(1))
+    label = label_for(a, SurfaceParams(1))
     assert label.core[0] == a
     assert OPEN_LABEL.core == ()

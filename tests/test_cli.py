@@ -146,6 +146,15 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("strata --u 5/2,3/10 --g -1", "genus must be >= 0, got -1"),
     ("plan --from 5/2,3/10 --to 5/2,2/5 --g -1 --label open",
      "genus must be >= 0, got -1"),
+    ("plan --from 5/2,3/10 --to 5/2,2/5 --g 0 --label F",
+     "bad stratum label 'F': F has codimension -2; only"
+     " positive-codimension classes label strata"),
+    ("plan --from 5/2,3/10 --to 5/2,2/5 --g 0 --label B",
+     "bad stratum label 'B': B has codimension -2; only"
+     " positive-codimension classes label strata"),
+    ("plan --from 5/2,3/10 --to 5/2,2/5 --g 0 --label B-E",
+     "bad stratum label 'B-E': B-E has codimension 0; only"
+     " positive-codimension classes label strata"),
     ("inflate --u 4,1/2 --z B-2Q --t 1/5", "cannot parse class 'B-2Q'"),
     ("inflate --u 3/2,1/2 --z B-2F --t 1/5", "B-2F has non-positive area"
      " -1/2; it is not symplectic here, cannot inflate"),
@@ -383,3 +392,11 @@ def test_console_script_target():
     module_name, _, attr = target.partition(":")
     entry = getattr(importlib.import_module(module_name), attr)
     assert entry is importlib.import_module("ruledcone.__main__").main
+
+
+def test_public_names_resolve_once():
+    # a stale entry would break `from ruledcone import *`
+    names = ruledcone.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(ruledcone, name), name

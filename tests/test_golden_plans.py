@@ -36,26 +36,26 @@ def corpus() -> dict:
                                      OPEN_LABEL, P2),
         "readme-stratum-left": plan(normalized(4, Q(1, 2)),
                                     normalized(Q(15, 4), Q(1, 2)),
-                                    label_for([B - 2 * F], P2), P2),
+                                    label_for(B - 2 * F, P2), P2),
         # leaves its chamber mid-route: stays_in_chamber is false
         "stratum-left-leaves-chamber": plan(normalized(Q(5, 2), Q(3, 4)),
                                             normalized(Q(9, 4), Q(1, 2)),
-                                            label_for([B - F], P2), P2),
+                                            label_for(B - F, P2), P2),
         "open-left-pinned-x": plan(normalized(Q(7, 2), Q(3, 4)),
                                    normalized(Q(13, 4), Q(1, 2)),
                                    OPEN_LABEL, P2, x=1),
         "stratum-left-minus-e": plan_left_stratum(
-            normalized(4, Q(1, 2)), 3, label_for([B - 2 * F - E], P2), P2),
+            normalized(4, Q(1, 2)), 3, label_for(B - 2 * F - E, P2), P2),
         "stratum-multi-hop": plan(normalized(2, Q(7, 8)),
                                   normalized(Q(5, 4), Q(1, 8)),
-                                  label_for([B - F - E], P1), P1),
+                                  label_for(B - F - E, P1), P1),
         "right": plan_right(normalized(2, Q(1, 2)), Q(17, 8)),
         "right-then-vertical": plan(normalized(Q(13, 4), Q(1, 2)),
                                     normalized(Q(7, 2), Q(5, 8)),
                                     OPEN_LABEL, P2),
         "vertical-interleaved": plan_vertical(normalized(Q(21, 10), Q(1, 5)),
                                               Q(9, 10),
-                                              label_for([B - 2 * F], P1), P1),
+                                              label_for(B - 2 * F, P1), P1),
         "vertical-open-x-search": plan_vertical(normalized(Q(9, 8), Q(1, 8)),
                                                 Q(7, 8), OPEN_LABEL, P1),
     }

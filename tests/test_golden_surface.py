@@ -67,7 +67,7 @@ def _calls(g: int):
                                                         Q(3, 4))]
     cores = ([B - k * F for k in range(1, g + 2)]
              + [B - k * F - E for k in range(g + 2)])
-    labels = [OPEN_LABEL] + [label_for([a], params) for a in cores
+    labels = [OPEN_LABEL] + [label_for(a, params) for a in cores
                              if codim(a, params) > 0]
     pinned = list(range(-1, g + 2))
     mu_targets = [Q(3, 4)] + mus[::2]

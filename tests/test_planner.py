@@ -97,22 +97,51 @@ def test_open_left_target_below_1_is_refused_at_g_0():
     with pytest.raises(PlanError) as err:
         plan_left_open(normalized(2, Q(1, 2)), Q(1, 5), SurfaceParams(0))
     assert str(err.value) == ("open-stratum leftward targets must lie in"
-                              " [1, 2), got 1/5")
+                              " [1, 2], got 1/5")
 
 
 def test_open_left_keeps_its_target_in_the_cone_at_g_0():
     # (1/2, 1/4) fails the mu >= 1 policy; it was once planned and certified
     u, P0 = normalized(2, Q(1, 4)), SurfaceParams(0)
-    with pytest.raises(PlanError, match=r"must lie in \[1, 2\), got 1/2"):
+    with pytest.raises(PlanError, match=r"must lie in \[1, 2\], got 1/2"):
         plan_left_open(u, Q(1, 2), P0)
     pl = plan_left_open(u, 1, P0)
     assert_certified(pl, normalized(1, Q(1, 4)))
     assert is_valid(pl.end)
 
 
+def test_left_refusals_name_the_targets_they_accept():
+    # mu itself is accepted (an empty leg), so the intervals are closed at mu;
+    # at mu = 1 they are empty and mu is the only target left
+    u = normalized(1, Q(1, 4))
+    with pytest.raises(PlanError) as err:
+        plan_left_open(u, 2, P1)
+    assert str(err.value) == ("open-stratum leftward targets must equal"
+                              " mu = 1 (an empty leg), got 2")
+    assert plan_left_open(u, 1, P1).steps == ()
+    with pytest.raises(PlanError) as err:
+        plan_left_stratum(u, 2, label_for(B - E, P1), P1)
+    assert str(err.value) == ("leftward targets must equal mu = 1"
+                              " (an empty leg), got 2")
+    with pytest.raises(PlanError) as err:
+        plan_left_open(normalized(2, Q(1, 4)), 3, P1)
+    assert str(err.value) == ("open-stratum leftward targets must lie in"
+                              " (1, 2], got 3")
+    with pytest.raises(PlanError) as err:
+        plan_left_stratum(normalized(2, Q(1, 4)), 3, label_for(B - F, P1), P1)
+    assert str(err.value) == "leftward targets must lie in (1, 2], got 3"
+
+
+def test_left_stratum_refuses_the_open_label():
+    with pytest.raises(PlanError) as err:
+        plan_left_stratum(normalized(4, Q(1, 2)), 3, OPEN_LABEL, P2)
+    assert str(err.value) == ("leftward stratum moves need a"
+                              " positive-codimension label")
+
+
 def test_vertical_stratum_interleaves_near_wall():
     u = normalized(Q(21, 10), Q(1, 5))
-    lab = label_for([B - 2 * F], P1)
+    lab = label_for(B - 2 * F, P1)
     pl = plan_vertical(u, Q(9, 10), lab, P1)
     assert_certified(pl, normalized(Q(21, 10), Q(9, 10)))
     assert len(pl.steps) >= 4  # a single round would leave its range
@@ -123,13 +152,13 @@ def test_vertical_solutions_match_closed_forms():
     # t1 = (c2-c1)/(mu+k-c2) for B-kF, t1 = (c2-c1)/(mu+k+1-c2) for B-kF-E
     mu, c1, c2 = Q(4), Q(1, 4), Q(2, 3)
     for k in (1, 2):
-        lab = label_for([B - k * F], P2)
+        lab = label_for(B - k * F, P2)
         pl = plan_vertical(normalized(mu, c1), c2, lab, P2)
         t1 = sum(s.t for s in pl.steps if s.assumption == STRATUM)
         t2 = sum(s.t for s in pl.steps if s.assumption == ALWAYS)
         assert t1 == (c2 - c1) / (mu + k - c2)
         assert t2 == (mu + k) * t1
-        lab = label_for([B - k * F - E], P2)
+        lab = label_for(B - k * F - E, P2)
         pl = plan_vertical(normalized(mu, c1), c2, lab, P2)
         t1 = sum(s.t for s in pl.steps if s.assumption == STRATUM)
         assert t1 == (c2 - c1) / (mu + k + 1 - c2)
@@ -160,7 +189,7 @@ def test_plan_left_open_example():
 def test_left_moves_with_equal_target_are_empty():
     u = normalized(4, Q(1, 2))
     assert plan_left_open(u, 4, P2).steps == ()
-    assert plan_left_stratum(u, 4, label_for([B - 2 * F], P2), P2).steps == ()
+    assert plan_left_stratum(u, 4, label_for(B - 2 * F, P2), P2).steps == ()
 
 
 def test_plan_left_open_identityless_bounds():
@@ -187,7 +216,7 @@ def test_left_hop_parameter_closed_form():
 
 def test_plan_left_stratum_single_hop():
     u = normalized(4, Q(1, 2))
-    lab = label_for([B - 2 * F], P2)
+    lab = label_for(B - 2 * F, P2)
     pl = plan_left_stratum(u, 3, lab, P2)
     # fiber companion first, then the stratum class, then the c-restore
     assert pl.steps[0].z == F and pl.steps[1].z == B - 2 * F
@@ -199,7 +228,7 @@ def test_plan_left_stratum_single_hop():
 def test_plan_left_stratum_reach_certificate():
     # along B-2F-E from (4, 1/2) one hop reaches exactly mu' > 19/7
     u = normalized(4, Q(1, 2))
-    lab = label_for([B - 2 * F - E], P2)
+    lab = label_for(B - 2 * F - E, P2)
     from ruledcone.planner import _left_reach_bound, _state_of
 
     assert _left_reach_bound(_state_of(u), B - 2 * F - E) == Q(19, 7)
@@ -214,7 +243,7 @@ def test_plan_left_stratum_multi_hop():
     # one hop cannot pass the wall attractor; chained hops with blow-up-area
     # drops do
     u1, u2 = normalized(2, Q(7, 8)), normalized(Q(5, 4), Q(1, 8))
-    lab = label_for([B - F - E], P1)
+    lab = label_for(B - F - E, P1)
     pl = plan(u1, u2, lab, P1)
     assert_certified(pl, u2)
     hops = [s for s in pl.steps if s.assumption == STRATUM]
@@ -251,11 +280,11 @@ def test_plan_preconditions():
              OPEN_LABEL, P2)
     with pytest.raises(PlanError, match="mu > 1"):
         plan(normalized(1, Q(1, 2)), normalized(1, Q(1, 4)),
-             label_for([B - E], P1), P1)
+             label_for(B - E, P1), P1)
 
 
 def test_plan_label_absent():
-    lab2 = label_for([B - 2 * F], P1)
+    lab2 = label_for(B - 2 * F, P1)
     with pytest.raises(PlanError, match="absent"):
         plan(normalized(Q(3, 2), Q(3, 4)), normalized(Q(3, 2), Q(5, 8)),
              lab2, P1)
@@ -266,7 +295,7 @@ def test_label_absent_at_the_target_fails_fast():
     # no check at the target, the interleaved c-restore would double its
     # rounds up to 2**20 before giving up
     u = normalized(Q(3, 2), Q(1, 4))
-    lab = label_for([B - F - E], P1)
+    lab = label_for(B - F - E, P1)
     with pytest.raises(PlanError, match="absent at \\(5/4, 1/4\\)"):
         plan_left_stratum(u, Q(5, 4), lab, P1)
     with pytest.raises(PlanError, match="absent at \\(3/2, 3/4\\)"):
@@ -277,7 +306,7 @@ def test_replay_keeps_the_stratum():
     # every range holds, but the one step leaves the stratum of B-2F: its
     # area is 2 at (4, 1/2) and 0 at (2, 1/4)
     pl = InflationPlan(normalized(4, Q(1, 2)), (InflationStep(B, 1),),
-                       normalized(2, Q(1, 4)), label_for([B - 2 * F], P2))
+                       normalized(2, Q(1, 4)), label_for(B - 2 * F, P2))
     text = "label B-2F is absent at (2, 1/4): B-2F has non-positive area"
     for use in (pl.replay, pl.intermediates, pl.as_json):
         with pytest.raises(PlanError) as err:
@@ -313,7 +342,7 @@ def test_plan_steps_respect_ranges_by_replay():
     # tampering with a certified plan makes replay fail; the first step to
     # leave its range is the B-2F-E hop, and the message names its bound
     u = normalized(4, Q(1, 2))
-    lab = label_for([B - 2 * F - E], P2)
+    lab = label_for(B - 2 * F - E, P2)
     pl = plan_left_stratum(u, 3, lab, P2)
     for factor, text in (
             (50, "step (B-2F-E, 25) exceeds its range [0, 153/10)"),
@@ -379,8 +408,8 @@ def test_plan_reachability_is_symmetric_on_grid():
 def test_intermediate_points_of_vertical_plans_stay_in_chamber():
     cases = [
         (normalized(Q(5, 2), Q(3, 10)), Q(2, 5), OPEN_LABEL, P2),
-        (normalized(Q(21, 10), Q(1, 5)), Q(9, 10), label_for([B - 2 * F], P1), P1),
-        (normalized(Q(13, 4), Q(1, 2)), Q(7, 8), label_for([B - 2 * F - E], P2), P2),
+        (normalized(Q(21, 10), Q(1, 5)), Q(9, 10), label_for(B - 2 * F, P1), P1),
+        (normalized(Q(13, 4), Q(1, 2)), Q(7, 8), label_for(B - 2 * F - E, P2), P2),
     ]
     for u, c2, lab, params in cases:
         pl = plan_vertical(u, c2, lab, params)

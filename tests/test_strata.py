@@ -1,4 +1,4 @@
-"""Negative class enumeration, admissibility, stratum labels."""
+"""Negative class enumeration, stratum labels, wide scan."""
 
 import itertools
 from fractions import Fraction as Q
@@ -9,8 +9,8 @@ from ruledcone.cone import area, chamber_of, normalized, same_chamber
 from ruledcone.lattice import (B, E, F, SurfaceParams, adjunction_genus, codim,
                                pair)
 from ruledcone.strata import (IN_FAMILIES, OPEN_LABEL, OUTSIDE_FAMILIES,
-                              chamber_labels, cod_of_set, is_admissible,
-                              label_for, negative_classes, stratum_labels,
+                              StratumLabel, chamber_labels, label_for,
+                              negative_classes, stratum_labels,
                               wide_negative_classes)
 
 P2 = SurfaceParams(2)
@@ -46,34 +46,6 @@ def test_negative_classes_genus_and_adjunction():
         assert pair(a, a) < 0
 
 
-def test_admissibility():
-    assert not is_admissible([B - 2 * F, B - 3 * F])  # pairing -5
-    assert is_admissible([B - 2 * F - E, E])  # pairing 1
-    assert is_admissible([])
-    assert is_admissible([B - 4 * F])
-    assert is_admissible([E, F - E])
-    assert not is_admissible([B - F, B - F - E])
-    assert not is_admissible([B - F - E, B - 2 * F - E])
-
-
-def test_admissibility_monotone_under_subsets():
-    import itertools
-    classes = [E, F - E, B - 2 * F - E]
-    assert is_admissible(classes)
-    for r in range(len(classes) + 1):
-        for sub in itertools.combinations(classes, r):
-            assert is_admissible(sub)
-
-
-def test_cod_of_set():
-    assert cod_of_set([B - F - E], P2) == 8
-    assert cod_of_set([E, F - E], P2) == 0
-    for k in range(1, 4):
-        assert cod_of_set([B - k * F, E], P2) == codim(B - k * F, P2)
-    with pytest.raises(ValueError):
-        cod_of_set([B - 2 * F, B - 3 * F], P2)
-
-
 def test_stratum_labels_enumeration():
     labels = stratum_labels(U, P2, 12)
     as_pairs = [(lb.name, lb.codim) for lb in labels]
@@ -101,11 +73,11 @@ def test_labels_are_singletons_because_cores_pair_negatively():
                 core = [a for a in negative_classes(u, params)
                         if codim(a, params) > 0]
                 for a, b in itertools.combinations(core, 2):
-                    assert not is_admissible([a, b]), (g, u, a, b)
+                    assert pair(a, b) < 0, (g, u, a, b)
                 for a in core:
                     assert pair(a, E) >= 0 and pair(a, F - E) >= 0
                 labels = stratum_labels(u, params)
-                assert labels == [OPEN_LABEL] + [label_for([a], params)
+                assert labels == [OPEN_LABEL] + [label_for(a, params)
                                                  for a in core]
                 assert labels == sorted(set(labels))
     # at g = 0 the section class B-E has codimension 0, so it labels nothing
@@ -127,7 +99,7 @@ def test_chamber_labels_are_the_labels_at_each_point():
             for j in range(1, 8):
                 u = normalized(i * step, j * step)
                 cid = chamber_of(u)
-                at_u = sorted(label_for([a], params) for a in families
+                at_u = sorted(label_for(a, params) for a in families
                               if area(u, a) > 0 and codim(a, params) > 0)
                 assert chamber_labels(cid, params) == [OPEN_LABEL] + at_u
                 assert stratum_labels(u, params) == [OPEN_LABEL] + at_u
@@ -169,17 +141,23 @@ def test_enumeration_constant_per_chamber_exhaustive():
 
 
 def test_label_full_classes_and_names():
-    lb = label_for([B - 2 * F], P2)
+    lb = label_for(B - 2 * F, P2)
     assert lb.codim == 10
     assert lb.name == "B-2F"
     assert set(lb.classes()) == {B - 2 * F, E, F - E}
     assert OPEN_LABEL.name == "open" and OPEN_LABEL.is_open
     with pytest.raises(ValueError):
-        label_for([E], P2)  # codim 0 is implicit, not a core
+        label_for(E, P2)  # codim 0 is implicit, not a core
+
+
+def test_label_core_is_at_most_one_class():
+    # two positive-codimension classes pair negatively, so no label has both
+    with pytest.raises(ValueError, match="at most one core class"):
+        StratumLabel(22, (B - 2 * F, B - 3 * F))
 
 
 def test_label_json_shape():
-    lb = label_for([B - 2 * F], P2)
+    lb = label_for(B - 2 * F, P2)
     assert lb.as_json() == {"core": ["B-2F"], "codim": 10}
 
 
