@@ -1,6 +1,6 @@
 """Command line interface.
 
-Commands: chamber, walls, strata, inflate, plan, verify-stability, gromov,
+Commands: chamber, strata, inflate, plan, verify-stability, gromov,
 decompose, figure, report.  Rationals cross the boundary as ``p/q`` strings
 only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
 3 verification found a counterexample.  Output is deterministic for a given
@@ -57,10 +57,11 @@ def _params(g: int) -> SurfaceParams:
         return SurfaceParams(g)
 
 
-def _bound(value: int | None, name: str) -> int | None:
-    """A scan bound from the command line: absent or non-negative."""
-    if value is not None and value < 0:
-        raise InputError(f"{name} must be >= 0, got {value}")
+def _bound(value: int | None, name: str, low: int = 0) -> int | None:
+    """A scan bound or a worker count from the command line: absent or at
+    least `low`."""
+    if value is not None and value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
     return value
 
 
@@ -78,12 +79,12 @@ def _verify(params: SurfaceParams, mu_max, step, **kwargs):
     return report
 
 
-def _parse_point(text: str, policy: bool = True):
+def _parse_point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"expected mu,c with rational entries, got {text!r}")
     u = normalized(_rational(parts[0]), _rational(parts[1]))
-    bad = validity_violations(u, policy=policy)
+    bad = validity_violations(u)
     if bad:
         raise InputError(f"invalid normalized class {text!r}: " + "; ".join(bad))
     return u
@@ -128,22 +129,6 @@ def _cmd_chamber(args) -> int:
     return EXIT_OK
 
 
-def _cmd_walls(args) -> int:
-    # wall queries make sense anywhere in the open cone, policy aside
-    u = _parse_point(args.u, policy=False)
-    k_max = _bound(args.k_max, "k-max")
-    k_max = k_max if k_max is not None else math.ceil(u.mu) + 1
-    walls = active_walls(u, k_max)
-    payload = {
-        "mu": format_rational(u.mu), "c": format_rational(u.c),
-        "k_max": k_max, "active_walls": [w.name for w in walls],
-    }
-    lines = ([f"active walls at {u}: " + ", ".join(w.name for w in walls)]
-             if walls else [f"no active walls at {u} up to k = {k_max}"])
-    _emit(args, payload, lines)
-    return EXIT_OK
-
-
 def _cmd_strata(args) -> int:
     u = _parse_point(args.u)
     params = _params(args.g)
@@ -180,7 +165,7 @@ def _cmd_inflate(args) -> int:
         "step": step.as_json(),
         "t_range_sup": format_rational(bound) if bound is not None else None,
         "raw": [format_rational(x)
-                for x in (raw.b_area, raw.f_area, *raw.e_area)],
+                for x in (raw.b_area, raw.f_area, raw.e_area)],
         "end": {"mu": format_rational(end.mu), "c": format_rational(end.c)},
     }
     lines = [
@@ -218,7 +203,8 @@ def _cmd_verify_stability(args) -> int:
     mu_max, step = _rational(args.mu_max), _rational(args.step)
     mu_min = _rational(args.mu_min) if args.mu_min else None
     report = _verify(params, mu_max, step, mu_min=mu_min,
-                     min_index=args.min_index, workers=args.workers)
+                     min_index=args.min_index,
+                     workers=_bound(args.workers, "workers", 1))
     payload = report.as_json()
     lines = [
         f"stability verification, g = {report.g}, mu in"
@@ -320,7 +306,8 @@ def _cmd_report(args) -> int:
     mu_max = _rational(args.mu_max)
     step = _rational(args.step)
     cod_max = _bound(args.cod_max, "cod-max")
-    report = _verify(params, mu_max, step, workers=args.workers)
+    report = _verify(params, mu_max, step,
+                     workers=_bound(args.workers, "workers", 1))
 
     chambers = []
     verdicts = {v.index: v for v in report.chambers}
@@ -376,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="normalized class as mu,c")
     add_json(p)
     p.set_defaults(func=_cmd_chamber)
-
-    p = sub.add_parser("walls", help="active walls through a class")
-    p.add_argument("--u", required=True)
-    p.add_argument("--k-max", type=int, default=None)
-    add_json(p)
-    p.set_defaults(func=_cmd_walls)
 
     p = sub.add_parser("strata", help="stratum labels present at a class")
     p.add_argument("--u", required=True)

@@ -3,11 +3,11 @@
 A normalized class is u = (mu, 1, c): the areas of B, F and the exceptional
 sphere E, with the fiber area scaled to 1.  Valid classes satisfy
 
-    mu > 0,  0 < c < 1,  c < mu,
+    mu >= 1,  0 < c < 1,  c < mu.
 
-plus the policy mu >= 1: the leftmost region of the cone is bounded by the
-Gromov width of the minimal surface, which is unknown in general and not
-representable by linear inequalities, so it is excluded outright.
+The region mu < 1 is excluded outright: it is bounded by the Gromov width of
+the minimal surface, which is unknown in general and not representable by
+linear inequalities.  No wall B-kF or B-kF-E passes through it.
 
 The cone is partitioned into half-open chambers indexed by the walls the
 class sits between:
@@ -38,38 +38,29 @@ _Q = Fraction
 
 @dataclass(frozen=True)
 class NormalizedClass:
-    """Areas (mu, 1, c) of B, F, E as exact rationals, c held as the
-    1-tuple e = (c,).
+    """Areas (mu, 1, c) of B, F, E as exact rationals.
 
     Instances are plain data; they may violate the cone constraints (so that
     `is_valid` can report on them).  Use `validity_violations` to check.
     """
 
     mu: Fraction
-    e: tuple[Fraction]
+    c: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e, tuple) or len(self.e) != 1:
-            raise ValueError(f"blow-up areas must be a 1-tuple (one blow-up),"
-                             f" got {self.e!r}")
         if not isinstance(self.mu, Fraction):  # an int or a "p/q" string
             object.__setattr__(self, "mu", _Q(self.mu))
-        if not isinstance(self.e[0], Fraction):
-            object.__setattr__(self, "e", (_Q(self.e[0]),))
+        if not isinstance(self.c, Fraction):
+            object.__setattr__(self, "c", _Q(self.c))
 
     @cached_property
     def ints(self) -> tuple[int, int, int]:
         """(m, n, d) with mu = m/d, c = n/d and d the lcm of the two
         denominators; cached outside the fields (==, hash, repr ignore it)."""
-        mu, c = self.mu, self.e[0]
+        mu, c = self.mu, self.c
         d = math.lcm(mu.denominator, c.denominator)
         return (mu.numerator * (d // mu.denominator),
                 c.numerator * (d // c.denominator), d)
-
-    @property
-    def c(self) -> Fraction:
-        """Blow-up area, the vertical coordinate of the cone picture."""
-        return self.e[0]
 
     def __str__(self) -> str:
         return f"({format_rational(self.mu)}, {format_rational(self.c)})"
@@ -77,7 +68,7 @@ class NormalizedClass:
 
 def normalized(mu, c) -> NormalizedClass:
     """Convenience constructor from (mu, c)."""
-    return NormalizedClass(_Q(mu), (_Q(c),))
+    return NormalizedClass(_Q(mu), _Q(c))
 
 
 def area(u: NormalizedClass, a: ClassVector) -> Fraction:
@@ -85,11 +76,9 @@ def area(u: NormalizedClass, a: ClassVector) -> Fraction:
     return a.p * u.mu + a.q + a.r[0] * u.c
 
 
-def validity_violations(u: NormalizedClass, policy: bool = True) -> list[str]:
-    """Violated cone constraints, empty when u is a valid normalized class.
-
-    With policy=True the global assumption mu >= 1 is enforced as well.
-    """
+def validity_violations(u: NormalizedClass) -> list[str]:
+    """Violated cone constraints, mu >= 1 among them; empty when u is a
+    valid normalized class."""
     m, n, d = u.ints
     bad: list[str] = []
     if m <= 0:
@@ -99,18 +88,18 @@ def validity_violations(u: NormalizedClass, policy: bool = True) -> list[str]:
     if n >= m:
         bad.append(f"e_1 < mu violated (e_1 = {format_rational(u.c)},"
                    f" mu = {format_rational(u.mu)})")
-    if policy and m < d:
+    if m < d:
         bad.append(f"mu >= 1 policy violated (mu = {format_rational(u.mu)});"
                    " the leftmost chamber is out of scope")
     return bad
 
 
-def is_valid(u: NormalizedClass, policy: bool = True) -> bool:
-    return not validity_violations(u, policy=policy)
+def is_valid(u: NormalizedClass) -> bool:
+    return not validity_violations(u)
 
 
-def require_valid(u: NormalizedClass, policy: bool = True) -> None:
-    bad = validity_violations(u, policy=policy)
+def require_valid(u: NormalizedClass) -> None:
+    bad = validity_violations(u)
     if bad:
         raise ValueError("invalid normalized class: " + "; ".join(bad))
 
@@ -187,19 +176,19 @@ class Wall:
         return str(self.curve_class)
 
 
-def active_walls(u: NormalizedClass, k_max: int | None = None) -> list[Wall]:
-    """Walls through u: classes B-kF, B-kF-E (1 <= k <= k_max) of zero area;
+def active_walls(u: NormalizedClass) -> list[Wall]:
+    """Walls through a valid u: classes B-kF, B-kF-E (k >= 1) of zero area;
     at most one, since 0 < c < 1.
 
-    The boundary classes E and F-E never qualify: the open cone constraints,
-    required here (the mu >= 1 policy is not), give them positive area.
+    The boundary classes E and F-E never qualify: the cone constraints give
+    them positive area.
     """
-    require_valid(u, policy=False)
+    require_valid(u)
     m, n, d = u.ints
     # mu = k + rest/d lies on B-kF when rest = 0 and on B-kF-E when rest = n;
-    # 0 < n < d makes these exclusive, and k >= 1 as mu > c
+    # 0 < n < d makes these exclusive, and k >= 1 as mu >= 1
     k, rest = divmod(m, d)
-    if rest not in (0, n) or (k_max is not None and k > k_max):
+    if rest not in (0, n):
         return []
     return [Wall(B - k * F - E if rest else B - k * F)]
 

@@ -2,20 +2,23 @@
 
 For C = pB + qF on a genus-g ruled surface the curve count is
 
-    Gr(C) = (p+1)^g,   valid when the virtual dimension
+    Gr(C) = (p+1)^g,   valid when p = C.F >= 0 and the virtual dimension
     k(C) = (c_1(C) + C.C)/2 = (-K.C + C.C)/2 is non-negative,
 
-and Gr(C) != 0 whenever q >= g-1.  The decomposition oracle backs the
-open-stratum section argument: it enumerates every way B + gF can split
-into components with non-negative base and fiber coefficients, confirms
-each splitting has exactly one component with base coefficient 1, and
-reports whether that component is a plain section B + xF (x <= g) or
-carries an exceptional term.  Components with exceptional terms are
-reported, never suppressed: ruling them out is not part of the arithmetic.
+and Gr(C) != 0 whenever p >= 0 and q >= g-1.  A class with C.F < 0 has no
+J-curve, since a fibre passes through every point.  The decomposition
+oracle backs the open-stratum section argument: it enumerates every way
+B + gF can split into components with non-negative base and fiber
+coefficients, confirms each splitting has exactly one component with base
+coefficient 1, and reports whether that component is a plain section
+B + xF (x <= g) or carries an exceptional term.  Components with
+exceptional terms are reported, never suppressed: ruling them out is not
+part of the arithmetic.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,21 +35,47 @@ def virtual_dim_k(c: ClassVector, params: SurfaceParams) -> Fraction:
     return _Q(-pair(k, c) + pair(c, c), 2)
 
 
+def _more_digits_than(base: int, g: int, limit: int) -> bool:
+    """Whether base**g (base >= 0) has more than `limit` decimal digits,
+    decided by bit lengths where they settle it, so that a huge power is
+    never built: 2^(g(bits-1)) <= base^g < 2^(g bits)."""
+    bound = 10 ** limit
+    bits, top = base.bit_length(), bound.bit_length()
+    if base < 2 or g * bits < top:  # base^g < 2^(top-1) <= bound
+        return False
+    # else g bits < 2 top when the bit lengths do not settle it
+    return g * (bits - 1) >= top or base ** g >= bound
+
+
 def gromov_invariant(p: int, q: int, params: SurfaceParams) -> int:
-    """Gr(pB + qF) = (p+1)^g, defined when k(C) >= 0."""
+    """Gr(pB + qF) = (p+1)^g, defined when p >= 0 and k(C) >= 0; a count
+    with more digits than `sys.get_int_max_str_digits()` allows (0: no
+    limit) could not be printed, so it is refused before it is built."""
     c = ClassVector(p, q, (0,))
+    if p < 0:
+        raise ValueError(
+            f"({c}).F = {p} < 0: a fibre passes through every point, so {c}"
+            " has no J-curve and the closed curve-count formula does not"
+            " apply")
     k = virtual_dim_k(c, params)
     if k < 0:
         raise ValueError(
             f"k({c}) = {k} < 0: the closed curve-count formula does not apply")
+    limit = sys.get_int_max_str_digits()
+    if limit and _more_digits_than(p + 1, params.g, limit):
+        raise ValueError(
+            f"Gr({c}) = {p + 1}^{params.g} has more than {limit} digits, the"
+            " limit of sys.get_int_max_str_digits() for printing an integer")
     return (p + 1) ** params.g
 
 
 def gromov_nonzero_criterion(p: int, q: int, params: SurfaceParams) -> bool:
-    """The sufficient nonvanishing condition q >= g - 1 (for g = 0: p, q >= 0
-    and p + q > 0)."""
+    """The sufficient nonvanishing condition p >= 0 and q >= g - 1 (for
+    g = 0: p, q >= 0 and p + q > 0)."""
+    if p < 0:
+        return False
     if params.g == 0:
-        return p >= 0 and q >= 0 and p + q > 0
+        return q >= 0 and p + q > 0
     return q >= params.g - 1
 
 

@@ -28,24 +28,20 @@ _Q = Fraction
 
 @dataclass(frozen=True)
 class RawClass:
-    """An unnormalized area vector (areas of B, F, E), the E area held as a
-    1-tuple."""
+    """An unnormalized area vector (areas of B, F, E)."""
 
     b_area: Fraction
     f_area: Fraction
-    e_area: tuple[Fraction]
+    e_area: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e_area, tuple) or len(self.e_area) != 1:
-            raise ValueError(f"blow-up areas must be a 1-tuple (one blow-up),"
-                             f" got {self.e_area!r}")
         object.__setattr__(self, "b_area", _Q(self.b_area))
         object.__setattr__(self, "f_area", _Q(self.f_area))
-        object.__setattr__(self, "e_area", (_Q(self.e_area[0]),))
+        object.__setattr__(self, "e_area", _Q(self.e_area))
 
     def __str__(self) -> str:
         coords = ", ".join(format_rational(x)
-                           for x in (self.b_area, self.f_area, self.e_area[0]))
+                           for x in (self.b_area, self.f_area, self.e_area))
         return f"[{coords}]"
 
 
@@ -79,15 +75,15 @@ class InflationStep:
 
 def pd_area_vector(z: ClassVector) -> RawClass:
     """Areas gained per unit t: (z.B, z.F, z.E)."""
-    return RawClass(_Q(pair(z, B)), _Q(pair(z, F)), (_Q(pair(z, E)),))
+    return RawClass(pair(z, B), pair(z, F), pair(z, E))
 
 
 def raw_from(u: NormalizedClass) -> RawClass:
-    return RawClass(u.mu, _Q(1), u.e)
+    return RawClass(u.mu, 1, u.c)
 
 
 def area_raw(raw: RawClass, a: ClassVector) -> Fraction:
-    return a.p * raw.b_area + a.q * raw.f_area + a.r[0] * raw.e_area[0]
+    return a.p * raw.b_area + a.q * raw.f_area + a.r[0] * raw.e_area
 
 
 def t_range_raw(raw: RawClass, z: ClassVector) -> Fraction | None:
@@ -123,7 +119,7 @@ def apply_step(raw: RawClass, step: InflationStep) -> RawClass:
     return RawClass(
         raw.b_area + t * inc.b_area,
         raw.f_area + t * inc.f_area,
-        (raw.e_area[0] + t * inc.e_area[0],),
+        raw.e_area + t * inc.e_area,
     )
 
 
@@ -139,5 +135,4 @@ def normalize(raw: RawClass) -> NormalizedClass:
     if raw.f_area <= 0:
         raise ValueError(f"fiber area must be positive to normalize, got"
                          f" {format_rational(raw.f_area)}")
-    return NormalizedClass(raw.b_area / raw.f_area,
-                           (raw.e_area[0] / raw.f_area,))
+    return NormalizedClass(raw.b_area / raw.f_area, raw.e_area / raw.f_area)

@@ -105,7 +105,7 @@ def _normalized(state: State) -> NormalizedClass:
     b, f, e, _ = state
     if f <= 0:  # pragma: no cover - impossible for valid inflation chains
         raise PlanError("fiber area collapsed")
-    return NormalizedClass(Fraction(b, f), (Fraction(e, f),))
+    return NormalizedClass(Fraction(b, f), Fraction(e, f))
 
 
 def _require_label(state: State, label: StratumLabel | None) -> None:
@@ -192,8 +192,8 @@ class InflationPlan:
         if not is_valid(self.start):
             return False
         left, right = chamber_of(self.start).defining_classes()
-        # a state (b, f, e, d) is valid (mu >= 1 policy) iff 0 < e < f <= b,
-        # and in the chamber iff its defining classes have these signs
+        # a state (b, f, e, d) is valid iff 0 < e < f <= b, and in the
+        # chamber iff its defining classes have these signs
         return all(0 < s[2] < s[1] <= s[0]
                    and _area3(s, left) > 0 >= _area3(s, right)
                    for s in self._walk()[1:])
@@ -201,9 +201,9 @@ class InflationPlan:
     def as_json(self) -> dict:
         return {
             "start": {"mu": format_rational(self.start.mu),
-                      "e": [format_rational(x) for x in self.start.e]},
+                      "e": [format_rational(self.start.c)]},
             "end": {"mu": format_rational(self.end.mu),
-                    "e": [format_rational(x) for x in self.end.e]},
+                    "e": [format_rational(self.end.c)]},
             "label": self.label.name if self.label is not None else None,
             "steps": [s.as_json() for s in self.steps],
             "stays_in_chamber": self.stays_in_chamber(),
@@ -314,12 +314,14 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
     base-area slot of the family grows by exactly t per unit; solving
     (mu + t) / (1 + t) = mu_target gives the closed form.
     """
+    require_valid(u)
     vb = z.pairings[0]
     if 1 - vb < 0:
         raise PlanError(f"{z} is not a leftward class")
     mu_target = _Q(mu_target)
     if not 1 < mu_target < u.mu:
-        raise PlanError(f"leftward target must lie in (1, mu); got"
+        raise PlanError(f"leftward target must lie in (1,"
+                        f" {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
     return _left_hop(_state_of(u), z, mu_target)[-1].t
 

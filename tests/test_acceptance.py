@@ -112,7 +112,7 @@ def test_criterion_4_inflation_exactness():
         raw = inflate(u, InflationStep(z, t))
         for a in (B, F, E, F - E):
             after = (raw.b_area * a.p + raw.f_area * a.q
-                     + raw.e_area[0] * a.r[0])
+                     + raw.e_area * a.r[0])
             assert after - area(u, a) == t * pair(z, a)
         done += 1
     _verdict(4, "1000 random triples, zero-tolerance linearity on B, F, E, F-E")

@@ -50,7 +50,8 @@ def test_chamber_wall_point(capsys):
     assert payload["active_walls"] == ["B-2F"]
 
 
-@pytest.mark.parametrize("u, wall", [("3,1/2", "B-3F"), ("5/2,1/2", "B-2F-E")])
+@pytest.mark.parametrize("u, wall", [("3,1/2", "B-3F"), ("5/2,1/2", "B-2F-E"),
+                                     ("7/4,3/4", "B-F-E")])
 def test_chamber_names_the_wall_through_the_point(capsys, u, wall):
     payload = check(capsys, "chamber", "chamber", "--u", u, "--json")
     assert payload["active_walls"] == [wall]
@@ -69,9 +70,11 @@ def test_chamber_rejects_decimals(capsys):
     assert code == 2 and "rational" in err
 
 
-def test_walls_json(capsys):
-    payload = check(capsys, "walls", "walls", "--u", "7/4,3/4", "--json")
-    assert payload["active_walls"] == ["B-F-E"]
+def test_walls_command_is_gone(capsys):
+    # `chamber` lists the walls through a point
+    with pytest.raises(SystemExit) as exc:
+        main(["walls", "--u", "3,1/2"])
+    assert exc.value.code == 2
 
 
 def test_strata_json(capsys):
@@ -170,10 +173,25 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("report --g 1 --mu-max 3 --step=-1/4", "grid step must be positive"),
     ("report --g -2 --mu-max 3", "genus must be >= 0, got -2"),
     ("gromov --p 1 --q 2 --g -1", "genus must be >= 0, got -1"),
+    ("gromov --p -3 --q 0 --g 1",
+     "(-3B).F = -3 < 0: a fibre passes through every point, so -3B has no"
+     " J-curve and the closed curve-count formula does not apply"),
+    ("gromov --p -1 --q 1 --g 2",
+     "(-B+F).F = -1 < 0: a fibre passes through every point, so -B+F has no"
+     " J-curve and the closed curve-count formula does not apply"),
+    ("gromov --p 9 --q 1000000 --g 1000000",
+     f"Gr(9B+1000000F) = 10^1000000 has more than"
+     f" {sys.get_int_max_str_digits()} digits, the limit of"
+     " sys.get_int_max_str_digits() for printing an integer"),
+    ("verify-stability --g 1 --mu-max 3 --step 1/4 --workers 0",
+     "workers must be >= 1, got 0"),
+    ("verify-stability --g 1 --mu-max 3 --step 1/4 --workers -3",
+     "workers must be >= 1, got -3"),
+    ("report --g 1 --mu-max 3 --workers 0", "workers must be >= 1, got 0"),
+    ("report --g 1 --mu-max 3 --workers -3", "workers must be >= 1, got -3"),
     ("figure --mu-max 1/0", "zero denominator: '1/0'"),
     ("figure --mu-max 3 --scale -5", "scale must be positive, got -5"),
     ("figure --mu-max 3 --scale 0", "scale must be positive, got 0"),
-    ("walls --u 3,1/2 --k-max -2 --json", "k-max must be >= 0, got -2"),
     ("decompose --g 2 --q-bound 2 --r-bound -1 --json",
      "r-bound must be >= 0, got -1"),
     ("strata --u 3,1/2 --g 1 --wide -1",

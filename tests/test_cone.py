@@ -45,19 +45,10 @@ def test_validity():
     assert not is_valid(normalized(Q(1, 2), Q(1, 4)))
     assert any("policy" in v
                for v in validity_violations(normalized(Q(1, 2), Q(1, 4))))
-    # the policy violation is the only failure for that point
-    assert is_valid(normalized(Q(1, 2), Q(1, 4)), policy=False)
-    assert not is_valid(normalized(1, 2), policy=False)
-    assert not is_valid(normalized(Q(1, 2), Q(3, 4)), policy=False)  # e >= mu
 
 
-def test_validity_multi_blowup():
-    # a point of a blow-up at other than one point cannot even be built
-    from ruledcone.cone import NormalizedClass
-    for e in [(), (Q(1, 3), Q(1, 4)), [Q(1, 3)], Q(1, 3)]:
-        with pytest.raises(ValueError, match="1-tuple"):
-            NormalizedClass(Q(3), e)
-    assert NormalizedClass(3, (Q(1, 3),)) == normalized(3, Q(1, 3))
+def test_normalized_class_is_two_rationals():
+    assert NormalizedClass(3, Q(1, 3)) == normalized(3, Q(1, 3))
 
 
 def test_chamber_examples():
@@ -122,25 +113,23 @@ def test_chamber_locally_constant():
         assert chamber_of(normalized(u.mu + dmu, u.c + dc)).index == idx
 
 
-def _walls_by_scan(u, k_max=None):
-    """Every B-kF and B-kF-E of zero area with 1 <= k <= k_max, by a scan."""
-    if k_max is None:
-        k_max = math.ceil(u.mu) + 1
+def _walls_by_scan(u):
+    """Every B-kF and B-kF-E of zero area with 1 <= k <= ceil(mu) + 1, by a
+    scan."""
+    k_max = math.ceil(u.mu) + 1
     return [a for k in range(1, k_max + 1)
             for a in (B - k * F, B - k * F - E) if area(u, a) == 0]
 
 
 def test_active_walls_match_a_scan_over_k():
-    # valid points, and points with mu < 1 that only the policy excludes
     points = {normalized(i * Q(1, n), j * Q(1, n)) for n in (8, 12)
               for i in range(1, 5 * n + 1) for j in range(1, n)}
     on_walls = 0
     for u in points:
-        if not is_valid(u, policy=False):
+        if not is_valid(u):
             continue
-        for k_max in [None, *range(math.ceil(u.mu) + 2)]:
-            walls = [w.curve_class for w in active_walls(u, k_max)]
-            assert walls == _walls_by_scan(u, k_max), (u, k_max)
+        walls = [w.curve_class for w in active_walls(u)]
+        assert walls == _walls_by_scan(u), u
         on_walls += bool(_walls_by_scan(u))
     assert on_walls > 50
 
@@ -158,15 +147,21 @@ def test_chamber_section_classes():
 
 
 def test_active_walls():
-    assert active_walls(normalized(2, Q(1, 2)), 8) == \
-        [w for w in active_walls(normalized(2, Q(1, 2)), 8)]
-    names = [w.name for w in active_walls(normalized(2, Q(1, 2)), 8)]
+    assert active_walls(normalized(2, Q(1, 2))) == \
+        [w for w in active_walls(normalized(2, Q(1, 2)))]
+    names = [w.name for w in active_walls(normalized(2, Q(1, 2)))]
     assert names == ["B-2F"]
-    names = [w.name for w in active_walls(normalized(Q(7, 4), Q(3, 4)), 8)]
+    names = [w.name for w in active_walls(normalized(Q(7, 4), Q(3, 4)))]
     assert names == ["B-F-E"]
     assert active_walls(normalized(2, Q(1, 3))) == \
-        active_walls(normalized(2, Q(1, 3)), 3)
-    assert not active_walls(normalized(Q(5, 2), Q(3, 10)), 8)
+        active_walls(normalized(2, Q(1, 3)))
+    assert not active_walls(normalized(Q(5, 2), Q(3, 10)))
+
+
+def test_active_walls_require_a_valid_point():
+    # below mu = 1 no wall passes, and the point lies outside the cone
+    with pytest.raises(ValueError, match="mu >= 1 policy violated"):
+        active_walls(normalized(Q(1, 2), Q(1, 4)))
 
 
 def test_figure_walls_for_window():
@@ -250,7 +245,7 @@ def test_wall_sign_determines_index_threshold():
 # -- the integer form against the Fraction closed forms ------------------------
 
 
-def fraction_violations(mu: Q, c: Q, policy: bool) -> list[str]:
+def fraction_violations(mu: Q, c: Q) -> list[str]:
     """The cone constraints as Fraction comparisons, with their messages."""
     fm, fc = format_rational(mu), format_rational(c)
     bad = []
@@ -260,7 +255,7 @@ def fraction_violations(mu: Q, c: Q, policy: bool) -> list[str]:
         bad.append(f"0 < e_1 < 1 violated (e_1 = {fc})")
     if c >= mu:
         bad.append(f"e_1 < mu violated (e_1 = {fc}, mu = {fm})")
-    if policy and mu < 1:
+    if mu < 1:
         bad.append(f"mu >= 1 policy violated (mu = {fm});"
                    " the leftmost chamber is out of scope")
     return bad
@@ -300,9 +295,7 @@ def test_integer_form_agrees_with_fraction_closed_forms():
         m, n, d = u.ints
         assert (Q(m, d), Q(n, d), d) == (mu, c, math.lcm(mu.denominator,
                                                          c.denominator))
-        for policy in (True, False):
-            assert validity_violations(u, policy=policy) == \
-                fraction_violations(mu, c, policy), (mu, c, policy)
+        assert validity_violations(u) == fraction_violations(mu, c), (mu, c)
         if is_valid(u):
             assert chamber_of(u).index == fraction_chamber(mu, c)
         for index in range(1, 2 * max(1, math.ceil(mu)) + 3):
@@ -315,7 +308,7 @@ def test_cached_integer_form_is_invisible_and_pickles():
     assert u.ints == (14, 3, 6)
     assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
     assert repr(u) == ("NormalizedClass(mu=Fraction(7, 3),"
-                       " e=(Fraction(1, 2),))")
+                       " c=Fraction(1, 2))")
     w = pickle.loads(pickle.dumps(u))
     assert w == u and hash(w) == hash(u) and w.ints == (14, 3, 6)
     assert pickle.loads(pickle.dumps(v)).ints == (14, 3, 6)
@@ -323,8 +316,8 @@ def test_cached_integer_form_is_invisible_and_pickles():
 
 def test_normalized_class_keeps_fractions_and_converts_the_rest():
     mu, c = Q(7, 3), Q(1, 2)
-    u = NormalizedClass(mu, (c,))
-    assert u.mu is mu and u.e[0] is c
-    for raw in (NormalizedClass(3, ("1/2",)), NormalizedClass("3", (Q(1, 2),))):
+    u = NormalizedClass(mu, c)
+    assert u.mu is mu and u.c is c
+    for raw in (NormalizedClass(3, "1/2"), NormalizedClass("3", Q(1, 2))):
         assert raw == normalized(3, Q(1, 2))
         assert type(raw.mu) is Q and type(raw.c) is Q

@@ -1,11 +1,12 @@
 """Curve counts of section classes and the decomposition oracle."""
 
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.gromov import (Decomposition, gromov_invariant,
-                              gromov_nonzero_criterion,
+from ruledcone.gromov import (Decomposition, _more_digits_than,
+                              gromov_invariant, gromov_nonzero_criterion,
                               section_decompositions, virtual_dim_k)
 from ruledcone.lattice import B, E, F, ClassVector, SurfaceParams
 
@@ -51,6 +52,39 @@ def test_gromov_rejects_negative_virtual_dim():
     # k(B) = 1 - g < 0 for g >= 2
     with pytest.raises(ValueError, match="does not apply"):
         gromov_invariant(1, 0, SurfaceParams(3))
+
+
+def test_negative_fibre_degree_has_no_count():
+    # C.F = p < 0: a fibre through every point rules out a J-curve in C
+    for g in range(0, 5):
+        params = SurfaceParams(g)
+        for p in range(-4, 0):
+            for q in range(-2, 7):
+                assert not gromov_nonzero_criterion(p, q, params)
+                with pytest.raises(ValueError, match="has no J-curve"):
+                    gromov_invariant(p, q, params)
+
+
+def test_digit_count_decided_without_building_the_power():
+    for base in range(0, 40):
+        for g in range(0, 60):
+            for limit in range(1, 40):
+                assert _more_digits_than(base, g, limit) == \
+                    (len(str(base ** g)) > limit), (base, g, limit)
+    # a power of about 10^9 digits is refused from bit lengths alone
+    assert _more_digits_than(10, 10 ** 9, 4300)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="no integer string conversion limit")
+def test_count_too_long_to_print_is_refused():
+    limit = sys.get_int_max_str_digits()
+    # k(9B + gF) = 9 + g >= 0; 10^(limit-1) has exactly `limit` digits
+    assert gromov_invariant(9, limit - 1, SurfaceParams(limit - 1)) == \
+        10 ** (limit - 1)
+    for g in (limit, 10 ** 9):
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            gromov_invariant(9, g, SurfaceParams(g))
 
 
 def test_nonvanishing_criterion_implies_applicability():

@@ -214,6 +214,18 @@ def test_left_hop_parameter_closed_form():
         assert got == (mu - mu_t) / (mu_t - 1)
 
 
+def test_left_hop_parameter_checks_its_start_and_names_mu():
+    # c = 2 lies outside the cone: refused, as plan_left_stratum refuses it
+    outside = normalized(3, 2)
+    with pytest.raises(ValueError, match="0 < e_1 < 1 violated"):
+        stratum_left_parameter(outside, B - F, 2)
+    with pytest.raises(ValueError, match="0 < e_1 < 1 violated"):
+        plan_left_stratum(outside, 2, label_for(B - F, P2), P2)
+    with pytest.raises(PlanError) as exc:
+        stratum_left_parameter(normalized(3, Q(1, 2)), B - F, 3)
+    assert str(exc.value) == "leftward target must lie in (1, 3), got 3"
+
+
 def test_plan_left_stratum_single_hop():
     u = normalized(4, Q(1, 2))
     lab = label_for(B - 2 * F, P2)
