@@ -4,12 +4,14 @@ Commands: chamber, strata, inflate, plan, verify-stability, gromov,
 decompose, figure, report.  Rationals cross the boundary as ``p/q`` strings
 only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
 3 verification found a counterexample.  Output is deterministic for a given
-flag set: no clocks, no randomness.
+flag set: no clocks, no randomness.  The parser is built once per process,
+so ``main`` can be called repeatedly in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -239,6 +241,8 @@ def _cmd_gromov(args) -> int:
     with _user_input():
         value = gromov_mod.gromov_invariant(args.p, args.q, params)
     criterion = gromov_mod.gromov_nonzero_criterion(args.p, args.q, params)
+    condition = ("p >= 0, q >= 0 and p + q > 0" if params.g == 0
+                 else "p >= 0 and q >= g-1")
     payload = {
         "p": args.p, "q": args.q, "g": args.g,
         "virtual_dim": format_rational(k),
@@ -250,7 +254,8 @@ def _cmd_gromov(args) -> int:
         f"C = {c}, g = {args.g}",
         f"virtual dimension k(C) = {format_rational(k)}",
         f"Gr(C) = (p+1)^g = {value}",
-        f"nonvanishing criterion (q >= g-1): {'met' if criterion else 'not met'}",
+        f"nonvanishing criterion ({condition}):"
+        f" {'met' if criterion else 'not met'}",
     ]
     _emit(args, payload, lines)
     return EXIT_OK
@@ -347,6 +352,7 @@ def _cmd_report(args) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ruledcone",

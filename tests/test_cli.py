@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON schemas, determinism."""
 
+import argparse
 import importlib
 import json
 import os
@@ -286,6 +287,23 @@ def test_gromov_json(capsys):
     assert payload["virtual_dim"] == "3"
 
 
+@pytest.mark.parametrize("p, q, g, condition, verdict", [
+    (0, 0, 0, "p >= 0, q >= 0 and p + q > 0", "not met"),
+    (0, 1, 0, "p >= 0, q >= 0 and p + q > 0", "met"),
+    (1, 2, 2, "p >= 0 and q >= g-1", "met"),
+])
+def test_gromov_names_the_tested_criterion(capsys, p, q, g, condition,
+                                           verdict):
+    # at g = 0 the tested condition is not q >= g-1, which (0, 0) meets
+    argv = ["gromov", "--p", str(p), "--q", str(q), "--g", str(g)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.splitlines()[-1] == (
+        f"nonvanishing criterion ({condition}): {verdict}")
+    payload = check(capsys, "gromov", *argv, "--json")
+    assert payload["nonzero_criterion_q_ge_g_minus_1"] is (verdict == "met")
+
+
 def test_gromov_inapplicable(capsys):
     code, _, err = run(capsys, "gromov", "--p", "1", "--q", "0", "--g", "3")
     assert code == 2 and "does not apply" in err
@@ -377,6 +395,47 @@ def run_module(*argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ruledcone", *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    # repeated in-process calls construct no new parser
+    run(capsys, "chamber", "--u", "5/2,3/10")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        code, _, err = run(capsys, "chamber", "--u", "5/2,3/10")
+        assert code == 0, err
+    assert built == []
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    # options of one call do not carry over to the next: each call prints
+    # what a fresh process prints
+    plan = ["plan", "--from", "5/2,3/10", "--to", "5/2,2/5", "--g", "2",
+            "--label", "open"]
+    for argv in ([*plan, "--x", "1", "--json"], plan):
+        code, out, err = run(capsys, *argv)
+        proc = run_module(*argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert code == 0, err
+    assert "inflate along B+2F by t = 1 " in out  # x = g, not the pinned 1
+
+
+def test_parser_error_leaves_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--from", "5/2,3/10"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: ruledcone plan")
+    code, out, err = run(capsys, "plan", "--from", "5/2,3/10", "--to",
+                         "5/2,2/5", "--g", "2", "--label", "open")
+    assert code == 0, err
+    assert out.splitlines()[-1] == "end: (5/2, 2/5) (stays in chamber)"
 
 
 def test_console_entry_point():
