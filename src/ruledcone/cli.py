@@ -59,11 +59,10 @@ def _params(g: int) -> SurfaceParams:
         return SurfaceParams(g)
 
 
-def _bound(value: int | None, name: str, low: int = 0) -> int | None:
-    """A scan bound or a worker count from the command line: absent or at
-    least `low`."""
-    if value is not None and value < low:
-        raise InputError(f"{name} must be >= {low}, got {value}")
+def _bound(value: int | None, name: str) -> int | None:
+    """A scan bound from the command line: absent or non-negative."""
+    if value is not None and value < 0:
+        raise InputError(f"{name} must be >= 0, got {value}")
     return value
 
 
@@ -205,8 +204,7 @@ def _cmd_verify_stability(args) -> int:
     mu_max, step = _rational(args.mu_max), _rational(args.step)
     mu_min = _rational(args.mu_min) if args.mu_min else None
     report = _verify(params, mu_max, step, mu_min=mu_min,
-                     min_index=args.min_index,
-                     workers=_bound(args.workers, "workers", 1))
+                     min_index=args.min_index)
     payload = report.as_json()
     lines = [
         f"stability verification, g = {report.g}, mu in"
@@ -311,8 +309,7 @@ def _cmd_report(args) -> int:
     mu_max = _rational(args.mu_max)
     step = _rational(args.step)
     cod_max = _bound(args.cod_max, "cod-max")
-    report = _verify(params, mu_max, step,
-                     workers=_bound(args.workers, "workers", 1))
+    report = _verify(params, mu_max, step)
 
     chambers = []
     verdicts = {v.index: v for v in report.chambers}
@@ -406,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-min", default=None)
     p.add_argument("--min-index", type=int, default=None,
                    help="lowest chamber index to attempt (default 2g)")
-    p.add_argument("--workers", type=int, default=1)
     add_json(p)
     p.set_defaults(func=_cmd_verify_stability)
 
@@ -439,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-max", required=True)
     p.add_argument("--step", default="1/8")
     p.add_argument("--cod-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     add_json(p)
     p.set_defaults(func=_cmd_report)
 

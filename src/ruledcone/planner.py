@@ -493,6 +493,8 @@ def plan_vertical(u: NormalizedClass, c_target, label: StratumLabel,
     if not 0 < c_target < 1:
         raise PlanError(f"target blow-up area must lie in (0, 1), got"
                         f" {format_rational(c_target)}")
+    if x is not None:  # up front: routes with no section step never read x
+        _section(x, params)
     return _route(u, normalized(u.mu, c_target), label, params, raise_x=x)
 
 
@@ -516,6 +518,8 @@ def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
     # targets <= g or < 1 are refused by the hop, after its checks of x
     if mu_target > u.mu:
         raise _open_left_refusal(params, u.mu, mu_target)
+    if x is not None:  # up front: routes with no section step never read x
+        _section(x, params)
     return _route(u, normalized(mu_target, u.c), OPEN_LABEL, params, hop_x=x)
 
 
@@ -613,8 +617,8 @@ class StabilityReport:
         }
 
 
-def _verify_chamber(args) -> ChamberVerdict:
-    params, index, points = args
+def _verify_chamber(params: SurfaceParams, index: int,
+                    points: list[NormalizedClass]) -> ChamberVerdict:
     labels = chamber_labels(ChamberId(index), params)
     verdict = ChamberVerdict(index=index, points=len(points),
                              labels=[lb.name for lb in labels])
@@ -635,9 +639,8 @@ def _verify_chamber(args) -> ChamberVerdict:
     return verdict
 
 
-def verify_stability(params: SurfaceParams, mu_max, grid_step,
-                     mu_min=None, min_index: int | None = None,
-                     workers: int = 1) -> StabilityReport:
+def verify_stability(params: SurfaceParams, mu_max, grid_step, mu_min=None,
+                     min_index: int | None = None) -> StabilityReport:
     """Check two-way transport for every same-chamber grid pair and label.
 
     Grid: mu in (mu_min, mu_max] and c in (0, 1), both stepped by grid_step;
@@ -670,16 +673,8 @@ def verify_stability(params: SurfaceParams, mu_max, grid_step,
     cross = total_points * (total_points - 1) // 2 - same_chamber_pairs
 
     skipped = sorted(i for i in by_chamber if i < min_index)
-    tasks = [(params, i, by_chamber[i])
-             for i in sorted(by_chamber) if i >= min_index]
-
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            verdicts = pool.map(_verify_chamber, tasks)
-    else:
-        verdicts = [_verify_chamber(t) for t in tasks]
+    verdicts = [_verify_chamber(params, i, by_chamber[i])
+                for i in sorted(by_chamber) if i >= min_index]
 
     return StabilityReport(
         g=params.g, mu_min=mu_min, mu_max=mu_max, grid_step=grid_step,

@@ -15,7 +15,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import ruledcone
-from ruledcone.cli import main
+from ruledcone.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -78,6 +78,18 @@ def test_walls_command_is_gone(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "verify-stability --g 1 --mu-max 3 --step 1/4 --workers 2",
+    "report --g 1 --mu-max 3 --workers 2",
+])
+def test_workers_flag_is_gone(capsys, argv):
+    # the verifier runs in one process; run legs or mu-windows as processes
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_strata_json(capsys):
     payload = check(capsys, "strata",
                     "strata", "--u", "5/2,3/10", "--g", "2",
@@ -126,6 +138,14 @@ def test_plan_stratum_label(capsys):
                     "--g", "2", "--label", "B-2F", "--json")
     assert payload["steps"][0]["z"] == "F"
     assert any(s["z"] == "B-2F" for s in payload["steps"])
+
+
+def test_plan_equal_endpoints_is_empty(capsys):
+    code, out, err = run(capsys, "plan", "--from", "5/2,1/2",
+                         "--to", "5/2,1/2", "--g", "2", "--label", "open")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["  empty plan (endpoints coincide)",
+                                    "end: (5/2, 1/2) (stays in chamber)"]
 
 
 def test_plan_cross_chamber_is_invalid(capsys):
@@ -184,13 +204,11 @@ def test_plan_rejects_out_of_range_x(capsys, x):
      f"Gr(9B+1000000F) = 10^1000000 has more than"
      f" {sys.get_int_max_str_digits()} digits, the limit of"
      " sys.get_int_max_str_digits() for printing an integer"),
-    ("verify-stability --g 1 --mu-max 3 --step 1/4 --workers 0",
-     "workers must be >= 1, got 0"),
-    ("verify-stability --g 1 --mu-max 3 --step 1/4 --workers -3",
-     "workers must be >= 1, got -3"),
-    ("report --g 1 --mu-max 3 --workers 0", "workers must be >= 1, got 0"),
-    ("report --g 1 --mu-max 3 --workers -3", "workers must be >= 1, got -3"),
+    ("chamber --u 5/2", "expected mu,c with rational entries, got '5/2'"),
+    ("plan --from 5/2,1/2 --to 5/2,1/4 --g 2 --label B",
+     "bad stratum label 'B': B has non-negative square"),
     ("figure --mu-max 1/0", "zero denominator: '1/0'"),
+    ("figure --mu-max 1", "mu-max must exceed 1"),
     ("figure --mu-max 3 --scale -5", "scale must be positive, got -5"),
     ("figure --mu-max 3 --scale 0", "scale must be positive, got 0"),
     ("decompose --g 2 --q-bound 2 --r-bound -1 --json",
@@ -265,6 +283,14 @@ def test_verify_stability_json(capsys):
                     "--step", "1/4", "--json")
     assert payload["ok"] is True
     assert [c["chamber"] for c in payload["chambers"]] == [2, 3, 4, 5]
+
+
+def test_verify_stability_lists_skipped_chambers(capsys):
+    code, out, err = run(capsys, "verify-stability", "--g", "2",
+                         "--mu-max", "3", "--step", "1/4", "--mu-min", "1")
+    assert (code, err) == (0, "")
+    assert "  skipped (below index threshold): 2, 3\n" in out
+    assert out.endswith("VERDICT: all transports certified\n")
 
 
 def test_verify_stability_counterexample_exit_code(capsys):
@@ -385,6 +411,27 @@ def test_report_gives_every_chamber_its_labels(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "0 labels" not in out
     assert "chamber   4: mu > 2 and mu <= 2 + c; 5 labels;" in out
+
+
+def test_report_marks_chambers_without_grid_points(capsys):
+    # step 1/2 puts no grid point in chambers 4 and 5 of (1, 9/4]
+    code, out, err = run(capsys, "report", "--g", "1", "--mu-max", "9/4",
+                         "--step", "1/2")
+    assert (code, err) == (0, "")
+    assert [line.rsplit("; stability ", 1)[1]
+            for line in out.splitlines()[1:6]] == [
+        "skipped", "verified", "verified", "no-grid-points", "no-grid-points"]
+
+
+def test_readme_commands_parse():
+    # every `ruledcone ...` example line of the README, its comment cut
+    readme = Path(__file__).parents[1] / "README.md"
+    commands = [line.split("#")[0].split()[1:]
+                for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("ruledcone ")]
+    assert len(commands) >= 10
+    for argv in commands:  # a stale flag makes argparse exit 2 here
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def run_module(*argv):

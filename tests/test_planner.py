@@ -110,6 +110,20 @@ def test_open_left_keeps_its_target_in_the_cone_at_g_0():
     assert is_valid(pl.end)
 
 
+@pytest.mark.parametrize("call, x", [
+    # a pure E drop and an empty leftward leg: neither builds a section step
+    (lambda x: plan_vertical(normalized(Q(5, 2), Q(1, 2)), Q(1, 4),
+                             OPEN_LABEL, P2, x=x), 5),
+    (lambda x: plan_left_open(normalized(Q(5, 2), Q(1, 2)), Q(5, 2), P2,
+                              x=x), -1),
+])
+def test_pinned_x_is_checked_up_front(call, x):
+    with pytest.raises(PlanError) as err:
+        call(x)
+    assert str(err.value) == f"section coefficient x={x} outside 0..2"
+    assert not any(step.z.p for step in call(2).steps)
+
+
 def test_left_refusals_name_the_targets_they_accept():
     # mu itself is accepted (an empty leg), so the intervals are closed at mu;
     # at mu = 1 they are empty and mu is the only target left
@@ -586,12 +600,6 @@ def test_verify_stability_plans_once_per_verdict(monkeypatch):
                            min_index=1)
     assert not rep.ok and any(v.failed == 0 for v in rep.chambers)
     assert len(calls) == sum(v.checked for v in rep.chambers) == 1560
-
-
-def test_verify_stability_workers_match_sequential():
-    seq = verify_stability(P1, Q(5, 2), Q(1, 4))
-    par = verify_stability(P1, Q(5, 2), Q(1, 4), workers=2)
-    assert seq.as_json() == par.as_json()
 
 
 def test_discrepancy_records():
