@@ -4,16 +4,17 @@ symplectic cone of one-point blow-ups of irrational ruled surfaces."""
 from .cone import (ChamberId, FigureModel, NormalizedClass, Wall, active_walls,
                    area, chamber_of, figure_data, is_valid, normalized,
                    same_chamber, validity_violations)
+from .discrepancies import detected_discrepancies
 from .gromov import (Decomposition, gromov_invariant, gromov_nonzero_criterion,
                      section_decompositions, virtual_dim_k)
 from .inflation import (InflationStep, RawClass, inflate, normalize,
                         pd_area_vector, t_range)
 from .lattice import (B, E, F, ClassVector, SurfaceParams, adjunction_genus,
                       canonical_class, codim, pair, parse_class)
-from .planner import (InflationPlan, PlanError, StabilityReport,
-                      detected_discrepancies, plan, plan_left_open,
-                      plan_left_stratum, plan_right, plan_vertical,
-                      stratum_left_parameter, verify_stability)
+from .planner import (InflationPlan, PlanError, StabilityReport, plan,
+                      plan_left_open, plan_left_stratum, plan_right,
+                      plan_vertical, stratum_left_parameter,
+                      verify_stability)
 from .rationals import format_rational, parse_rational
 from .strata import (OPEN_LABEL, StratumLabel, label_for, negative_classes,
                      stratum_labels, wide_negative_classes)

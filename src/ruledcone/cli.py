@@ -21,10 +21,10 @@ from fractions import Fraction
 from . import gromov as gromov_mod
 from .cone import (ChamberId, active_walls, chamber_of, figure_data,
                    normalized, validity_violations)
+from .discrepancies import detected_discrepancies
 from .inflation import InflationStep, inflate, normalize, t_range
 from .lattice import B, F, ClassVector, SurfaceParams, parse_class
-from .planner import (PlanError, detected_discrepancies, plan,
-                      verify_stability)
+from .planner import PlanError, plan, verify_stability
 from .rationals import format_rational, parse_rational
 from .strata import (OPEN_LABEL, chamber_labels, label_for, stratum_labels,
                      wide_negative_classes)
@@ -335,16 +335,21 @@ def _cmd_report(args) -> int:
         "stability": report.as_json(),
         "paper_discrepancies": detected_discrepancies(),
     }
+    # the text says what a "verified" chamber means: its grid was certified
     lines = [f"report, g = {params.g}, mu_max = {format_rational(mu_max)}"]
     for entry in chambers:
+        stability = entry["stability"]
+        if stability == "verified":
+            stability = "grid-verified"
         lines.append(f"  chamber {entry['index']:3d}: "
                      + " and ".join(entry["inequalities"])
                      + f"; {len(entry['labels'])} labels;"
-                     f" stability {entry['stability']}")
+                     f" stability {stability}")
     lines.append("recorded source discrepancies: "
                  + ", ".join(d["id"] for d in payload["paper_discrepancies"]))
     lines.append("stability verdict: "
-                 + ("all certified" if report.ok else "counterexample found"))
+                 + ("all grid pairs certified" if report.ok
+                    else "counterexample found"))
     _emit(args, payload, lines)
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 

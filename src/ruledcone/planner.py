@@ -2,9 +2,10 @@
 
 Every recipe is derived from the intersection pairing, never transcribed:
 the published display of the transport recipes contains sign and role
-slips (see `detected_discrepancies`), so the solver recomputes each family
-from the area increments (Z.B, Z.F, Z.E) of PD(Z) and the recipes'
-published conclusions are asserted as tests instead of assumed.
+slips (see `discrepancies.detected_discrepancies`), so the solver
+recomputes each family from the area increments (Z.B, Z.F, Z.E) of PD(Z)
+and the recipes' published conclusions are asserted as tests instead of
+assumed.
 
 Move catalogue (all parameters solved exactly, all steps certified):
 
@@ -57,7 +58,7 @@ from fractions import Fraction
 
 from .cone import (ChamberId, NormalizedClass, chamber_of, is_valid,
                    normalized, require_valid)
-from .inflation import InflationStep, pd_area_vector
+from .inflation import InflationStep
 from .lattice import B, E, F, ClassVector, SurfaceParams
 from .rationals import format_rational, simplest_between
 from .strata import OPEN_LABEL, StratumLabel, chamber_labels
@@ -680,82 +681,3 @@ def verify_stability(params: SurfaceParams, mu_max, grid_step, mu_min=None,
         g=params.g, mu_min=mu_min, mu_max=mu_max, grid_step=grid_step,
         min_index=min_index, chambers=verdicts, skipped_chambers=skipped,
         cross_chamber_pairs=cross)
-
-
-# -- discrepancy detection ----------------------------------------------------
-
-
-def detected_discrepancies() -> list[dict]:
-    """The arithmetic slips in the published recipes, re-derived, not transcribed.
-
-    Each record carries the stated expression, the recomputed one, and a
-    `detected` flag set by actually evaluating both sides on sample data, so
-    a silent transcription of the slip into this library would flip the flag
-    and fail the build.
-    """
-    items = []
-
-    # 1. Fixed-mu transport on the open stratum: the displayed increment sum
-    # swaps the roles of the two parameters, and the displayed solutions
-    # solve that swapped system.  Replaying them misses the target.
-    sample = []
-    for mu, x, c1, c2 in [(_Q(3), 1, _Q(1, 4), _Q(1, 2)),
-                          (_Q(4), 2, _Q(1, 3), _Q(2, 3)),
-                          (_Q(5), 0, _Q(1, 5), _Q(4, 5))]:
-        u = normalized(mu, c1)
-        t2_stated = (c2 - c1) / (1 - c2)
-        t1_stated = (mu - x) * t2_stated
-        stated_end = _normalized(_apply3(
-            _apply3(_state_of(u), B + x * F, t1_stated), _FE, t2_stated))
-        t1 = (c2 - c1) / (mu - x - c2)
-        t2 = (mu - x) * t1
-        recomputed_end = _normalized(_apply3(
-            _apply3(_state_of(u), B + x * F, t1), _FE, t2))
-        sample.append(recomputed_end == normalized(mu, c2)
-                      and stated_end != normalized(mu, c2))
-    items.append({
-        "id": "vertical-transport-solutions",
-        "context": "fixed-mu transport raising the blow-up area (open stratum,"
-                   " classes B+xF and F-E; same slip in the B-kF case, whose"
-                   " stated blow-up-area condition carries a spurious t1 term"
-                   " although B-kF pairs trivially with E)",
-        "stated": "t1 = (mu-x)*t2 with (1-c2)*t2 = c2-c1",
-        "recomputed": "t1 = (c2-c1)/(mu-x-c2), t2 = (mu-x)*t1;"
-                      " positive solutions need mu > x + c2",
-        "detected": all(sample),
-    })
-
-    # 2. Leftward inflation family along B-kF-E: the displayed family has +t
-    # in the base slot, but PD(B-kF-E) contributes -k there.  The displayed
-    # family is the combination with (k+1)t fibers, for which the closed
-    # form t = (mu-mu')/(mu'-1) is exact.
-    slots_differ = all(
-        pd_area_vector(B - k * F - E).b_area == -k != 1 for k in range(1, 5))
-    items.append({
-        "id": "left-inflation-family",
-        "context": "leftward inflation along B-kF-E (and B-kF, same slip)",
-        "stated": "family (mu+t, 1+t, c1+t) for t*PD(B-kF-E)",
-        "recomputed": "t*PD(B-kF-E) adds (-k, 1, 1) per unit t; the stated"
-                      " family is the combination with (k+1)t fibers, under"
-                      " which t = (mu-mu')/(mu'-1) is exact (a single-class"
-                      " parameter would solve to (mu-mu')/(mu'+k))",
-        "detected": slots_differ,
-    })
-
-    # 3. Virtual dimension of B+gF: the stated inline evaluation collapses to
-    # the constant 2; the adjunction-consistent canonical class gives g+1.
-    from .gromov import virtual_dim_k
-
-    diffs = [virtual_dim_k(B + g * F, SurfaceParams(g)) for g in range(1, 5)]
-    items.append({
-        "id": "section-virtual-dimension",
-        "context": "existence of a section on the open stratum via the"
-                   " curve count of B+gF",
-        "stated": "k(B+gF) = 2g+2-2g = 2",
-        "recomputed": "k(B+gF) = (-K.(B+gF) + (B+gF).(B+gF))/2 = g+1 with"
-                      " K = -2B+(2g-2)F+E (the two agree only at g = 1);"
-                      " still >= 0, so the curve count stays valid",
-        "detected": diffs == [_Q(g + 1) for g in range(1, 5)] and
-                    any(d != 2 for d in diffs),
-    })
-    return items

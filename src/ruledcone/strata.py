@@ -14,11 +14,17 @@ negatively, as (B-kF).(B-jF) = (B-kF).(B-jF-E) = -(k+j) and
 (B-kF-E).(B-jF-E) = -(k+j+1), so no structure carries two of them: a
 stratum label is the open label or one positive-codimension class, named by
 that class and carrying its codimension.  `StratumLabel` refuses any larger
-core.  Each such class pairs non-negatively with E and F-E.  The halves
-2k-1+g and 2j+g of the codimensions have opposite parity, so labels never
-tie.  Which family classes have positive area is fixed by the chamber
-(`ChamberId.section_classes`), so labels are a property of the chamber:
-`chamber_labels`.
+core.  Each such class pairs non-negatively with E and F-E.
+
+In the order B-E, B-F, B-F-E, B-2F, ... the i-th section class (from 0)
+has codimension exactly 2(g + i), so labels never tie.  Chamber n carries
+the first n of them (`ChamberId.section_classes`), so labels are a property
+of the chamber, and since codimension grows with i, the labels of a chamber
+up to any codimension bound are a prefix of one sequence per genus:
+`chamber_labels` slices that sequence, built lazily and kept per genus up
+to the largest chamber index asked for, but at most _MEMO_INDEX labels, so
+one large chamber index pins no memory.  `lattice.codim` (adjunction) is
+the definition; the tests check the closed form against it.
 
 `wide_negative_classes` is the safety net: it scans all bounded (p, q, r)
 under principled arithmetic filters and marks anything outside the four
@@ -69,24 +75,50 @@ class StratumLabel:
 OPEN_LABEL = StratumLabel(0, ())
 
 
+def _section_codim(g: int, i: int) -> int:
+    """Codimension of section class i of B-E, B-F, B-F-E, B-2F, ..."""
+    return 2 * (g + i)
+
+
 def negative_classes(u: NormalizedClass, params: SurfaceParams,
                      cod_max: int | None = None) -> list[ClassVector]:
     """All family classes of positive u-area (and codim <= cod_max), sorted
     by (codim, k)."""
     found = [(0, 0, E), (0, 1, F - E)]
-    found += [(codim(a, params), -a.q, a)
-              for a in chamber_of(u).section_classes()]
+    found += [(_section_codim(params.g, i), -a.q, a)
+              for i, a in enumerate(chamber_of(u).section_classes())]
     return [a for cod, _, a in sorted(found, key=lambda f: f[:2])
             if cod_max is None or cod <= cod_max]
+
+
+def _section_labels(g: int, lo: int, hi: int) -> list[StratumLabel]:
+    """The labels of section classes lo, ..., hi - 1 at genus g."""
+    if hi <= lo:
+        return []
+    classes = ChamberId(hi).section_classes()
+    return [StratumLabel(_section_codim(g, i), (classes[i],))
+            for i in range(lo, hi)]
+
+
+# genus -> the labels of section classes 0, 1, 2, ..., kept up to the largest
+# chamber index asked for but never past _MEMO_INDEX (classify and the
+# verifier stay below it); labels past it are built per call.
+_MEMO_INDEX = 64
+_SECTION_LABELS: dict[int, list[StratumLabel]] = {}
 
 
 def chamber_labels(cid: ChamberId, params: SurfaceParams,
                    cod_max: int | None = None) -> list[StratumLabel]:
     """All labels present on the chamber, sorted by codimension: the open
     label and one per positive-codimension section class."""
-    return [OPEN_LABEL] + [
-        StratumLabel(cod, (a,)) for a in cid.section_classes()
-        if 0 < (cod := codim(a, params)) and (cod_max is None or cod <= cod_max)]
+    g = params.g
+    stop = cid.index
+    if cod_max is not None:  # 2(g + i) <= cod_max
+        stop = max(0, min(stop, cod_max // 2 - g + 1))
+    seq = _SECTION_LABELS.setdefault(g, [])
+    seq += _section_labels(g, len(seq), min(stop, _MEMO_INDEX))
+    start = 1 if g == 0 else 0  # at g = 0, B-E has codimension 0
+    return [OPEN_LABEL] + seq[start:stop] + _section_labels(g, len(seq), stop)
 
 
 def stratum_labels(u: NormalizedClass, params: SurfaceParams,

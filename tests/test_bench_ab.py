@@ -1,0 +1,99 @@
+"""tools/bench_ab.py: run order and the claim rule, on made-up run records.
+
+The tool uses only the standard library, so it is imported from its file.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
+SPEC = [{"name": "op_ms_p50", "better": "lower", "bound": 0.25},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_ab", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(seed, op_ms, ops, failed=0):
+    return {"workload": "classify", "provenance": {"seed": seed},
+            "attempted": 100, "failed": failed,
+            "metrics": {"op_ms_p50": {"value": op_ms},
+                        "ops_per_s": {"value": ops}}}
+
+
+def test_schedule_alternates_the_first_side_and_traces_last():
+    order = list(_tool().schedule(["classify"], range(7, 10)))
+    assert order == [
+        ("parent", "classify", 7, 0), ("change", "classify", 7, 0),
+        ("change", "classify", 8, 0), ("parent", "classify", 8, 0),
+        ("parent", "classify", 9, 0), ("change", "classify", 9, 0),
+        ("parent", "classify", 7, 1), ("change", "classify", 7, 1)]
+
+
+def test_claim_needs_nine_tenths_of_pairs_and_a_gain_beyond_the_spread():
+    tool = _tool()
+    parent = [_record(s, 1.0 + s / 100, 500) for s in range(10)]
+    # the change wins 9 of 10 pairs on op_ms_p50 and ties ops_per_s
+    change = [_record(s, 0.5 if s else 2.0, 500) for s in range(10)]
+    summary = {"classify": tool.summarize(
+        {"parent": parent, "change": change}, "classify", SPEC)}
+    s = summary["classify"]["op_ms_p50"]
+    assert (s["pairs_won"], s["pairs"]) == (9, 10)
+    assert s["won_by_seed"]["0"] is False and s["verdict"] == "within"
+    assert tool.claim_of(summary, "classify", "op_ms_p50")["holds"]
+    assert summary["classify"]["ops_per_s"]["pairs_won"] == 0  # ties
+    assert not tool.claim_of(summary, "classify", "ops_per_s")["holds"]
+    # 8 of 10 is not enough
+    change[1] = _record(1, 2.0, 500)
+    summary = {"classify": tool.summarize(
+        {"parent": parent, "change": change}, "classify", SPEC)}
+    assert not tool.claim_of(summary, "classify", "op_ms_p50")["holds"]
+
+
+def test_a_gain_inside_the_parent_spread_is_no_claim():
+    tool = _tool()
+    parent = [_record(s, 1.0 + s / 10, 500) for s in range(10)]
+    change = [_record(s, 0.99 + s / 10, 500) for s in range(10)]
+    summary = {"classify": tool.summarize(
+        {"parent": parent, "change": change}, "classify", SPEC)}
+    assert summary["classify"]["op_ms_p50"]["pairs_won"] == 10
+    assert not tool.claim_of(summary, "classify", "op_ms_p50")["holds"]
+
+
+def test_a_gain_with_more_failed_ops_is_no_claim():
+    tool = _tool()
+    parent = [_record(s, 1.0, 500) for s in range(10)]
+    change = [_record(s, 0.5, 500, failed=1 if s == 3 else 0)
+              for s in range(10)]
+    summary = {"classify": tool.summarize(
+        {"parent": parent, "change": change}, "classify", SPEC)}
+    assert summary["classify"]["op_ms_p50"]["pairs_won"] == 10
+    assert summary["classify"]["fail_share"] == {"parent": 0.0,
+                                                 "change": 0.001}
+    assert not tool.claim_of(summary, "classify", "op_ms_p50")["holds"]
+
+
+def test_runs_spread_wider_than_the_bound_are_unresolved():
+    tool = _tool()
+    parent = [_record(s, 1.0, 500) for s in range(10)]
+    # the median is unchanged, but the quartiles lie 1.0 apart (bound 0.25)
+    change = [_record(s, 0.5 if s < 5 else 1.5, 500) for s in range(10)]
+    summary = {"classify": tool.summarize(
+        {"parent": parent, "change": change}, "classify", SPEC)}
+    s = summary["classify"]["op_ms_p50"]
+    assert s["change"]["median"] == 1.0 and s["worse_by"] == 0
+    assert s["verdict"] == "unresolved"
+    assert summary["classify"]["ops_per_s"]["verdict"] == "within"
+    # the same spread on the parent's side is unresolved too
+    summary = {"classify": tool.summarize(
+        {"parent": change, "change": parent}, "classify", SPEC)}
+    assert summary["classify"]["op_ms_p50"]["verdict"] == "unresolved"
+    # unless every run of the change reads better than every parent run
+    summary = {"classify": tool.summarize(
+        {"parent": [_record(s, 2.0, 500) for s in range(10)],
+         "change": change}, "classify", SPEC)}
+    assert summary["classify"]["op_ms_p50"]["verdict"] == "within"

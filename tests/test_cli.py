@@ -420,7 +420,21 @@ def test_report_marks_chambers_without_grid_points(capsys):
     assert (code, err) == (0, "")
     assert [line.rsplit("; stability ", 1)[1]
             for line in out.splitlines()[1:6]] == [
-        "skipped", "verified", "verified", "no-grid-points", "no-grid-points"]
+        "skipped", "grid-verified", "grid-verified", "no-grid-points",
+        "no-grid-points"]
+
+
+def test_report_text_says_the_grid_was_verified(capsys):
+    # the text names what was checked; the JSON enum stays "verified"
+    argv = ["report", "--g", "1", "--mu-max", "9/4", "--step", "1/8"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == ("  chamber   2: mu > 1 and mu <= 1 + c; 3 labels;"
+                        " stability grid-verified")
+    assert lines[-1] == "stability verdict: all grid pairs certified"
+    payload = check(capsys, "report", *argv, "--json")
+    assert payload["chambers"][1]["stability"] == "verified"
 
 
 def test_readme_commands_parse():

@@ -1,18 +1,21 @@
 """Transport recipes: vertical, rightward, leftward, composed plans,
 grid verification and discrepancy detection."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from ruledcone.cone import (area, chamber_of, is_valid, normalized,
                             same_chamber)
+from ruledcone.discrepancies import detected_discrepancies
 from ruledcone.inflation import InflationStep, apply_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams
 from ruledcone.planner import (ALWAYS, OPEN, STRATUM, InflationPlan, PlanError,
-                               detected_discrepancies, plan, plan_left_open,
-                               plan_left_stratum, plan_right, plan_vertical,
+                               plan, plan_left_open, plan_left_stratum,
+                               plan_right, plan_vertical,
                                stratum_left_parameter, verify_stability)
 from ruledcone.strata import OPEN_LABEL, label_for, stratum_labels
 
@@ -411,8 +414,6 @@ def test_plan_reachability_is_symmetric_on_grid():
             pts.append(normalized(mu, c))
             c += step
         mu += step
-    import itertools
-
     for u1, u2 in itertools.combinations(pts, 2):
         if not same_chamber(u1, u2):
             continue
@@ -582,6 +583,46 @@ def test_verify_stability_below_threshold_finds_counterexamples():
 def test_verify_stability_empty_grid():
     rep = verify_stability(P1, Q(9, 8), Q(1, 4))
     assert rep.ok and rep.chambers == []
+
+
+def test_open_label_section_quantifier_on_criterion_7_grids():
+    # Pins what an open-label verdict assumes today: for each pair, some
+    # x <= g certifies, possibly two in one plan.  On the criterion-7 grids
+    # (mu in (g, g+4], step 1/8), with x free, 246 of the 6,048 ordered
+    # pairs plan along two section classes, all in chamber 2g.  With x
+    # pinned for the whole plan, every x < g certifies every pair, and
+    # x = g fails 498 of the 756 pairs of chamber 2g, each at the raise.
+    # For 352 of those no route along F, E, F-E and B+gF exists: a B+gF hop
+    # keeps c/(mu - g), F-E moves it toward 1, F and E lower it, and these
+    # targets have a larger ratio than max(the start's, 1).
+    step = Q(1, 8)
+    for g in (1, 2, 3):
+        params = SurfaceParams(g)
+        by_chamber = {}
+        for i in range(1, 33):
+            for j in range(1, 8):
+                u = normalized(g + i * step, j * step)
+                by_chamber.setdefault(chamber_of(u).index, []).append(u)
+        assert sorted(by_chamber) == list(range(2 * g, 2 * g + 8))
+        ordered, mixed, failed, unreachable = 0, Counter(), Counter(), 0
+        for index, points in by_chamber.items():
+            for src, dst in itertools.permutations(points, 2):
+                ordered += 1
+                steps = plan(src, dst, OPEN_LABEL, params).steps
+                if len({s.z for s in steps if s.assumption == OPEN}) > 1:
+                    mixed[index] += 1
+                for x in range(g + 1):
+                    try:
+                        plan(src, dst, OPEN_LABEL, params, x=x)
+                    except PlanError as err:
+                        assert x == g, (src, dst, x, err)
+                        assert "raising the blow-up area" in str(err)
+                        failed[index] += 1
+                        unreachable += (dst.c / (dst.mu - g)
+                                        > max(src.c / (src.mu - g), 1))
+        assert ordered == 6048 and len(by_chamber[2 * g]) == 28  # 756 pairs
+        assert mixed == {2 * g: 246}
+        assert failed == {2 * g: 498} and unreachable == 352
 
 
 def test_verify_stability_plans_once_per_verdict(monkeypatch):

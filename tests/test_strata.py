@@ -1,11 +1,14 @@
 """Negative class enumeration, stratum labels, wide scan."""
 
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.cone import area, chamber_of, normalized, same_chamber
+from ruledcone import strata
+from ruledcone.cone import (ChamberId, area, chamber_of, normalized,
+                            same_chamber)
 from ruledcone.lattice import (B, E, F, SurfaceParams, adjunction_genus, codim,
                                pair)
 from ruledcone.strata import (IN_FAMILIES, OPEN_LABEL, OUTSIDE_FAMILIES,
@@ -105,6 +108,55 @@ def test_chamber_labels_are_the_labels_at_each_point():
                 assert stratum_labels(u, params) == [OPEN_LABEL] + at_u
                 seen.add(cid.index)
         assert seen == set(range(1, 12))
+
+
+SECTION_CLASSES = ChamberId(300).section_classes()  # B-E, B-F, B-F-E, ...
+
+
+def test_section_class_codimension_is_closed_form():
+    # `chamber_labels` gives class i the codimension 2(g + i); adjunction
+    # (`codim`) is the definition
+    assert SECTION_CLASSES[:4] == [B - E, B - F, B - F - E, B - 2 * F]
+    for g in range(7):
+        params = SurfaceParams(g)
+        assert [codim(a, params) for a in SECTION_CLASSES] == [
+            2 * (g + i) for i in range(300)]
+
+
+def test_chamber_labels_match_a_from_scratch_reference(monkeypatch):
+    # the labels as adjunction gives them, class by class, against the
+    # per-genus sequence grown in shuffled index order from empty, up to
+    # and past its cap
+    monkeypatch.setattr(strata, "_SECTION_LABELS", {})
+    cods = {g: [codim(a, SurfaceParams(g)) for a in SECTION_CLASSES]
+            for g in range(7)}
+
+    def reference(index, g, cod_max):
+        return [OPEN_LABEL] + [
+            StratumLabel(cod, (a,))
+            for a, cod in zip(SECTION_CLASSES[:index], cods[g])
+            if 0 < cod and (cod_max is None or cod <= cod_max)]
+
+    cases = [(index, g, cod_max) for index in range(1, 301) for g in range(7)
+             for cod_max in (None, 0, 2, 7, 12, 40)]
+    random.Random(16).shuffle(cases)
+    for index, g, cod_max in cases:
+        got = chamber_labels(ChamberId(index), SurfaceParams(g), cod_max)
+        assert got == reference(index, g, cod_max), (index, g, cod_max)
+    assert sorted(strata._SECTION_LABELS) == list(range(7))
+    # the memo stops at its cap; indices past it are built per call
+    assert all(len(seq) == strata._MEMO_INDEX
+               for seq in strata._SECTION_LABELS.values())
+
+
+def test_chamber_labels_are_a_fresh_list_each_call():
+    cid = ChamberId(6)
+    first = chamber_labels(cid, P2)
+    expected = list(first)
+    first.append(OPEN_LABEL)
+    first[1:3] = []
+    assert chamber_labels(cid, P2) == expected
+    assert chamber_labels(cid, P2, 6)[1:] == expected[1:3]
 
 
 def test_stratum_labels_constant_on_chambers():

@@ -1,0 +1,198 @@
+"""A/B benchmark of the working tree against a parent commit.
+
+    python3 tools/bench_ab.py --out BENCH_<n>.json [--first-seed 101]
+        [--claim WORKLOAD:METRIC] [--what TEXT]
+
+Runs ``python3 perfbench/run.py`` on the committed files of HEAD (the
+parent, exported with ``git archive`` into a temporary directory, so the
+repository's own ``.git`` is left alone) and on the working tree, for
+every workload of BENCHMARK.json, in PAIRS pairs, each run as long as its
+run_seconds: pair k of a workload runs both sides on seed first-seed + k,
+and the side that runs first alternates from pair to pair.  After the
+pairs it makes one traced run (``--trace 1``) per side and workload on the
+first seed.  The JSON written to --out holds every run record, the order
+of the runs, and per workload and metric of BENCHMARK.json the per-side
+median, quartiles (inclusive method), the pairs the change won and a
+verdict on the bound: "unresolved" when either side's interquartile range
+is wider than the bound (relative to its median) and not every run of the
+change reads better than every run of the parent, else "within" or
+"outside" by the change of the median.  A claimed metric holds when the
+change wins at least nine tenths of the pairs, its median beats the
+parent's by more than the parent's interquartile range, and no larger
+share of its ops fails.  Run it from the root of the working tree, on an
+otherwise idle machine: the sides share its cores with nothing else only
+then.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+PAIRS = 10
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, into: Path) -> None:
+    """The committed files of `rev`, unpacked into `into`."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One perfbench run in the checkout `root`; its result record."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_ab: {' '.join(argv[1:])} in {root} exited"
+                 f" {proc.returncode}:\n{proc.stderr}")
+    out = root / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(out.read_text())
+
+
+def schedule(workloads: list[str], seeds: range):
+    """(side, workload, seed, trace) of every run, in run order."""
+    for workload in workloads:
+        for k, seed in enumerate(seeds):
+            for side in SIDES[::-1] if k % 2 else SIDES:
+                yield side, workload, seed, 0
+        for side in SIDES:
+            yield side, workload, seeds[0], 1
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "n": len(values)}
+
+
+def summarize(runs: dict, workload: str, spec: list[dict]) -> dict:
+    pairs = list(zip(*(
+        [r for r in runs[side] if r["workload"] == workload] for side in SIDES)))
+    summary = {}
+    for m in spec:
+        name, lower = m["name"], m["better"] == "lower"
+        values = {side: [r[i]["metrics"][name]["value"] for r in pairs]
+                  for i, side in enumerate(SIDES)}
+        stats = {side: spread(values[side]) for side in SIDES}
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        worse = (change / parent if lower else parent / change) - 1
+        wide = any(stats[side]["q3"] - stats[side]["q1"]
+                   > m["bound"] * stats[side]["median"] for side in SIDES)
+        clear = (max(values["change"]) < min(values["parent"]) if lower
+                 else min(values["change"]) > max(values["parent"]))
+        gain = parent - change if lower else change - parent
+        won = {str(pair[0]["provenance"]["seed"]): (c < p if lower else c > p)
+               for pair, p, c in zip(pairs, values["parent"], values["change"])}
+        summary[name] = {
+            **stats, "change_over_parent": change / parent,
+            "worse_by": worse, "bound": m["bound"],
+            "verdict": ("unresolved" if wide and not clear else
+                        "within" if worse <= m["bound"] else "outside"),
+            "pairs_won": sum(won.values()), "pairs": len(won),
+            "won_by_seed": won,
+            "gain_exceeds_parent_iqr":
+                gain > stats["parent"]["q3"] - stats["parent"]["q1"],
+        }
+    summary["fail_share"] = {
+        side: sum(r[i]["failed"] for r in pairs)
+        / sum(r[i]["attempted"] for r in pairs)
+        for i, side in enumerate(SIDES)}
+    return summary
+
+
+def claim_of(summary: dict, workload: str, metric: str) -> dict:
+    """The claim holds when the change wins at least nine tenths of the
+    pairs, its median gain exceeds the parent's interquartile range, and
+    no larger share of its ops fails than of the parent's."""
+    s = summary[workload][metric]
+    fail = summary[workload]["fail_share"]
+    return {"workload": workload, "metric": metric,
+            "pairs_won": s["pairs_won"], "pairs": s["pairs"],
+            "won_by_seed": s["won_by_seed"],
+            "holds": (s["pairs_won"] >= 0.9 * s["pairs"]
+                      and s["gain_exceeds_parent_iqr"]
+                      and fail["change"] <= fail["parent"])}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--first-seed", type=int, default=101)
+    ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
+    ap.add_argument("--what", default="")
+    args = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = bench["end_to_end"]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    commit = git("rev-parse", "HEAD")
+    seeds = range(args.first_seed, args.first_seed + PAIRS)
+
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    traced, order = [], []
+    with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
+        roots = {"parent": Path(tmp), "change": ROOT}
+        export(commit, roots["parent"])
+        for side, workload, seed, trace in schedule(workloads, seeds):
+            order.append(f"{side} {workload} seed={seed} trace={trace}")
+            print(order[-1], flush=True)
+            record = run_once(roots[side], workload, seed, seconds, trace)
+            if trace:
+                traced.append({"side": side, **record})
+            else:
+                runs[side].append(record)
+
+    summary = {w: summarize(runs, w, spec) for w in workloads}
+    claim = claim_of(summary, *args.claim.split(":")) if args.claim else None
+    record = {
+        "what": args.what,
+        "command": f"python3 perfbench/run.py --workload W --seed N"
+                   f" --seconds {seconds:g} --trace T",
+        "machine": f"{platform.machine()}, {os.cpu_count()} cores,"
+                   f" Python {platform.python_version()}",
+        "sides": {
+            "parent": f"commit {commit}, run from its committed files"
+                      " (git archive); provenance.commit is null",
+            "change": "the working tree; provenance.src_sha256_16"
+                      " identifies its src/"},
+        "run_order": order, "claim": claim, "summary_trace0": summary,
+        "traced": traced, "runs": runs,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for workload in workloads:
+        for name in [m["name"] for m in spec]:
+            s = summary[workload][name]
+            print(f"{workload} {name}: parent {s['parent']['median']:.4g},"
+                  f" change {s['change']['median']:.4g}, won"
+                  f" {s['pairs_won']}/{s['pairs']},"
+                  f" {s['verdict']} (bound {s['bound']:g})")
+    if claim is not None:
+        print(f"claim {args.claim}: {'holds' if claim['holds'] else 'FAILS'}")
+    return 0 if claim is None or claim["holds"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
