@@ -3,7 +3,7 @@ symplectic cone of one-point blow-ups of irrational ruled surfaces."""
 
 from .cone import (ChamberId, FigureModel, NormalizedClass, Wall, active_walls,
                    area, chamber_of, figure_data, is_valid, normalized,
-                   same_chamber, validity_violations)
+                   validity_violations)
 from .discrepancies import detected_discrepancies
 from .gromov import (Decomposition, gromov_invariant, gromov_nonzero_criterion,
                      section_decompositions, virtual_dim_k)
@@ -32,7 +32,7 @@ __all__ = [
     "negative_classes", "normalize", "normalized",
     "pair", "parse_class", "parse_rational", "pd_area_vector", "plan",
     "plan_left_open", "plan_left_stratum", "plan_right", "plan_vertical",
-    "same_chamber", "section_decompositions", "stratum_labels",
+    "section_decompositions", "stratum_labels",
     "stratum_left_parameter", "t_range", "validity_violations",
     "verify_stability", "virtual_dim_k", "wide_negative_classes",
 ]

@@ -345,6 +345,9 @@ def _cmd_report(args) -> int:
                      + " and ".join(entry["inequalities"])
                      + f"; {len(entry['labels'])} labels;"
                      f" stability {stability}")
+    lines.append(f"open label: each ordered pair is certified along"
+                 f" sections B+xF with x <= g = {params.g}; one plan may use"
+                 " two, hopping along B+gF and raising along a smaller x")
     lines.append("recorded source discrepancies: "
                  + ", ".join(d["id"] for d in payload["paper_discrepancies"]))
     lines.append("stability verdict: "

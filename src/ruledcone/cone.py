@@ -161,10 +161,6 @@ def chamber_of(u: NormalizedClass) -> ChamberId:
     return ChamberId(index)
 
 
-def same_chamber(u1: NormalizedClass, u2: NormalizedClass) -> bool:
-    return chamber_of(u1) == chamber_of(u2)
-
-
 @dataclass(frozen=True)
 class Wall:
     """The locus area(u, curve_class) = 0 inside the cone."""

@@ -18,8 +18,10 @@ Move catalogue (all parameters solved exactly, all steps certified):
               t2 = t1 (mu (Z.F) - Z.B).
             Near a wall neither single-class order satisfies its range even
             though the straight path stays positive, so the pair is realized
-            as N interleaved rounds (Z.(F-E) >= 0 is what makes the
-            interleaving converge).
+            as N interleaved rounds.  N is computed, not searched: the
+            least power of two keeping F-E in range in the first and the
+            last round, which implies every other check (`_interleaved`);
+            for Z = B-kF-rE it is N area_end(F-E) > t1 Z.(F-E).
   left hop  inflate along Z together with (1 - Z.B) t fibers so the family
             is (mu+t, 1+t, ...); the solved parameter for a normalized start
             is t = (mu - mu') / (mu' - 1).  One hop reaches mu' down to a
@@ -72,7 +74,6 @@ STRATUM = "stratum"
 
 _FE = F - E
 _MAX_HOPS = 256
-_MAX_ROUNDS = 1 << 20
 
 
 # Integer projective state (b, f, e, d): the areas of B, F and E are b/d,
@@ -242,22 +243,31 @@ def _vertical_solve(state: State, z1: ClassVector,
     return t1, t2
 
 
-def _interleaved(state: State, first: tuple[ClassVector, Fraction],
-                 second: tuple[ClassVector, Fraction], label: StratumLabel
-                 ) -> tuple[list[InflationStep], State]:
-    """Realize a simultaneous two-class inflation as N certified rounds."""
-    rounds = 1
-    while rounds <= _MAX_ROUNDS:
-        steps = []
-        for _ in range(rounds):
-            steps.append(_step(first[0], first[1] / rounds))
-            steps.append(_step(second[0], second[1] / rounds))
-        try:
-            return _advance(state, steps, label)
-        except PlanError:
-            rounds *= 2
-    raise PlanError("could not realize the simultaneous inflation as"
-                    " interleaved steps")  # pragma: no cover
+def _interleaved(state: State, z: ClassVector, t1: Fraction, t2: Fraction,
+                 label: StratumLabel) -> tuple[list[InflationStep], State]:
+    """N rounds of (F-E, t2/N) then (z, t1/N), realizing state + t1 PD(z)
+    + t2 PD(F-E), and the state they reach.
+
+    Each area the walk checks is affine in the round index, so a check
+    binds in the first or the last round.  The label holds at both ends of
+    the raise, z.z < 0 and (F-E).E > 0, and these imply every check but
+    the range of F-E: N area_start(F-E) > t2 in the first round and
+    N area_end(F-E) > t1 z.(F-E) in the last.  N is the least power of two
+    meeting both, and the walk still certifies it.  For z = B-kF-rE
+    (r = 0, 1) the second implies the first, as the area of F-E changes by
+    t1 (1 - r - mu - k) <= 0 over the raise (mu >= 1); N = 1 for r = 1,
+    where z.(F-E) = 0.
+    """
+    _, vf, ve, _ = z.pairings
+    _, f, e, d = state
+    p1, q1, p2, q2 = t1.numerator, t1.denominator, t2.numerator, t2.denominator
+    # area_start(F-E), t2 and t1 z.(F-E), all times d q1 q2; area_end(F-E)
+    # is fe + rise1 - rise2, and N is the least power of two > both quotients
+    fe, rise2, rise1 = (f - e) * q1 * q2, p2 * d * q1, p1 * (vf - ve) * d * q2
+    least = max(rise2 // fe, rise1 // (fe + rise1 - rise2))
+    rounds = 1 << least.bit_length()
+    steps = [_step(_FE, t2 / rounds), _step(z, t1 / rounds)] * rounds
+    return _advance(state, steps, label)
 
 
 def _section(x: int, params: SurfaceParams) -> ClassVector:
@@ -301,7 +311,7 @@ def _vertical_steps(state: State, c_target: Fraction,
     _require_label((b * cd, f * cd, cn * f, d * cd), label)
     z = label.core[0]
     t1, t2 = _vertical_solve(state, z, c_target)
-    return _interleaved(state, (_FE, t2), (z, t1), label)
+    return _interleaved(state, z, t1, t2, label)
 
 
 # -- horizontal moves --------------------------------------------------------
@@ -378,7 +388,12 @@ def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
     between hops (an embedded E always exists).  The floor
     (mu_target - limit)/2 pins the hop attractor, the wall of z at the
     shrunken blow-up area, strictly left of mu_target; c_cap additionally
-    caps it (the caller never wants the area raised here).
+    caps it (the caller never wants the area raised here).  A pass is at
+    most one drop and one hop; past _MAX_HOPS hops the target is refused.
+    The loop stays: hop targets come from `simplest_between`, and the count
+    grows about linearly in 1/(mu_target - limit) (10, 22, ..., 378 and
+    1,515 hops along B-F-E at g = 1 from (3/2, 1/4) to 1 + 1/n, n = 8 ..
+    256 and 1024), so it has no closed form.
     """
     z = label.core[0]
     limit = _hop_limit(z)
@@ -387,18 +402,19 @@ def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
             f"mu' = {format_rational(mu_target)} is unreachable along {z}:"
             f" iterated hops are bounded by the wall at {format_rational(limit)}")
     c_floor = min(c_cap, (mu_target - limit) / 2)
+    fn, fd = c_floor.numerator, c_floor.denominator
     steps: list[InflationStep] = []
     for _ in range(_MAX_HOPS):
         bound = _left_reach_bound(state, z)
+        _, f, e, _ = state
+        if mu_target <= bound and e * fd > fn * f:  # and c > c_floor
+            drop, state = _advance(state, [_drop(state, c_floor)], label)
+            steps += drop
+            bound = _left_reach_bound(state, z)
         if mu_target > bound:
             hop_to = mu_target
         else:
-            b, f, e, _ = state
-            if e * c_floor.denominator > c_floor.numerator * f:  # c > c_floor
-                drop, state = _advance(state, [_drop(state, c_floor)], label)
-                steps += drop
-                continue
-            mu_now = Fraction(b, f)
+            mu_now = Fraction(state[0], state[1])
             if bound >= mu_now:  # pragma: no cover - guarded by area checks
                 raise PlanError(f"no leftward progress possible along {z}")
             # aim just right of the bound; small denominators keep plans compact
@@ -408,8 +424,8 @@ def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
         if hop_to == mu_target:
             return steps, state
     raise PlanError(
-        f"leftward target {format_rational(mu_target)} not reached along {z}"
-        f" within {_MAX_HOPS} hops; the binding constraint is the wall of {z}")
+        f"leftward target {format_rational(mu_target)} needs more than"
+        f" {_MAX_HOPS} hops along {z}")
 
 
 def _left_refusal(what: str, low: int, closed: bool, mu: Fraction,

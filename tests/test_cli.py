@@ -437,6 +437,17 @@ def test_report_text_says_the_grid_was_verified(capsys):
     assert payload["chambers"][1]["stability"] == "verified"
 
 
+def test_report_text_names_the_open_label_quantifier(capsys):
+    # text only: an open-label verdict may use two sections in one plan
+    code, out, _ = run(capsys, "report", "--g", "2", "--mu-max", "3",
+                       "--step", "1/4")
+    assert code == 0
+    assert out.splitlines()[-3] == (
+        "open label: each ordered pair is certified along sections B+xF"
+        " with x <= g = 2; one plan may use two, hopping along B+gF and"
+        " raising along a smaller x")
+
+
 def test_readme_commands_parse():
     # every `ruledcone ...` example line of the README, its comment cut
     readme = Path(__file__).parents[1] / "README.md"

@@ -8,7 +8,7 @@ import pytest
 
 from ruledcone.cone import (ChamberId, NormalizedClass, active_walls, area,
                             chamber_of, figure_data, is_valid, normalized,
-                            same_chamber, validity_violations)
+                            validity_violations)
 from ruledcone.lattice import B, E, F, parse_class
 from ruledcone.rationals import format_rational
 
@@ -98,10 +98,12 @@ def test_chamber_id_fields():
 
 
 def test_same_chamber():
-    a = normalized(Q(5, 2), Q(3, 10))
-    assert same_chamber(a, a)
-    assert same_chamber(a, normalized(Q(5, 2), Q(2, 5)))
-    assert not same_chamber(a, normalized(Q(11, 5), Q(3, 10)))
+    # two points share a chamber when chamber_of agrees, which is when the
+    # chamber of one contains the other
+    a, b = normalized(Q(5, 2), Q(3, 10)), normalized(Q(5, 2), Q(2, 5))
+    c = normalized(Q(11, 5), Q(3, 10))
+    assert chamber_of(a) == chamber_of(b) != chamber_of(c)
+    assert chamber_of(a).contains(b) and not chamber_of(a).contains(c)
 
 
 def test_chamber_locally_constant():

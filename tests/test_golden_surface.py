@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
-from ruledcone.cone import normalized, same_chamber
+from ruledcone.cone import chamber_of, normalized
 from ruledcone.lattice import B, E, F, SurfaceParams, codim
 from ruledcone.planner import (PlanError, plan, plan_left_open, plan_left_stratum,
                                plan_right, plan_vertical)
@@ -76,7 +76,7 @@ def _calls(g: int):
         # same-chamber pairs, and (mu, 1/4) -> (mu, 1/2) across a wall or not
         across = [points[i + 1]] if i % 3 == 0 else []
         for u2 in across + [v for v in points
-                            if v != u1 and same_chamber(u1, v)]:
+                            if v != u1 and chamber_of(u1) == chamber_of(v)]:
             for lb in labels:
                 yield "plan", lambda u1=u1, u2=u2, lb=lb: plan(u1, u2, lb,
                                                                 params)

@@ -8,8 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.cone import (area, chamber_of, is_valid, normalized,
-                            same_chamber)
+from ruledcone.cone import area, chamber_of, is_valid, normalized
 from ruledcone.discrepancies import detected_discrepancies
 from ruledcone.inflation import InflationStep, apply_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams
@@ -189,7 +188,7 @@ def test_plan_right():
     assert plan_right(normalized(2, Q(1, 2)), 2).steps == ()
     # rightward moves may change chamber and are still valid
     pl = plan_right(normalized(2, Q(1, 2)), Q(17, 8))
-    assert not same_chamber(pl.start, pl.end)
+    assert chamber_of(pl.start) != chamber_of(pl.end)
     with pytest.raises(PlanError):
         plan_right(normalized(2, Q(1, 2)), 1)
 
@@ -283,6 +282,31 @@ def test_plan_left_stratum_multi_hop():
     assert max(s.t.denominator for s in pl.steps) < 10**6
 
 
+def test_left_route_hop_cap_counts_hops(monkeypatch):
+    # a drop and the hop after it share one pass of the route, so the cap of
+    # 256 counts hops: 245 certify (then the c-restore adds one more B-F-E
+    # step), and a target needing 294 is refused by a text naming the cap
+    import ruledcone.planner as planner
+
+    lab = label_for(B - F - E, P1)
+    u1, u2 = normalized(Q(3, 2), Q(31999, 64000)), normalized(Q(503, 500),
+                                                              Q(5999, 10**6))
+    pl = plan(u1, u2, lab, P1)
+    assert_certified(pl, u2)
+    assert sum(s.z == B - F - E for s in pl.steps) == 246
+    u1, u2 = normalized(Q(95, 64), Q(1, 64)), normalized(Q(201, 200),
+                                                         Q(4999, 10**6))
+    with pytest.raises(PlanError) as err:
+        plan(u1, u2, lab, P1)
+    assert str(err.value) == ("leftward target 201/200 needs more than 256"
+                              " hops along B-F-E")
+    monkeypatch.setattr(planner, "_MAX_HOPS", 293)
+    with pytest.raises(PlanError, match="more than 293 hops"):
+        plan(u1, u2, lab, P1)
+    monkeypatch.setattr(planner, "_MAX_HOPS", 294)
+    assert_certified(plan(u1, u2, lab, P1), u2)
+
+
 def test_plan_same_point_and_vertical_only():
     u = normalized(Q(5, 2), Q(3, 10))
     assert plan(u, u, OPEN_LABEL, P2).steps == ()
@@ -294,7 +318,7 @@ def test_plan_same_point_and_vertical_only():
 
 def test_plan_right_then_vertical():
     u1, u2 = normalized(Q(13, 4), Q(1, 2)), normalized(Q(7, 2), Q(5, 8))
-    assert same_chamber(u1, u2)
+    assert chamber_of(u1) == chamber_of(u2)
     pl = plan(u1, u2, OPEN_LABEL, P2)
     assert pl.steps[0].z == F and pl.steps[0].t == Q(1, 4)
     assert_certified(pl, u2)
@@ -320,9 +344,10 @@ def test_plan_label_absent():
 
 
 def test_label_absent_at_the_target_fails_fast():
-    # B-F-E has zero area at (5/4, 1/4) and negative area at (3/2, 3/4); with
-    # no check at the target, the interleaved c-restore would double its
-    # rounds up to 2**20 before giving up
+    # B-F-E has zero area at (5/4, 1/4) and negative area at (3/2, 3/4); the
+    # check at the target keeps B-F-E's area positive at the end of the
+    # interleaved c-restore, as its closed-form round count needs, so the
+    # refusal comes before any round is built
     u = normalized(Q(3, 2), Q(1, 4))
     lab = label_for(B - F - E, P1)
     with pytest.raises(PlanError, match="absent at \\(5/4, 1/4\\)"):
@@ -415,7 +440,7 @@ def test_plan_reachability_is_symmetric_on_grid():
             c += step
         mu += step
     for u1, u2 in itertools.combinations(pts, 2):
-        if not same_chamber(u1, u2):
+        if chamber_of(u1) != chamber_of(u2):
             continue
         if chamber_of(u1).index < 2 * P1.g:
             continue
@@ -442,7 +467,7 @@ def test_intermediate_points_of_vertical_plans_stay_in_chamber():
         pl = plan_vertical(u, c2, lab, params)
         assert pl.stays_in_chamber()
         for v in pl.intermediates():
-            assert is_valid(v) and same_chamber(u, v)
+            assert is_valid(v) and chamber_of(u) == chamber_of(v)
 
 
 def _stays_by_points(pl: InflationPlan) -> bool:
@@ -462,7 +487,7 @@ def test_stays_in_chamber_matches_the_point_test():
         for _ in range(400):
             u1 = normalized(Q(rng.randint(8, 48), 8), Q(rng.randint(1, 15), 16))
             u2 = normalized(Q(rng.randint(8, 48), 8), Q(rng.randint(1, 15), 16))
-            if not (is_valid(u2) and same_chamber(u1, u2)):
+            if not (is_valid(u2) and chamber_of(u1) == chamber_of(u2)):
                 continue
             try:
                 pl = plan(u1, u2, rng.choice(stratum_labels(u1, params)),
@@ -540,7 +565,7 @@ def test_plan_fuzz_off_grid_denominators():
             mu1 = k + c1 + (1 - c1) * Q(rng.randint(1, 8), 8)
             mu2 = k + c2 + (1 - c2) * Q(rng.randint(1, 8), 8)
         u1, u2 = normalized(mu1, c1), normalized(mu2, c2)
-        if not (is_valid(u1) and is_valid(u2) and same_chamber(u1, u2)):
+        if not (is_valid(u1) and is_valid(u2) and chamber_of(u1) == chamber_of(u2)):
             continue
         if chamber_of(u1).index < 2 * g:
             continue

@@ -176,8 +176,10 @@ def main(argv=None) -> int:
         "sides": {
             "parent": f"commit {commit}, run from its committed files"
                       " (git archive); provenance.commit is null",
-            "change": "the working tree; provenance.src_sha256_16"
-                      " identifies its src/"},
+            "change": f"the working tree; its provenance.commit names"
+                      f" commit {commit}, the parent it sits on, so only"
+                      " provenance.src_sha256_16 tells the two sides"
+                      " apart"},
         "run_order": order, "claim": claim, "summary_trace0": summary,
         "traced": traced, "runs": runs,
     }
