@@ -21,7 +21,8 @@ Move catalogue (all parameters solved exactly, all steps certified):
             as N interleaved rounds.  N is computed, not searched: the
             least power of two keeping F-E in range in the first and the
             last round, which implies every other check (`_interleaved`);
-            for Z = B-kF-rE it is N area_end(F-E) > t1 Z.(F-E).
+            for Z = B-kF-rE it is N area_end(F-E) > t1 Z.(F-E).  N grows
+            like 1/(1 - c), so past _MAX_ROUNDS the raise is refused.
   left hop  inflate along Z together with (1 - Z.B) t fibers so the family
             is (mu+t, 1+t, ...); the solved parameter for a normalized start
             is t = (mu - mu') / (mu' - 1).  One hop reaches mu' down to a
@@ -74,6 +75,7 @@ STRATUM = "stratum"
 
 _FE = F - E
 _MAX_HOPS = 256
+_MAX_ROUNDS = 1 << 20
 
 
 # Integer projective state (b, f, e, d): the areas of B, F and E are b/d,
@@ -256,7 +258,9 @@ def _interleaved(state: State, z: ClassVector, t1: Fraction, t2: Fraction,
     meeting both, and the walk still certifies it.  For z = B-kF-rE
     (r = 0, 1) the second implies the first, as the area of F-E changes by
     t1 (1 - r - mu - k) <= 0 over the raise (mu >= 1); N = 1 for r = 1,
-    where z.(F-E) = 0.
+    where z.(F-E) = 0.  N grows like 1/(1 - c_target), so a target near 1
+    can ask for any N; past _MAX_ROUNDS the raise is refused before a step
+    is built.
     """
     _, vf, ve, _ = z.pairings
     _, f, e, d = state
@@ -266,6 +270,9 @@ def _interleaved(state: State, z: ClassVector, t1: Fraction, t2: Fraction,
     fe, rise2, rise1 = (f - e) * q1 * q2, p2 * d * q1, p1 * (vf - ve) * d * q2
     least = max(rise2 // fe, rise1 // (fe + rise1 - rise2))
     rounds = 1 << least.bit_length()
+    if rounds > _MAX_ROUNDS:
+        raise PlanError(f"the raise along {z} needs {rounds} interleaved"
+                        f" rounds, more than {_MAX_ROUNDS}")
     steps = [_step(_FE, t2 / rounds), _step(z, t1 / rounds)] * rounds
     return _advance(state, steps, label)
 

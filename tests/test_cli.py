@@ -207,6 +207,9 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("chamber --u 5/2", "expected mu,c with rational entries, got '5/2'"),
     ("plan --from 5/2,1/2 --to 5/2,1/4 --g 2 --label B",
      "bad stratum label 'B': B has non-negative square"),
+    ("plan --g 1 --label B-F --from 2,1/2 --to 2,999999999/1000000000",
+     "the raise along B-F needs 268435456 interleaved rounds, more than"
+     " 1048576"),
     ("figure --mu-max 1/0", "zero denominator: '1/0'"),
     ("figure --mu-max 1", "mu-max must exceed 1"),
     ("figure --mu-max 3 --scale -5", "scale must be positive, got -5"),

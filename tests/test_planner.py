@@ -356,6 +356,34 @@ def test_label_absent_at_the_target_fails_fast():
         plan_vertical(u, Q(3, 4), lab, P1)
 
 
+def test_interleave_round_count_is_capped():
+    # N grows like 1/(1 - c_target): raising (2, 1/2) to 1 - 10^-9 along
+    # B-F needs 2^28 rounds, refused from the closed form before any step
+    # is built (a list of 2^29 steps would not fit in memory)
+    lab = label_for(B - F, P1)
+    u = normalized(2, Q(1, 2))
+    with pytest.raises(PlanError, match="needs 268435456 interleaved rounds,"
+                       " more than 1048576"):
+        plan_vertical(u, 1 - Q(1, 10**9), lab, P1)
+    with pytest.raises(PlanError, match="more than 1048576"):
+        plan_vertical(u, 1 - Q(1, 10**12), lab, P1)
+
+
+def test_interleave_round_cap_is_inclusive(monkeypatch):
+    # (2, 1/2) -> (2, 999/1000) along B-F takes 256 rounds: a cap of 256
+    # admits it, as the doubling search tried N up to its cap, and 128 not
+    import ruledcone.planner as planner
+
+    lab = label_for(B - F, P1)
+    u = normalized(2, Q(1, 2))
+    monkeypatch.setattr(planner, "_MAX_ROUNDS", 256)
+    assert len(plan_vertical(u, Q(999, 1000), lab, P1).steps) == 512
+    monkeypatch.setattr(planner, "_MAX_ROUNDS", 128)
+    with pytest.raises(PlanError, match="needs 256 interleaved rounds, more"
+                       " than 128"):
+        plan_vertical(u, Q(999, 1000), lab, P1)
+
+
 def test_replay_keeps_the_stratum():
     # every range holds, but the one step leaves the stratum of B-2F: its
     # area is 2 at (4, 1/2) and 0 at (2, 1/4)
