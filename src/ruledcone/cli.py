@@ -6,6 +6,14 @@ only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
 3 verification found a counterexample.  Output is deterministic for a given
 flag set: no clocks, no randomness.  The parser is built once per process,
 so ``main`` can be called repeatedly in-process.
+
+Each command but ``figure`` builds one payload, the JSON that ``--json``
+prints, and renders its text lines from that payload (and the parsed
+arguments) alone, so the text claims nothing the JSON does not: ``_cmd_<x>``
+returns (payload, exit code) and ``_text_<x>(payload, args)`` the lines.
+``main`` is the one place that prints them; a reader that closes the output
+early does not change the exit code.  ``figure`` has no JSON and writes its
+own SVG or CSV.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -101,58 +110,63 @@ def _parse_label(text: str, params: SurfaceParams):
         raise InputError(f"bad stratum label {text!r}: {err}") from None
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _point(mu: str, c: str) -> str:
+    """A cone point (mu, c) as NormalizedClass prints it."""
+    return f"({mu}, {c})"
 
 
-def _cmd_chamber(args) -> int:
+def _cmd_chamber(args) -> tuple[dict, int]:
     u = _parse_point(args.u)
     cid = chamber_of(u)
-    walls = active_walls(u)
     payload = {
         "mu": format_rational(u.mu),
         "c": format_rational(u.c),
         "chamber": cid.index,
         "inequalities": cid.inequalities(),
-        "active_walls": [w.name for w in walls],
+        "active_walls": [w.name for w in active_walls(u)],
     }
-    lines = [f"u = {u}", f"chamber index: {cid.index}",
-             "defining inequalities: " + " and ".join(cid.inequalities())]
-    if walls:
-        lines.append("active walls: " + ", ".join(w.name for w in walls))
-    else:
-        lines.append("active walls: none (interior point)")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_strata(args) -> int:
+def _text_chamber(payload, args) -> list[str]:
+    walls = payload["active_walls"]
+    return [f"u = {_point(payload['mu'], payload['c'])}",
+            f"chamber index: {payload['chamber']}",
+            "defining inequalities: " + " and ".join(payload["inequalities"]),
+            "active walls: " + (", ".join(walls) if walls
+                                else "none (interior point)")]
+
+
+def _cmd_strata(args) -> tuple[dict, int]:
     u = _parse_point(args.u)
     params = _params(args.g)
-    cid = chamber_of(u)
     labels = stratum_labels(u, params, _bound(args.cod_max, "cod-max"))
     payload = {
-        "chamber": cid.index,
+        "chamber": chamber_of(u).index,
         "labels": [lb.as_json() for lb in labels],
     }
-    lines = [f"u = {u} (chamber {cid.index}, g = {params.g})",
-             f"{len(labels)} stratum labels:"]
-    lines += [f"  {lb.name:<14} codim {lb.codim}" for lb in labels]
     if _bound(args.wide, "wide scan bound") is not None:
-        wide = wide_negative_classes(u, params, args.wide)
         payload["wide_scan"] = [
-            {"class": str(a), "status": status} for a, status in wide]
+            {"class": str(a), "status": status}
+            for a, status in wide_negative_classes(u, params, args.wide)]
+    return payload, EXIT_OK
+
+
+def _text_strata(payload, args) -> list[str]:
+    labels = payload["labels"]
+    lines = [f"u = {_parse_point(args.u)} (chamber {payload['chamber']},"
+             f" g = {args.g})",
+             f"{len(labels)} stratum labels:"]
+    lines += [f"  {(lb['core'] or ['open'])[0]:<14} codim {lb['codim']}"
+              for lb in labels]
+    if "wide_scan" in payload:
         lines.append(f"wide scan (|coefficients| <= {args.wide}):")
-        lines += [f"  {str(a):<14} {status}" for a, status in wide]
-    _emit(args, payload, lines)
-    return EXIT_OK
+        lines += [f"  {item['class']:<14} {item['status']}"
+                  for item in payload["wide_scan"]]
+    return lines
 
 
-def _cmd_inflate(args) -> int:
+def _cmd_inflate(args) -> tuple[dict, int]:
     u = _parse_point(args.u)
     with _user_input():  # a bad class, a class of no area, a t out of range
         z = parse_class(args.z)
@@ -169,97 +183,111 @@ def _cmd_inflate(args) -> int:
                 for x in (raw.b_area, raw.f_area, raw.e_area)],
         "end": {"mu": format_rational(end.mu), "c": format_rational(end.c)},
     }
-    lines = [
-        f"inflate {u} along {z} by t = {format_rational(t)}"
-        + (f" (valid range [0, {format_rational(bound)}))"
-           if bound is not None else " (unbounded range)"),
-        f"raw areas: {raw}",
-        f"normalized: {end}",
+    return payload, EXIT_OK
+
+
+def _text_inflate(payload, args) -> list[str]:
+    start, step, end = payload["start"], payload["step"], payload["end"]
+    bound = payload["t_range_sup"]
+    return [
+        f"inflate {_point(start['mu'], start['c'])} along {step['z']}"
+        f" by t = {step['t']}"
+        + (f" (valid range [0, {bound}))" if bound is not None
+           else " (unbounded range)"),
+        "raw areas: [" + ", ".join(payload["raw"]) + "]",
+        f"normalized: {_point(end['mu'], end['c'])}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args) -> tuple[dict, int]:
     u1 = _parse_point(getattr(args, "from"))
     u2 = _parse_point(args.to)
     params = _params(args.g)
     label = _parse_label(args.label, params)
-    result = plan(u1, u2, label, params, x=args.x)
-    payload = result.as_json()
-    lines = [f"plan {u1} -> {u2} in stratum `{label.name}` (g = {params.g}):"]
-    if not result.steps:
+    return plan(u1, u2, label, params, x=args.x).as_json(), EXIT_OK
+
+
+def _text_plan(payload, args) -> list[str]:
+    # a plan ends at its target exactly
+    start, end = (_point(p["mu"], p["e"][0])
+                  for p in (payload["start"], payload["end"]))
+    lines = [f"plan {start} -> {end} in stratum `{payload['label']}`"
+             f" (g = {args.g}):"]
+    if not payload["steps"]:
         lines.append("  empty plan (endpoints coincide)")
-    for i, step in enumerate(result.steps, 1):
-        lines.append(f"  {i:3d}. inflate along {step.z} by"
-                     f" t = {format_rational(step.t)}  [{step.assumption}]")
+    for i, step in enumerate(payload["steps"], 1):
+        lines.append(f"  {i:3d}. inflate along {step['z']} by"
+                     f" t = {step['t']}  [{step['assumption']}]")
     stays = " (stays in chamber)" if payload["stays_in_chamber"] else ""
-    lines.append(f"end: {result.end}{stays}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    lines.append(f"end: {end}{stays}")
+    return lines
 
 
-def _cmd_verify_stability(args) -> int:
+def _cmd_verify_stability(args) -> tuple[dict, int]:
     params = _params(args.g)
     mu_max, step = _rational(args.mu_max), _rational(args.step)
     mu_min = _rational(args.mu_min) if args.mu_min else None
     report = _verify(params, mu_max, step, mu_min=mu_min,
                      min_index=args.min_index)
-    payload = report.as_json()
+    return report.as_json(), EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+
+
+def _text_verify_stability(payload, args) -> list[str]:
     lines = [
-        f"stability verification, g = {report.g}, mu in"
-        f" ({format_rational(report.mu_min)}, {format_rational(report.mu_max)}],"
-        f" step {format_rational(report.grid_step)},"
-        f" chambers >= {report.min_index}:",
+        f"stability verification, g = {payload['g']}, mu in"
+        f" ({payload['mu_min']}, {payload['mu_max']}],"
+        f" step {payload['grid_step']},"
+        f" chambers >= {payload['min_chamber_index']}:",
     ]
-    for v in report.chambers:
-        status = "ok" if v.failed == 0 else f"FAILED ({v.failed})"
-        lines.append(f"  chamber {v.index:3d}: {v.points:3d} points,"
-                     f" {len(v.labels):2d} labels, {v.checked:6d} transports"
-                     f" checked, {status}")
-        if v.first_failure:
-            f = v.first_failure
+    for v in payload["chambers"]:
+        status = "ok" if v["failed"] == 0 else f"FAILED ({v['failed']})"
+        lines.append(f"  chamber {v['chamber']:3d}: {v['points']:3d} points,"
+                     f" {len(v['labels']):2d} labels, {v['checked']:6d}"
+                     f" transports checked, {status}")
+        if v["first_failure"]:
+            f = v["first_failure"]
             lines.append(f"    first failure: {f['from']} -> {f['to']}"
                          f" [{f['label']}]: {f['error']}")
-    if report.skipped_chambers:
+    if payload["skipped_chambers"]:
         lines.append("  skipped (below index threshold): "
-                     + ", ".join(str(i) for i in report.skipped_chambers))
+                     + ", ".join(str(i) for i in payload["skipped_chambers"]))
     lines.append(f"  cross-chamber pairs out of scope: "
-                 f"{report.cross_chamber_pairs}")
-    lines.append("VERDICT: " + ("all transports certified" if report.ok
+                 f"{payload['cross_chamber_pairs']}")
+    lines.append("VERDICT: " + ("all transports certified" if payload["ok"]
                                 else "counterexample found"))
-    _emit(args, payload, lines)
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    return lines
 
 
-def _cmd_gromov(args) -> int:
+def _cmd_gromov(args) -> tuple[dict, int]:
     params = _params(args.g)
-    c = ClassVector(args.p, args.q, (0,))
-    k = gromov_mod.virtual_dim_k(c, params)
+    k = gromov_mod.virtual_dim_k(ClassVector(args.p, args.q, (0,)), params)
     with _user_input():
         value = gromov_mod.gromov_invariant(args.p, args.q, params)
-    criterion = gromov_mod.gromov_nonzero_criterion(args.p, args.q, params)
-    condition = ("p >= 0, q >= 0 and p + q > 0" if params.g == 0
-                 else "p >= 0 and q >= g-1")
     payload = {
         "p": args.p, "q": args.q, "g": args.g,
         "virtual_dim": format_rational(k),
         "virtual_dim_integral": k.denominator == 1,
         "gromov_invariant": value,
-        "nonzero_criterion_q_ge_g_minus_1": criterion,
+        "nonzero_criterion_q_ge_g_minus_1":
+            gromov_mod.gromov_nonzero_criterion(args.p, args.q, params),
     }
-    lines = [
-        f"C = {c}, g = {args.g}",
-        f"virtual dimension k(C) = {format_rational(k)}",
-        f"Gr(C) = (p+1)^g = {value}",
-        f"nonvanishing criterion ({condition}):"
-        f" {'met' if criterion else 'not met'}",
+    return payload, EXIT_OK
+
+
+def _text_gromov(payload, args) -> list[str]:
+    p, q, g = payload["p"], payload["q"], payload["g"]
+    condition = ("p >= 0, q >= 0 and p + q > 0" if g == 0
+                 else "p >= 0 and q >= g-1")
+    met = payload["nonzero_criterion_q_ge_g_minus_1"]
+    return [
+        f"C = {ClassVector(p, q, (0,))}, g = {g}",
+        f"virtual dimension k(C) = {payload['virtual_dim']}",
+        f"Gr(C) = (p+1)^g = {payload['gromov_invariant']}",
+        f"nonvanishing criterion ({condition}): {'met' if met else 'not met'}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[dict, int]:
     params = _params(args.g)
     _bound(args.r_bound, "r-bound")
     with _user_input():
@@ -271,17 +299,19 @@ def _cmd_decompose(args) -> int:
         "count": len(decs),
         "decompositions": [d.as_json() for d in decs],
     }
-    lines = [f"{len(decs)} decompositions of B+{args.g}F"
-             f" (q_bound={args.q_bound}, r_bound={args.r_bound}):"]
-    for d in decs:
+    return payload, EXIT_OK
+
+
+def _text_decompose(payload, args) -> list[str]:
+    lines = [f"{payload['count']} decompositions of B+{payload['g']}F"
+             f" (q_bound={payload['q_bound']}, r_bound={payload['r_bound']}):"]
+    for d in payload["decompositions"]:
         mark = ""
         if args.report_sections:
-            info = d.as_json()
-            mark = ("   section " + info["section"]
-                    + ("" if info["plain_section"] else "   [exceptional term]"))
-        lines.append("  {" + ", ".join(str(p) for p in d.parts) + "}" + mark)
-    _emit(args, payload, lines)
-    return EXIT_OK
+            mark = ("   section " + d["section"]
+                    + ("" if d["plain_section"] else "   [exceptional term]"))
+        lines.append("  {" + ", ".join(d["parts"]) + "}" + mark)
+    return lines
 
 
 def _cmd_figure(args) -> int:
@@ -304,7 +334,7 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[dict, int]:
     params = _params(args.g)
     mu_max = _rational(args.mu_max)
     step = _rational(args.step)
@@ -335,9 +365,14 @@ def _cmd_report(args) -> int:
         "stability": report.as_json(),
         "paper_discrepancies": detected_discrepancies(),
     }
-    # the text says what a "verified" chamber means: its grid was certified
-    lines = [f"report, g = {params.g}, mu_max = {format_rational(mu_max)}"]
-    for entry in chambers:
+    return payload, EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+
+
+def _text_report(payload, args) -> list[str]:
+    g = payload["g"]
+    lines = [f"report, g = {g}, mu_max = {payload['mu_max']}"]
+    for entry in payload["chambers"]:
+        # the text says what a "verified" chamber means: its grid was certified
         stability = entry["stability"]
         if stability == "verified":
             stability = "grid-verified"
@@ -346,15 +381,14 @@ def _cmd_report(args) -> int:
                      + f"; {len(entry['labels'])} labels;"
                      f" stability {stability}")
     lines.append(f"open label: each ordered pair is certified along"
-                 f" sections B+xF with x <= g = {params.g}; one plan may use"
+                 f" sections B+xF with x <= g = {g}; one plan may use"
                  " two, hopping along B+gF and raising along a smaller x")
     lines.append("recorded source discrepancies: "
                  + ", ".join(d["id"] for d in payload["paper_discrepancies"]))
     lines.append("stability verdict: "
-                 + ("all grid pairs certified" if report.ok
+                 + ("all grid pairs certified" if payload["stability"]["ok"]
                     else "counterexample found"))
-    _emit(args, payload, lines)
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    return lines
 
 
 @functools.cache
@@ -373,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chamber", help="chamber of a normalized class")
     p.add_argument("--u", required=True, help="normalized class as mu,c")
     add_json(p)
-    p.set_defaults(func=_cmd_chamber)
+    p.set_defaults(func=_cmd_chamber, text=_text_chamber)
 
     p = sub.add_parser("strata", help="stratum labels present at a class")
     p.add_argument("--u", required=True)
@@ -382,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wide", type=int, default=None, metavar="BOUND",
                    help="also run the wide class scan up to |coeff| <= BOUND")
     add_json(p)
-    p.set_defaults(func=_cmd_strata)
+    p.set_defaults(func=_cmd_strata, text=_text_strata)
 
     p = sub.add_parser("inflate", help="apply one inflation step")
     p.add_argument("--u", required=True)
     p.add_argument("--z", required=True, help="curve class, e.g. B-2F-E")
     p.add_argument("--t", required=True, help="parameter, rational p/q")
     add_json(p)
-    p.set_defaults(func=_cmd_inflate)
+    p.set_defaults(func=_cmd_inflate, text=_text_inflate)
 
     p = sub.add_parser("plan", help="certified transport between two classes")
     p.add_argument("--from", required=True, dest="from")
@@ -401,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin the open-stratum section coefficient (default:"
                         " g, or the largest working x <= g for a raise)")
     add_json(p)
-    p.set_defaults(func=_cmd_plan)
+    p.set_defaults(func=_cmd_plan, text=_text_plan)
 
     p = sub.add_parser("verify-stability",
                        help="grid-check two-way transport per chamber")
@@ -412,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-index", type=int, default=None,
                    help="lowest chamber index to attempt (default 2g)")
     add_json(p)
-    p.set_defaults(func=_cmd_verify_stability)
+    p.set_defaults(func=_cmd_verify_stability, text=_text_verify_stability)
 
     p = sub.add_parser("gromov", help="curve count of a section class")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     add_json(p)
-    p.set_defaults(func=_cmd_gromov)
+    p.set_defaults(func=_cmd_gromov, text=_text_gromov)
 
     p = sub.add_parser("decompose",
                        help="stable decompositions of the section class B+gF")
@@ -428,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-bound", type=int, default=1)
     p.add_argument("--report-sections", action="store_true")
     add_json(p)
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=_cmd_decompose, text=_text_decompose)
 
     p = sub.add_parser("figure", help="emit the chamber diagram")
     p.add_argument("--mu-max", required=True)
@@ -436,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=100,
                    help="SVG pixels per unit of mu")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=_cmd_figure, text=None)
 
     p = sub.add_parser("report", help="consolidated JSON report")
     p.add_argument("--g", type=int, required=True)
@@ -444,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", default="1/8")
     p.add_argument("--cod-max", type=int, default=None)
     add_json(p)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, text=_text_report)
 
     return ap
 
@@ -452,13 +486,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.text is None:  # figure writes its own SVG or CSV
+            return args.func(args)
+        payload, code = args.func(args)
+        lines = ([json.dumps(payload, indent=2, sort_keys=True)] if args.json
+                 else args.text(payload, args))
     except (InputError, PlanError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as err:  # a fault of the program, not of its input
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the output early, which is its choice and no
+        # fault; stdout goes to the null device so shutdown does not raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

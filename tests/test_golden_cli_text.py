@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from ruledcone.cli import main
+from ruledcone.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_text.json"
 README = Path(__file__).parents[1] / "README.md"
@@ -64,6 +64,15 @@ def render() -> str:
 
 def test_cli_text_matches_golden():
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_text_renders_from_the_json_payload():
+    # the text lines are a function of what --json prints and the arguments
+    for entry in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        code, out = run(entry["argv"] + " --json")
+        args = build_parser().parse_args(entry["argv"].split())
+        assert code == entry["exit"], entry["argv"]
+        assert args.text(json.loads(out), args) == entry["stdout"], entry["argv"]
 
 
 def test_golden_covers_the_readme_examples():
