@@ -462,14 +462,33 @@ def test_readme_commands_parse():
         assert build_parser().parse_args(argv).command == argv[0]
 
 
-def run_module(*argv):
-    """Run ``python -m ruledcone`` in a child process against the package
+def module_env() -> dict:
+    """The environment in which ``python -m ruledcone`` imports the package
     this test process imported, whatever the working directory is."""
     env = dict(os.environ)
     src = str(Path(ruledcone.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv):
+    """Run ``python -m ruledcone`` in a child process."""
     return subprocess.run([sys.executable, "-m", "ruledcone", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=module_env())
+
+
+def test_reader_closing_stdout_early_is_no_error():
+    # 159 KB of JSON against a 64 KB pipe buffer: the write meets the closed
+    # pipe, which is the reader's choice, not an internal error
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ruledcone", "decompose", "--g", "6",
+         "--q-bound", "8", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env())
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
