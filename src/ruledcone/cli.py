@@ -303,7 +303,7 @@ def _cmd_decompose(args) -> tuple[dict, int]:
 
 
 def _text_decompose(payload, args) -> list[str]:
-    lines = [f"{payload['count']} decompositions of B+{payload['g']}F"
+    lines = [f"{payload['count']} decompositions of {payload['total']}"
              f" (q_bound={payload['q_bound']}, r_bound={payload['r_bound']}):"]
     for d in payload["decompositions"]:
         mark = ""
