@@ -14,7 +14,8 @@ negatively, as (B-kF).(B-jF) = (B-kF).(B-jF-E) = -(k+j) and
 (B-kF-E).(B-jF-E) = -(k+j+1), so no structure carries two of them: a
 stratum label is the open label or one positive-codimension class, named by
 that class and carrying its codimension.  `StratumLabel` refuses any larger
-core.  Each such class pairs non-negatively with E and F-E.
+core, and `label_for` any class outside the B-kF and B-kF-E families.  Each
+such class pairs non-negatively with E and F-E.
 
 In the order B-E, B-F, B-F-E, B-2F, ... the i-th section class (from 0)
 has codimension exactly 2(g + i), so labels never tie.  Chamber n carries
@@ -127,8 +128,14 @@ def stratum_labels(u: NormalizedClass, params: SurfaceParams,
     return chamber_labels(chamber_of(u), params, cod_max)
 
 
+def _section_family(a: ClassVector) -> bool:
+    """Whether a is B-kF (k >= 1) or B-kF-E (k >= 0)."""
+    return a.p == 1 and (a.r == (0,) and a.q <= -1
+                         or a.r == (-1,) and a.q <= 0)
+
+
 def label_for(a: ClassVector, params: SurfaceParams) -> StratumLabel:
-    """The label of the negative class a of positive codimension."""
+    """The label of the family class a of positive codimension."""
     cod = codim(a, params)
     if cod <= 0:
         why = ("it is implicit in every label" if a in UBIQUITOUS
@@ -136,6 +143,9 @@ def label_for(a: ClassVector, params: SurfaceParams) -> StratumLabel:
         raise ValueError(f"{a} has codimension {cod}; {why}")
     if pair(a, a) >= 0:
         raise ValueError(f"{a} has non-negative square")
+    if not _section_family(a):
+        raise ValueError(f"{a} is not B-kF (k >= 1) or B-kF-E (k >= 0);"
+                         " only these families label strata")
     return StratumLabel(cod, (a,))
 
 
@@ -167,9 +177,7 @@ def wide_negative_classes(u: NormalizedClass, params: SurfaceParams,
             continue
         if p >= 1 and genus < p * (params.g - 1) + 1:
             continue
-        families = (a in (E, F - E)
-                    or (p == 1 and r == 0 and q <= -1)
-                    or (p == 1 and r == -1 and q <= 0))
+        families = a in UBIQUITOUS or _section_family(a)
         out.append((a, IN_FAMILIES if families else OUTSIDE_FAMILIES))
     out.sort(key=lambda t: (t[0].p, t[0].q, t[0].r))
     return out

@@ -207,6 +207,9 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("chamber --u 5/2", "expected mu,c with rational entries, got '5/2'"),
     ("plan --from 5/2,1/2 --to 5/2,1/4 --g 2 --label B",
      "bad stratum label 'B': B has non-negative square"),
+    ("plan --from 5/2,1/2 --to 5/2,3/4 --g 2 --label 2B+2E",
+     "bad stratum label '2B+2E': 2B+2E is not B-kF (k >= 1) or B-kF-E"
+     " (k >= 0); only these families label strata"),
     ("plan --g 1 --label B-F --from 2,1/2 --to 2,999999999/1000000000",
      "the raise along B-F needs 268435456 interleaved rounds, more than"
      " 1048576"),

@@ -21,9 +21,9 @@ import ruledcone.planner as planner
 from ruledcone.cone import ChamberId, NormalizedClass, chamber_of, normalized
 from ruledcone.inflation import (InflationStep, apply_step, check_step,
                                  normalize, raw_from)
-from ruledcone.lattice import B, E, F, SurfaceParams
+from ruledcone.lattice import B, E, F, SurfaceParams, codim
 from ruledcone.planner import PlanError, plan, plan_vertical, verify_stability
-from ruledcone.strata import chamber_labels, label_for
+from ruledcone.strata import StratumLabel, chamber_labels
 
 SEED = 17
 VERDICTS = 12_000
@@ -131,12 +131,13 @@ def test_interleave_round_count_matches_a_doubling_search(off_grid):
         verify_stability(SurfaceParams(1), 3, Q(1, 4))
         verify_stability(SurfaceParams(2), 3, Q(1, 4), mu_min=1, min_index=1)
     # raises along negative classes outside the B-kF, B-kF-E families,
-    # which `label_for` also accepts: on these the range of F-E in the
-    # first round can bind
+    # which label no stratum (`label_for` refuses them) but which the
+    # planner takes as a label core: on these the range of F-E in the first
+    # round can bind
     other_calls, params = [], SurfaceParams(2)
     with _recording(other_calls):
         for a in (B + E, 2 * B + 2 * E, B - F + E, 2 * B - F, B - 2 * E):
-            label = label_for(a, params)
+            label = StratumLabel(codim(a, params), (a,))
             for i, j in itertools.product(range(7, 25), range(1, 6)):
                 for k in range(j + 1, 6):
                     with suppress(PlanError):

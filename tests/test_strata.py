@@ -201,6 +201,15 @@ def test_label_full_classes_and_names():
         label_for(E, P2)  # codim 0 is implicit, not a core
 
 
+@pytest.mark.parametrize("a", [2 * B + 2 * E, B + E, B - F + E, 2 * B - F,
+                               B - 2 * E])
+def test_label_for_refuses_classes_outside_the_families(a):
+    # negative and of positive codimension, but no stratum is named by them
+    assert codim(a, P2) > 0 > pair(a, a)
+    with pytest.raises(ValueError, match="only these families label strata"):
+        label_for(a, P2)
+
+
 def test_label_core_is_at_most_one_class():
     # two positive-codimension classes pair negatively, so no label has both
     with pytest.raises(ValueError, match="at most one core class"):
