@@ -7,13 +7,11 @@ only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
 flag set: no clocks, no randomness.  The parser is built once per process,
 so ``main`` can be called repeatedly in-process.
 
-Each command but ``figure`` builds one payload, the JSON that ``--json``
-prints, and renders its text lines from that payload (and the parsed
-arguments) alone, so the text claims nothing the JSON does not: ``_cmd_<x>``
-returns (payload, exit code) and ``_text_<x>(payload, args)`` the lines.
-``main`` is the one place that prints them; a reader that closes the output
-early does not change the exit code.  ``figure`` has no JSON and writes its
-own SVG or CSV.
+Each command but ``figure`` (which writes its own SVG or CSV) builds one
+payload, the JSON that ``--json`` prints, and renders its text from that
+payload and the parsed arguments alone, so the text claims nothing the JSON
+does not.  ``main`` is the one place that prints; a reader that closes the
+output early does not change the exit code.
 """
 
 from __future__ import annotations
