@@ -11,10 +11,9 @@ from .inflation import (InflationStep, RawClass, inflate, normalize,
                         pd_area_vector, t_range)
 from .lattice import (B, E, F, ClassVector, SurfaceParams, adjunction_genus,
                       canonical_class, codim, pair, parse_class)
-from .planner import (InflationPlan, PlanError, StabilityReport, plan,
-                      plan_left_open, plan_left_stratum, plan_right,
-                      plan_vertical, stratum_left_parameter,
-                      verify_stability)
+from .planner import (InflationPlan, PlanError, plan, plan_left_open,
+                      plan_left_stratum, plan_right, plan_vertical,
+                      stratum_left_parameter, verify_stability)
 from .rationals import format_rational, parse_rational
 from .strata import (OPEN_LABEL, StratumLabel, label_for, negative_classes,
                      stratum_labels, wide_negative_classes)
@@ -24,15 +23,14 @@ __version__ = "0.1.0"
 __all__ = [
     "B", "E", "F", "ChamberId", "ClassVector", "Decomposition", "FigureModel",
     "InflationPlan", "InflationStep", "NormalizedClass", "OPEN_LABEL",
-    "PlanError", "RawClass", "StabilityReport", "StratumLabel",
-    "SurfaceParams", "Wall", "active_walls", "adjunction_genus", "area",
-    "canonical_class", "chamber_of", "codim", "detected_discrepancies",
-    "figure_data", "format_rational", "gromov_invariant",
-    "gromov_nonzero_criterion", "inflate", "is_valid", "label_for",
-    "negative_classes", "normalize", "normalized",
-    "pair", "parse_class", "parse_rational", "pd_area_vector", "plan",
-    "plan_left_open", "plan_left_stratum", "plan_right", "plan_vertical",
-    "section_decompositions", "stratum_labels",
+    "PlanError", "RawClass", "StratumLabel", "SurfaceParams", "Wall",
+    "active_walls", "adjunction_genus", "area", "canonical_class",
+    "chamber_of", "codim", "detected_discrepancies", "figure_data",
+    "format_rational", "gromov_invariant", "gromov_nonzero_criterion",
+    "inflate", "is_valid", "label_for", "negative_classes", "normalize",
+    "normalized", "pair", "parse_class", "parse_rational", "pd_area_vector",
+    "plan", "plan_left_open", "plan_left_stratum", "plan_right",
+    "plan_vertical", "section_decompositions", "stratum_labels",
     "stratum_left_parameter", "t_range", "validity_violations",
     "verify_stability", "virtual_dim_k", "wide_negative_classes",
 ]

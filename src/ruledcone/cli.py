@@ -74,17 +74,17 @@ def _bound(value: int | None, name: str) -> int | None:
 
 
 def _verify(params: SurfaceParams, mu_max, step, **kwargs):
-    """verify_stability on a checked step; a grid that puts no point in an
-    attempted chamber certifies nothing, so it is refused."""
+    """verify_stability's payload on a checked step; a grid that puts no
+    point in an attempted chamber certifies nothing, so it is refused."""
     if step <= 0:
         raise InputError("grid step must be positive")
-    report = verify_stability(params, mu_max, step, **kwargs)
-    if not report.chambers:
+    payload = verify_stability(params, mu_max, step, **kwargs)
+    if not payload["chambers"]:
         raise InputError(
-            f"no grid point of ({format_rational(report.mu_min)},"
-            f" {format_rational(report.mu_max)}] lies in a chamber of index"
-            f" {report.min_index} or more: nothing to certify")
-    return report
+            f"no grid point of ({payload['mu_min']}, {payload['mu_max']}]"
+            f" lies in a chamber of index {payload['min_chamber_index']} or"
+            " more: nothing to certify")
+    return payload
 
 
 def _parse_point(text: str):
@@ -225,9 +225,9 @@ def _cmd_verify_stability(args) -> tuple[dict, int]:
     params = _params(args.g)
     mu_max, step = _rational(args.mu_max), _rational(args.step)
     mu_min = _rational(args.mu_min) if args.mu_min else None
-    report = _verify(params, mu_max, step, mu_min=mu_min,
-                     min_index=args.min_index)
-    return report.as_json(), EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    payload = _verify(params, mu_max, step, mu_min=mu_min,
+                      min_index=args.min_index)
+    return payload, EXIT_OK if payload["ok"] else EXIT_COUNTEREXAMPLE
 
 
 def _text_verify_stability(payload, args) -> list[str]:
@@ -337,19 +337,18 @@ def _cmd_report(args) -> tuple[dict, int]:
     mu_max = _rational(args.mu_max)
     step = _rational(args.step)
     cod_max = _bound(args.cod_max, "cod-max")
-    report = _verify(params, mu_max, step)
+    stability = _verify(params, mu_max, step)
 
     chambers = []
-    verdicts = {v.index: v for v in report.chambers}
+    failed = {v["chamber"]: v["failed"] for v in stability["chambers"]}
     for index in range(1, 2 * math.ceil(mu_max)):  # each meets the window
         cid = ChamberId(index)
         entry = {"index": index, "inequalities": cid.inequalities(),
                  "labels": [lb.as_json()
                             for lb in chamber_labels(cid, params, cod_max)]}
-        if index in verdicts:
-            v = verdicts[index]
-            entry["stability"] = "verified" if v.failed == 0 else "failed"
-        elif index < report.min_index:
+        if index in failed:
+            entry["stability"] = "verified" if failed[index] == 0 else "failed"
+        elif index < stability["min_chamber_index"]:
             entry["stability"] = "skipped"
         else:
             entry["stability"] = "no-grid-points"
@@ -360,10 +359,10 @@ def _cmd_report(args) -> tuple[dict, int]:
         "mu_max": format_rational(mu_max),
         "grid_step": format_rational(step),
         "chambers": chambers,
-        "stability": report.as_json(),
+        "stability": stability,
         "paper_discrepancies": detected_discrepancies(),
     }
-    return payload, EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    return payload, EXIT_OK if stability["ok"] else EXIT_COUNTEREXAMPLE
 
 
 def _text_report(payload, args) -> list[str]:

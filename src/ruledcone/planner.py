@@ -591,81 +591,36 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
 # -- grid verification of intra-chamber transport ----------------------------
 
 
-@dataclass
-class ChamberVerdict:
-    index: int
-    points: int
-    labels: list[str]
-    checked: int = 0
-    passed: int = 0
-    failed: int = 0
-    first_failure: dict | None = None
-
-    def as_json(self) -> dict:
-        return {
-            "chamber": self.index, "points": self.points,
-            "labels": self.labels, "checked": self.checked,
-            "passed": self.passed, "failed": self.failed,
-            "first_failure": self.first_failure,
-        }
-
-
-@dataclass
-class StabilityReport:
-    """Per-chamber tallies of certified two-way transport on a grid."""
-
-    g: int
-    mu_min: Fraction
-    mu_max: Fraction
-    grid_step: Fraction
-    min_index: int
-    chambers: list[ChamberVerdict]
-    skipped_chambers: list[int]
-    cross_chamber_pairs: int
-
-    @property
-    def ok(self) -> bool:
-        return all(v.failed == 0 for v in self.chambers)
-
-    def as_json(self) -> dict:
-        return {
-            "g": self.g,
-            "mu_min": format_rational(self.mu_min),
-            "mu_max": format_rational(self.mu_max),
-            "grid_step": format_rational(self.grid_step),
-            "min_chamber_index": self.min_index,
-            "ok": self.ok,
-            "chambers": [v.as_json() for v in self.chambers],
-            "skipped_chambers": self.skipped_chambers,
-            "cross_chamber_pairs": self.cross_chamber_pairs,
-        }
-
-
 def _verify_chamber(params: SurfaceParams, index: int,
-                    points: list[NormalizedClass]) -> ChamberVerdict:
+                    points: list[NormalizedClass]) -> dict:
+    """The payload entry of one chamber: both directions of every pair of
+    its points, for every label; each ordered pair is one `plan` call."""
     labels = chamber_labels(ChamberId(index), params)
-    verdict = ChamberVerdict(index=index, points=len(points),
-                             labels=[lb.name for lb in labels])
+    failed, first_failure = 0, None
     for ua, ub in itertools.combinations(points, 2):
         for label in labels:
             for src, dst in ((ua, ub), (ub, ua)):
-                verdict.checked += 1
                 try:
                     plan(src, dst, label, params)
-                    verdict.passed += 1
                 except PlanError as err:
-                    verdict.failed += 1
-                    if verdict.first_failure is None:
-                        verdict.first_failure = {
+                    failed += 1
+                    if first_failure is None:
+                        first_failure = {
                             "from": str(src), "to": str(dst),
                             "label": label.name, "error": str(err),
                         }
-    return verdict
+    checked = len(points) * (len(points) - 1) * len(labels)
+    return {"chamber": index, "points": len(points),
+            "labels": [lb.name for lb in labels], "checked": checked,
+            "passed": checked - failed, "failed": failed,
+            "first_failure": first_failure}
 
 
 def verify_stability(params: SurfaceParams, mu_max, grid_step, mu_min=None,
-                     min_index: int | None = None) -> StabilityReport:
-    """Check two-way transport for every same-chamber grid pair and label.
+                     min_index: int | None = None) -> dict:
+    """Check two-way transport for every same-chamber grid pair and label,
+    and return the `verify-stability --json` payload
+    (schemas/stability.schema.json).
 
     Grid: mu in (mu_min, mu_max] and c in (0, 1), both stepped by grid_step;
     mu_min defaults to max(1, g).  Chambers with index below min_index
@@ -700,7 +655,12 @@ def verify_stability(params: SurfaceParams, mu_max, grid_step, mu_min=None,
     verdicts = [_verify_chamber(params, i, by_chamber[i])
                 for i in sorted(by_chamber) if i >= min_index]
 
-    return StabilityReport(
-        g=params.g, mu_min=mu_min, mu_max=mu_max, grid_step=grid_step,
-        min_index=min_index, chambers=verdicts, skipped_chambers=skipped,
-        cross_chamber_pairs=cross)
+    return {
+        "g": params.g, "mu_min": format_rational(mu_min),
+        "mu_max": format_rational(mu_max),
+        "grid_step": format_rational(grid_step),
+        "min_chamber_index": min_index,
+        "ok": all(v["failed"] == 0 for v in verdicts),
+        "chambers": verdicts, "skipped_chambers": skipped,
+        "cross_chamber_pairs": cross,
+    }

@@ -3,7 +3,8 @@
 Two grids: g = 1 at step 1/4, where every verdict passes (exit 0), and
 g = 2 at step 1/4 from mu = 1 with chambers below 2g attempted, where 60 of
 540 verdicts fail in chambers 2 and 3 (exit 3) and each failing chamber
-records its `first_failure` text.
+records its `first_failure` text.  The library's `verify_stability`
+returns the same payload.
 
 Regenerate (only when a verdict or an error text is meant to change) with
 
@@ -14,9 +15,12 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 from ruledcone.cli import main
+from ruledcone.lattice import SurfaceParams
+from ruledcone.planner import verify_stability
 
 GOLDEN = Path(__file__).parent / "golden" / "verify.json"
 
@@ -28,19 +32,31 @@ CASES = {
                            "--min-index", "1", "--json"],
 }
 
+# the library call behind each case: positional and keyword arguments
+LIBRARY = {
+    "g1-all-pass": ((SurfaceParams(1), 3, Q(1, 4)), {}),
+    "g2-below-threshold": ((SurfaceParams(2), 3, Q(1, 4)),
+                           {"mu_min": 1, "min_index": 1}),
+}
+
 
 def _dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and stdout of the CLI."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
 
 
 def corpus() -> dict:
     """Case name -> argv, exit code and parsed stdout of the CLI."""
     cases = {}
     for name, argv in CASES.items():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        out = buf.getvalue()
+        code, out = _run(argv)
         payload = json.loads(out)
         # the CLI prints the canonical dump, so the parsed form pins its bytes
         assert out == _dump(payload), name
@@ -54,6 +70,12 @@ def render() -> str:
 
 def test_verifier_output_matches_golden():
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_library_payload_is_the_cli_stdout():
+    for name, (args, kwargs) in LIBRARY.items():
+        _, out = _run(CASES[name])
+        assert _dump(verify_stability(*args, **kwargs)) == out, name
 
 
 if __name__ == "__main__":

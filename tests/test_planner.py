@@ -606,36 +606,39 @@ def test_plan_fuzz_off_grid_denominators():
 
 def test_verify_stability_small_grid_all_pass():
     rep = verify_stability(P1, 3, Q(1, 4))
-    assert rep.ok
-    assert [v.index for v in rep.chambers] == [2, 3, 4, 5]
-    assert all(v.failed == 0 for v in rep.chambers)
-    assert rep.skipped_chambers == []
-    assert rep.cross_chamber_pairs > 0
-    total = sum(v.checked for v in rep.chambers)
-    assert total == sum(
-        v.points * (v.points - 1) * len(v.labels) for v in rep.chambers)
+    assert rep["ok"]
+    assert [v["chamber"] for v in rep["chambers"]] == [2, 3, 4, 5]
+    assert all(v["failed"] == 0 and v["passed"] == v["checked"]
+               for v in rep["chambers"])
+    assert rep["skipped_chambers"] == []
+    assert rep["cross_chamber_pairs"] > 0
+    total = sum(v["checked"] for v in rep["chambers"])
+    assert total == sum(v["points"] * (v["points"] - 1) * len(v["labels"])
+                        for v in rep["chambers"])
 
 
 def test_verify_stability_skips_low_chambers():
     rep = verify_stability(P2, 3, Q(1, 4), mu_min=1)
-    assert rep.skipped_chambers == [2, 3]
-    assert all(v.index >= 4 for v in rep.chambers)
+    assert rep["skipped_chambers"] == [2, 3]
+    assert all(v["chamber"] >= 4 for v in rep["chambers"])
 
 
 def test_verify_stability_below_threshold_finds_counterexamples():
     # below 2g the open-stratum recipes degenerate: transport fails, which is
     # exactly why those chambers are excluded
     rep = verify_stability(P2, 2, Q(1, 4), mu_min=1, min_index=2)
-    assert not rep.ok
-    failing = {v.index for v in rep.chambers if v.failed}
+    assert not rep["ok"]
+    failing = {v["chamber"] for v in rep["chambers"] if v["failed"]}
     assert failing and min(failing) < 4
-    bad = [v.first_failure for v in rep.chambers if v.first_failure]
+    assert all(v["passed"] == v["checked"] - v["failed"]
+               for v in rep["chambers"])
+    bad = [v["first_failure"] for v in rep["chambers"] if v["first_failure"]]
     assert any("mu > g" in f["error"] for f in bad)
 
 
 def test_verify_stability_empty_grid():
     rep = verify_stability(P1, Q(9, 8), Q(1, 4))
-    assert rep.ok and rep.chambers == []
+    assert rep["ok"] and rep["chambers"] == []
 
 
 def test_open_label_section_quantifier_on_criterion_7_grids():
@@ -692,8 +695,8 @@ def test_verify_stability_plans_once_per_verdict(monkeypatch):
     monkeypatch.setattr(planner, "plan", counted)
     rep = verify_stability(SurfaceParams(3), 5, Q(1, 4), mu_min=1,
                            min_index=1)
-    assert not rep.ok and any(v.failed == 0 for v in rep.chambers)
-    assert len(calls) == sum(v.checked for v in rep.chambers) == 1560
+    assert not rep["ok"] and any(v["failed"] == 0 for v in rep["chambers"])
+    assert len(calls) == sum(v["checked"] for v in rep["chambers"]) == 1560
 
 
 def test_discrepancy_records():
