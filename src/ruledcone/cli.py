@@ -429,8 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", required=True,
                    help="'open' or a core class such as B-2F")
     p.add_argument("--x", type=int, default=None,
-                   help="pin the open-stratum section coefficient (default:"
-                        " g, or the largest working x <= g for a raise)")
+                   help="pin the open-stratum section coefficient, open"
+                        " label only (default: g, or the largest working"
+                        " x <= g for a raise)")
     add_json(p)
     p.set_defaults(func=_cmd_plan, text=_text_plan)
 

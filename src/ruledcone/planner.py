@@ -284,6 +284,18 @@ def _section(x: int, params: SurfaceParams) -> ClassVector:
     return B + x * F
 
 
+def _check_x(x: int | None, label: StratumLabel,
+             params: SurfaceParams) -> None:
+    """Check a pinned section coefficient up front, as routes with no
+    section step never read x: in range, and pinned on the open label."""
+    if x is None:
+        return
+    _section(x, params)
+    if not label.is_open:
+        raise PlanError(f"section coefficient x={x} pins an open-stratum"
+                        f" section; label {label.name} is not open")
+
+
 def _drop(state: State, c_floor: Fraction) -> InflationStep:
     """The E step lowering the normalized blow-up area e/f to c_floor:
     t = (f/d) (e/f - c_floor)."""
@@ -517,8 +529,7 @@ def plan_vertical(u: NormalizedClass, c_target, label: StratumLabel,
     if not 0 < c_target < 1:
         raise PlanError(f"target blow-up area must lie in (0, 1), got"
                         f" {format_rational(c_target)}")
-    if x is not None:  # up front: routes with no section step never read x
-        _section(x, params)
+    _check_x(x, label, params)
     return _route(u, normalized(u.mu, c_target), label, params, raise_x=x)
 
 
@@ -542,8 +553,7 @@ def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
     # targets <= g or < 1 are refused by the hop, after its checks of x
     if mu_target > u.mu:
         raise _open_left_refusal(params, u.mu, mu_target)
-    if x is not None:  # up front: routes with no section step never read x
-        _section(x, params)
+    _check_x(x, OPEN_LABEL, params)
     return _route(u, normalized(mu_target, u.c), OPEN_LABEL, params, hop_x=x)
 
 
@@ -571,8 +581,7 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
     """
     cid = chamber_of(u1)  # checks that u1 is valid
     require_valid(u2)
-    if x is not None:  # up front: routes with no section step never read x
-        _section(x, params)
+    _check_x(x, label, params)
     if not cid.contains(u2):
         raise PlanError(
             f"{u1} and {u2} lie in chambers {cid.index} and"

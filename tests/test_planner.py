@@ -126,6 +126,22 @@ def test_pinned_x_is_checked_up_front(call, x):
     assert not any(step.z.p for step in call(2).steps)
 
 
+def test_pinned_x_is_refused_under_a_stratum_label():
+    # x pins a section of the open stratum; the range is checked first
+    label = label_for(B - 2 * F, P2)
+    u1, u2 = normalized(4, Q(1, 2)), normalized(Q(15, 4), Q(1, 2))
+    for call in (lambda x: plan(u1, u2, label, P2, x=x),
+                 lambda x: plan_vertical(u1, Q(1, 4), label, P2, x=x)):
+        with pytest.raises(PlanError) as err:
+            call(1)
+        assert str(err.value) == ("section coefficient x=1 pins an"
+                                  " open-stratum section; label B-2F is not"
+                                  " open")
+        with pytest.raises(PlanError, match="x=3 outside 0..2"):
+            call(3)
+        assert call(None).steps
+
+
 def test_left_refusals_name_the_targets_they_accept():
     # mu itself is accepted (an empty leg), so the intervals are closed at mu;
     # at mu = 1 they are empty and mu is the only target left
