@@ -226,7 +226,7 @@ def _cmd_verify_stability(args) -> tuple[dict, int]:
     mu_max, step = _rational(args.mu_max), _rational(args.step)
     mu_min = _rational(args.mu_min) if args.mu_min else None
     payload = _verify(params, mu_max, step, mu_min=mu_min,
-                      min_index=args.min_index)
+                      min_index=_bound(args.min_index, "min-index"))
     return payload, EXIT_OK if payload["ok"] else EXIT_COUNTEREXAMPLE
 
 

@@ -223,6 +223,8 @@ def test_plan_rejects_out_of_range_x(capsys, x):
      "wide scan bound must be >= 0, got -1"),
     ("strata --u 3,1/2 --g 1 --cod-max -1", "cod-max must be >= 0, got -1"),
     ("report --g 1 --mu-max 3 --cod-max -1", "cod-max must be >= 0, got -1"),
+    ("verify-stability --g 1 --mu-max 2 --step 1/4 --min-index -3",
+     "min-index must be >= 0, got -3"),
     # --x pins a section of the open stratum, so a stratum label refuses it
     ("plan --from 4,1/2 --to 15/4,1/2 --g 2 --label B-2F --x 1",
      "section coefficient x=1 pins an open-stratum section; label B-2F is"
