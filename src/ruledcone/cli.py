@@ -377,9 +377,11 @@ def _text_report(payload, args) -> list[str]:
                      + " and ".join(entry["inequalities"])
                      + f"; {len(entry['labels'])} labels;"
                      f" stability {stability}")
+    # at g = 0 the only section is B, so no plan mixes two
     lines.append(f"open label: each ordered pair is certified along"
-                 f" sections B+xF with x <= g = {g}; one plan may use"
-                 " two, hopping along B+gF and raising along a smaller x")
+                 f" sections B+xF with x <= g = {g}"
+                 + ("; one plan may use two, hopping along B+gF and raising"
+                    " along a smaller x" if g else ""))
     lines.append("recorded source discrepancies: "
                  + ", ".join(d["id"] for d in payload["paper_discrepancies"]))
     lines.append("stability verdict: "

@@ -460,6 +460,17 @@ def test_report_text_names_the_open_label_quantifier(capsys):
         " raising along a smaller x")
 
 
+def test_report_text_at_genus_0_claims_one_section(capsys):
+    # at g = 0 the only section is B, so no plan uses two
+    code, out, _ = run(capsys, "report", "--g", "0", "--mu-max", "3",
+                       "--step", "1/4")
+    assert code == 0
+    assert out.splitlines()[-3] == (
+        "open label: each ordered pair is certified along sections B+xF"
+        " with x <= g = 0")
+    assert "may use two" not in out
+
+
 def test_readme_commands_parse():
     # every `ruledcone ...` example line of the README, its comment cut
     readme = Path(__file__).parents[1] / "README.md"
