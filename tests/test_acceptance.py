@@ -4,6 +4,7 @@ line per criterion on stdout.
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -149,15 +150,18 @@ def test_criterion_6_section_hop_limit():
     _verdict(6, "normalized mu strictly decreasing with exact limit x")
 
 
-def test_criterion_7_stability_grid(capsys):
+def test_criterion_7_stability_grid(capsys, grid_digests):
     """verify-stability for g in {1,2,3}, mu in (g, g+4], step 1/8: every
-    same-chamber pair in chambers >= 2g transports both ways; exit 0; < 60 s."""
+    same-chamber pair in chambers >= 2g transports both ways; exit 0; < 60 s.
+    Each leg's stdout is also the one the benchmark's grid-verify accepts
+    (perfbench/workloads.py::GRID_DIGESTS)."""
     t0 = time.time()
-    details = []
+    details, outs = [], {}
     for g in (1, 2, 3):
         code = cli_main(["verify-stability", "--g", str(g),
                          "--mu-max", str(g + 4), "--step", "1/8", "--json"])
-        payload = json.loads(capsys.readouterr().out)
+        outs[g] = capsys.readouterr().out
+        payload = json.loads(outs[g])
         assert code == 0, f"verify-stability exit code {code} for g={g}"
         assert payload["ok"] is True
         assert all(v["chamber"] >= 2 * g for v in payload["chambers"])
@@ -167,6 +171,9 @@ def test_criterion_7_stability_grid(capsys):
             f"g={g}: {sum(v['checked'] for v in payload['chambers'])} checks")
     elapsed = time.time() - t0
     assert elapsed < 60, f"stability verification took {elapsed:.1f}s"
+    for g, out in outs.items():
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == grid_digests[(g, g + 4, Q(1, 8))], f"g={g}"
     with capsys.disabled():
         print()
         _verdict(7, "; ".join(details) + f"; exit 0; {elapsed:.1f}s")

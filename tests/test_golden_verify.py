@@ -4,7 +4,8 @@ Two grids: g = 1 at step 1/4, where every verdict passes (exit 0), and
 g = 2 at step 1/4 from mu = 1 with chambers below 2g attempted, where 60 of
 540 verdicts fail in chambers 2 and 3 (exit 3) and each failing chamber
 records its `first_failure` text.  The library's `verify_stability`
-returns the same payload.
+returns the same payload, and the g = 1 bytes are those the benchmark's
+grid-verify workload pins in perfbench/workloads.py::GRID_DIGESTS.
 
 Regenerate (only when a verdict or an error text is meant to change) with
 
@@ -12,6 +13,7 @@ Regenerate (only when a verdict or an error text is meant to change) with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -72,10 +74,13 @@ def test_verifier_output_matches_golden():
     assert render() == GOLDEN.read_text(encoding="utf-8")
 
 
-def test_library_payload_is_the_cli_stdout():
+def test_library_payload_is_the_cli_stdout(grid_digests):
+    outs = {}
     for name, (args, kwargs) in LIBRARY.items():
-        _, out = _run(CASES[name])
-        assert _dump(verify_stability(*args, **kwargs)) == out, name
+        _, outs[name] = _run(CASES[name])
+        assert _dump(verify_stability(*args, **kwargs)) == outs[name], name
+    digest = hashlib.sha256(outs["g1-all-pass"].encode()).hexdigest()
+    assert digest == grid_digests[(1, 3, Q(1, 4))]
 
 
 if __name__ == "__main__":
