@@ -1,10 +1,15 @@
-"""tools/bench_ab.py: run order and the claim rule, on made-up run records.
+"""tools/bench_ab.py: run order and the claim rule, on made-up run records,
+and its refusal to compare a tree with itself, on a temporary repository.
 
 The tool uses only the standard library, so it is imported from its file.
 """
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
 SPEC = [{"name": "op_ms_p50", "better": "lower", "bound": 0.25},
@@ -97,3 +102,43 @@ def test_runs_spread_wider_than_the_bound_are_unresolved():
         {"parent": [_record(s, 2.0, 500) for s in range(10)],
          "change": change}, "classify", SPEC)}
     assert summary["classify"]["op_ms_p50"]["verdict"] == "within"
+
+
+def test_a_tree_that_matches_head_is_refused(tmp_path, monkeypatch):
+    tool = _tool()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@example.org", *args], check=True,
+                       capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    (tmp_path / "perfbench" / "run.py").write_text("y = 1\n")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"paths": ["perfbench"], "run_seconds": 1, "workloads": [],
+         "end_to_end": []}))
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    compared = ["src", "perfbench"]
+    assert not tool.differs(tmp_path, compared)
+    # a change outside the compared paths is no change of the benchmarked code
+    (tmp_path / "README.md").write_text("notes\n")
+    assert not tool.differs(tmp_path, compared)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    with pytest.raises(SystemExit) as refused:
+        tool.main(["--out", str(tmp_path / "BENCH.json")])
+    assert "match HEAD" in str(refused.value)
+    assert "before committing" in str(refused.value)
+    assert not (tmp_path / "BENCH.json").exists()
+    # an unstaged edit, a staged one and an untracked file each differ
+    (tmp_path / "src" / "m.py").write_text("x = 2\n")
+    assert tool.differs(tmp_path, compared)
+    git("add", "src/m.py")
+    assert tool.differs(tmp_path, compared)
+    git("commit", "-q", "-m", "change")
+    assert not tool.differs(tmp_path, compared)
+    (tmp_path / "perfbench" / "new.py").write_text("z = 1\n")
+    assert tool.differs(tmp_path, compared)

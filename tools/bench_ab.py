@@ -21,7 +21,10 @@ change wins at least nine tenths of the pairs, its median beats the
 parent's by more than the parent's interquartile range, and no larger
 share of its ops fails.  Run it from the root of the working tree, on an
 otherwise idle machine: the sides share its cores with nothing else only
-then.
+then.  It refuses to run when neither src/ nor the benchmark's paths differ
+from HEAD (no tracked change, staged or not, and no untracked file there):
+both sides would then be the same code.  So run it before committing the
+change, or from a checkout of the parent with the change unpacked over it.
 """
 
 from __future__ import annotations
@@ -43,9 +46,16 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+def git(*args: str, root: Path = ROOT) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def differs(root: Path, paths: list[str]) -> bool:
+    """Whether the working tree at `root` differs from its HEAD under
+    `paths`: a tracked change, staged or not, or an untracked file."""
+    return bool(git("status", "--porcelain", "--untracked-files=all", "--",
+                    *paths, root=root))
 
 
 def export(rev: str, into: Path) -> None:
@@ -148,6 +158,12 @@ def main(argv=None) -> int:
     spec = bench["end_to_end"]
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
+    compared = ["src", *bench["paths"]]
+    if not differs(ROOT, compared):
+        sys.exit(f"bench_ab: {', '.join(compared)} match HEAD, so both sides"
+                 " would run the same code; run this before committing the"
+                 " change, or from a checkout of the parent with the change"
+                 " unpacked over it")
     commit = git("rev-parse", "HEAD")
     seeds = range(args.first_seed, args.first_seed + PAIRS)
 
