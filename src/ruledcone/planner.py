@@ -40,9 +40,13 @@ Internally a cone point is an integer projective state (b, f, e, d): the
 areas of B, F and E are b/d, f/d and e/d.  A NormalizedClass (m/d, n/d)
 enters as (m, d, n, d) from its cached integer form; a step with t = p/q
 is an integer multiply-add with the pairings (Z.B, Z.F, Z.E, Z.Z) cached
-on Z; range checks t (-Z.Z) < area(Z) and `plan`'s preconditions are
-integer comparisons.  A `Fraction` is built only where a value leaves the
-walk (a step parameter, a leg target, an error text).  One walk,
+on Z.  Every comparison inside a plan is an integer comparison on states
+and on the endpoints' cached (m, n, d): `plan`'s preconditions, the range
+check t (-Z.Z) < area(Z), the label check (E and F-E have positive area
+iff 0 < e < f), the sign of mu' - mu, the open-stratum refusals, a hop's
+wall limit and reach bound, and the blow-up-area floor between hops.  A
+`Fraction` is built only where a value leaves the plan: a step's t, a
+`simplest_between` hop target, or an error text.  One walk,
 `_certify`, checks every t against its range and every class of the
 plan's label at every state it reaches; `_route` checks the start once,
 so a certified plan stays in its stratum.  Leg builders advance states
@@ -67,7 +71,6 @@ from .rationals import format_rational, simplest_between
 from .strata import OPEN_LABEL, StratumLabel, chamber_labels
 
 _Q = Fraction
-_ONE = _Q(1)
 
 ALWAYS = "always"
 OPEN = "open"
@@ -95,16 +98,6 @@ def _area3(state: State, z: ClassVector) -> int:
     return z.p * b + z.q * f + z.r[0] * e
 
 
-def _apply3(state: State, z: ClassVector, t: Fraction) -> State:
-    db, df, de, _ = z.pairings
-    b, f, e, d = state
-    p, q = t.numerator, t.denominator
-    pd = p * d
-    b, f, e, d = b * q + pd * db, f * q + pd * df, e * q + pd * de, d * q
-    g = math.gcd(b, f, e, d)
-    return (b // g, f // g, e // g, d // g)
-
-
 def _normalized(state: State) -> NormalizedClass:
     b, f, e, _ = state
     if f <= 0:  # pragma: no cover - impossible for valid inflation chains
@@ -113,12 +106,18 @@ def _normalized(state: State) -> NormalizedClass:
 
 
 def _require_label(state: State, label: StratumLabel | None) -> None:
-    """Raise PlanError unless every class of `label` has positive area."""
-    for a in () if label is None else label.classes():
-        if _area3(state, a) <= 0:
-            raise PlanError(f"label {label.name} is absent at"
-                            f" {_normalized(state)}: {a} has non-positive"
-                            " area")
+    """Raise PlanError unless every class of `label` has positive area: its
+    core class, then E and F-E, whose areas are e/d and (f - e)/d."""
+    if label is None:
+        return
+    _, f, e, _ = state
+    core = label.core
+    bad = (core[0] if core and _area3(state, core[0]) <= 0
+           else E if e <= 0 else _FE if f <= e else None)
+    if bad is not None:
+        raise PlanError(f"label {label.name} is absent at"
+                        f" {_normalized(state)}: {bad} has non-positive"
+                        " area")
 
 
 def _certify(state: State, steps, label: StratumLabel | None) -> list[State]:
@@ -130,17 +129,22 @@ def _certify(state: State, steps, label: StratumLabel | None) -> list[State]:
     for step in steps:
         z, t = step.z, step.t
         a = _area3(state, z)
-        d = state[3]
+        b, f, e, d = state
         if a <= 0:
             raise PlanError(f"{z} has non-positive area"
                             f" {format_rational(Fraction(a, d))} mid-plan")
-        zz = z.pairings[3]
+        db, df, de, zz = z.pairings
+        p, q = t.numerator, t.denominator
         # t (-Z.Z) < a/d, denominators cleared
-        if zz < 0 and t.numerator * -zz * d >= t.denominator * a:
+        if zz < 0 and p * -zz * d >= q * a:
             raise PlanError(
                 f"step ({z}, {format_rational(t)}) exceeds its"
                 f" range [0, {format_rational(Fraction(a, d * -zz))})")
-        state = _apply3(state, z, t)
+        # state + t PD(z), over the common denominator d q
+        pd = p * d
+        b, f, e, d = b * q + pd * db, f * q + pd * df, e * q + pd * de, d * q
+        g = math.gcd(b, f, e, d)
+        state = (b // g, f // g, e // g, d // g)
         _require_label(state, label)
         states.append(state)
     return states
@@ -154,18 +158,6 @@ def _advance(state: State, steps: list[InflationStep],
 
 class PlanError(ValueError):
     """No valid plan: the message names the binding constraint."""
-
-
-def _assumption_for(z: ClassVector) -> str:
-    if z in (F, E, _FE):
-        return ALWAYS
-    if z.p == 1 and z.q >= 0 and z.r == (0,):
-        return OPEN
-    return STRATUM
-
-
-def _step(z: ClassVector, t: Fraction) -> InflationStep:
-    return InflationStep(z, t, _assumption_for(z))
 
 
 @dataclass(frozen=True)
@@ -236,10 +228,11 @@ def _vertical_solve(state: State, z1: ClassVector,
             f" {z1} and {_FE} needs mu >"
             f" {format_rational(vb - ve + c_target * vf)}"
             f" (mu = {format_rational(Fraction(b, f))}): no positive solution")
-    rise = cn * f - e * cd
-    t1 = Fraction(rise * f, d * den)
-    t2 = Fraction(rise * (b * vf - vb * f), d * den)
-    if t1 <= 0 or t2 < 0:  # pragma: no cover - den>0 and c_target>c ensure this
+    rise, lean = cn * f - e * cd, b * vf - vb * f
+    t1, t2 = Fraction(rise * f, d * den), Fraction(rise * lean, d * den)
+    # f, d and den are positive, so t1 and t2 take the signs of rise and
+    # rise lean, and den > 0 with c_target > c ensures both
+    if rise <= 0 or lean < 0:  # pragma: no cover
         raise PlanError(f"vertical solve along {z1} gave non-positive"
                         f" parameters t1={t1}, t2={t2}")
     return t1, t2
@@ -273,7 +266,8 @@ def _interleaved(state: State, z: ClassVector, t1: Fraction, t2: Fraction,
     if rounds > _MAX_ROUNDS:
         raise PlanError(f"the raise along {z} needs {rounds} interleaved"
                         f" rounds, more than {_MAX_ROUNDS}")
-    steps = [_step(_FE, t2 / rounds), _step(z, t1 / rounds)] * rounds
+    steps = [InflationStep(_FE, Fraction(p2, q2 * rounds), ALWAYS),
+             InflationStep(z, Fraction(p1, q1 * rounds), STRATUM)] * rounds
     return _advance(state, steps, label)
 
 
@@ -296,12 +290,11 @@ def _check_x(x: int | None, label: StratumLabel,
                         f" section; label {label.name} is not open")
 
 
-def _drop(state: State, c_floor: Fraction) -> InflationStep:
-    """The E step lowering the normalized blow-up area e/f to c_floor:
-    t = (f/d) (e/f - c_floor)."""
+def _drop(state: State, cn: int, cd: int) -> InflationStep:
+    """The E step lowering the normalized blow-up area e/f to cn/cd (cd > 0):
+    t = (f/d) (e/f - cn/cd)."""
     _, f, e, d = state
-    cn, cd = c_floor.numerator, c_floor.denominator
-    return _step(E, Fraction(e * cd - cn * f, cd * d))
+    return InflationStep(E, Fraction(e * cd - cn * f, cd * d), ALWAYS)
 
 
 def _vertical_steps(state: State, c_target: Fraction,
@@ -315,7 +308,7 @@ def _vertical_steps(state: State, c_target: Fraction,
     if above == 0:
         return [], state
     if above > 0:  # an embedded E always exists
-        return _advance(state, [_drop(state, c_target)], label)
+        return _advance(state, [_drop(state, cn, cd)], label)
     if label.is_open:
         if x is None:
             # the largest x <= g with x < mu - c_target (`_vertical_solve`'s
@@ -324,7 +317,8 @@ def _vertical_steps(state: State, c_target: Fraction,
         section = _section(x, params)
         t1, t2 = _vertical_solve(state, section, c_target)
         # B+xF has square 2x >= 0; applying it first always stays in range
-        return _advance(state, [_step(section, t1), _step(_FE, t2)], label)
+        return _advance(state, [InflationStep(section, t1, OPEN),
+                                InflationStep(_FE, t2, ALWAYS)], label)
     # rounds exist only if the label is present at the target (its classes
     # then stay positive on the straight path), so check (mu, c_target) first
     _require_label((b * cd, f * cd, cn * f, d * cd), label)
@@ -353,30 +347,30 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
         raise PlanError(f"leftward target must lie in (1,"
                         f" {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    return _left_hop(_state_of(u), z, mu_target)[-1].t
+    return _left_hop(_state_of(u), z, mu_target.numerator,
+                     mu_target.denominator)[-1].t
 
 
-def _left_hop(state: State, z: ClassVector,
-              mu_target: Fraction) -> list[InflationStep]:
-    """One leftward hop: fiber companion first, then z (replay-safe order)."""
+def _left_hop(state: State, z: ClassVector, mn: int,
+              md: int) -> list[InflationStep]:
+    """One leftward hop to normalized mu' = mn/md > 1: fiber companion
+    first, then z (replay-safe order)."""
     companion = 1 - z.pairings[0]
     b, f, _, d = state
-    mn, md = mu_target.numerator, mu_target.denominator
     # increment per unit t is (1, 1, ...): base and fiber slots both +1, so
-    # t = (b/d - mu_target f/d) / (mu_target - 1)
-    t = Fraction(b * md - mn * f, d * (mn - md))
-    if t <= 0:
-        raise PlanError(f"hop target {format_rational(mu_target)} is not to"
-                        " the left of the current point")
-    steps = []
-    if companion > 0:
-        steps.append(_step(F, companion * t))
-    steps.append(_step(z, t))
-    return steps
+    # t = (b/d - mu' f/d) / (mu' - 1), whose denominator is positive
+    num, den = b * md - mn * f, d * (mn - md)
+    if num <= 0:
+        raise PlanError(f"hop target {format_rational(Fraction(mn, md))} is"
+                        " not to the left of the current point")
+    steps = ([InflationStep(F, Fraction(companion * num, den), ALWAYS)]
+             if companion > 0 else [])
+    return steps + [InflationStep(z, Fraction(num, den), STRATUM)]
 
 
-def _left_reach_bound(state: State, z: ClassVector) -> Fraction:
-    """Infimum of normalized mu reachable by a single hop along z.
+def _left_reach_bound(state: State, z: ClassVector) -> tuple[int, int]:
+    """Infimum of normalized mu reachable by a single hop along z, as a
+    pair (numerator, positive denominator).
 
     Along the hop the area of z changes by (z.z + 1 - z.B) per unit t; when
     that drift is negative the hop dies where the area of z hits zero, which
@@ -385,65 +379,66 @@ def _left_reach_bound(state: State, z: ClassVector) -> Fraction:
     vb, _, _, zz = z.pairings
     drift = zz + 1 - vb
     if drift >= 0:
-        return _ONE
-    # the scale d of the state cancels from the ratio
+        return 1, 1
+    # the scale d of the state cancels from the ratio; the area of z is > 0
     a = _area3(state, z)
-    return Fraction(-drift * state[0] + a, -drift * state[1] + a)
+    return -drift * state[0] + a, -drift * state[1] + a
 
 
-def _hop_limit(z: ClassVector) -> Fraction:
-    """Infimum of normalized mu reachable by iterated hops along z (with
-    interleaved blow-up-area drops): the wall position at vanishing blow-up
-    area, max(1, k)."""
-    return _Q(max(1, -z.q))
+def _left_route(state: State, target: NormalizedClass,
+                label: StratumLabel) -> tuple[list[InflationStep], State]:
+    """Hops along the label's class z from the start state down to
+    mu' = target.mu, and the end state.
 
-
-def _left_route(state: State, mu_target: Fraction, label: StratumLabel,
-                c_cap: Fraction) -> tuple[list[InflationStep], State]:
-    """Hops along the label's class z down to mu_target, and the end state.
-
-    A hop along B-kF-E raises the normalized blow-up area, which in turn
-    worsens the next reach bound, so the area is dropped back to a floor
-    between hops (an embedded E always exists).  The floor
-    (mu_target - limit)/2 pins the hop attractor, the wall of z at the
-    shrunken blow-up area, strictly left of mu_target; c_cap additionally
-    caps it (the caller never wants the area raised here).  A pass is at
-    most one drop and one hop; past _MAX_HOPS hops the target is refused.
-    The loop stays: hop targets come from `simplest_between`, and the count
-    grows about linearly in 1/(mu_target - limit) (10, 22, ..., 378 and
+    Iterated hops (with blow-up-area drops between them) are bounded by the
+    wall of z at vanishing blow-up area, limit = max(1, k), so targets at
+    or below it are refused.  A hop along B-kF-E raises the normalized
+    blow-up area, which in turn worsens the next reach bound, so the area
+    is dropped back to a floor between hops (an embedded E always exists).
+    The floor (mu' - limit)/2 pins the hop attractor, the wall of z at the
+    shrunken blow-up area, strictly left of mu'; the blow-up areas of both
+    ends additionally cap it (the route never raises the area here).  A
+    pass is at most one drop and one hop; past _MAX_HOPS hops the target is
+    refused.  The loop stays: hop targets come from `simplest_between`, and
+    the count grows about linearly in 1/(mu' - limit) (10, 22, ..., 378 and
     1,515 hops along B-F-E at g = 1 from (3/2, 1/4) to 1 + 1/n, n = 8 ..
     256 and 1024), so it has no closed form.
     """
     z = label.core[0]
-    limit = _hop_limit(z)
-    if mu_target <= limit:
+    limit = max(1, -z.q)
+    m, n, dt = target.ints
+    if m <= limit * dt:
         raise PlanError(
-            f"mu' = {format_rational(mu_target)} is unreachable along {z}:"
-            f" iterated hops are bounded by the wall at {format_rational(limit)}")
-    c_floor = min(c_cap, (mu_target - limit) / 2)
-    fn, fd = c_floor.numerator, c_floor.denominator
+            f"mu' = {format_rational(target.mu)} is unreachable along {z}:"
+            f" iterated hops are bounded by the wall at {limit}")
+    # the floor fn/fd = min(c, target.c, (mu' - limit)/2), c = e/f here
+    _, fd, fn, _ = state
+    for pn, pd in ((n, dt), (m - limit * dt, 2 * dt)):
+        if pn * fd < fn * pd:
+            fn, fd = pn, pd
     steps: list[InflationStep] = []
     for _ in range(_MAX_HOPS):
-        bound = _left_reach_bound(state, z)
+        bn, bd = _left_reach_bound(state, z)
         _, f, e, _ = state
-        if mu_target <= bound and e * fd > fn * f:  # and c > c_floor
-            drop, state = _advance(state, [_drop(state, c_floor)], label)
+        if m * bd <= bn * dt and e * fd > fn * f:  # mu' <= bound, c > floor
+            drop, state = _advance(state, [_drop(state, fn, fd)], label)
             steps += drop
-            bound = _left_reach_bound(state, z)
-        if mu_target > bound:
-            hop_to = mu_target
-        else:
-            mu_now = Fraction(state[0], state[1])
-            if bound >= mu_now:  # pragma: no cover - guarded by area checks
-                raise PlanError(f"no leftward progress possible along {z}")
-            # aim just right of the bound; small denominators keep plans compact
-            hop_to = simplest_between(bound, bound + (mu_now - bound) / 8)
-        hop, state = _advance(state, _left_hop(state, z, hop_to), label)
+            bn, bd = _left_reach_bound(state, z)
+        if m * bd > bn * dt:  # one hop reaches mu'
+            hop, state = _advance(state, _left_hop(state, z, m, dt), label)
+            return steps + hop, state
+        b, f, _, _ = state
+        if bn * f >= b * bd:  # pragma: no cover - guarded by area checks
+            raise PlanError(f"no leftward progress possible along {z}")
+        # aim just right of the bound, an eighth of the way to mu = b/f;
+        # small denominators keep plans compact
+        hop_to = simplest_between(Fraction(bn, bd),
+                                  Fraction(7 * bn * f + b * bd, 8 * bd * f))
+        hop, state = _advance(state, _left_hop(
+            state, z, hop_to.numerator, hop_to.denominator), label)
         steps += hop
-        if hop_to == mu_target:
-            return steps, state
     raise PlanError(
-        f"leftward target {format_rational(mu_target)} needs more than"
+        f"leftward target {format_rational(target.mu)} needs more than"
         f" {_MAX_HOPS} hops along {z}")
 
 
@@ -466,34 +461,37 @@ def _open_left_refusal(params: SurfaceParams, mu: Fraction,
                          not params.g, mu, mu_target)
 
 
-def _horizontal_leg(state: State, mu: Fraction, mu_target: Fraction,
+def _horizontal_leg(state: State, target: NormalizedClass,
                     label: StratumLabel | None, params: SurfaceParams | None,
-                    x: int | None,
-                    c_cap: Fraction) -> tuple[list[InflationStep], State]:
-    """Steps moving the normalized mu of `state` from mu to mu_target, and
-    the state they reach.
+                    x: int | None) -> tuple[list[InflationStep], State]:
+    """Steps moving the normalized mu = b/f of `state`, a plan's start, to
+    mu' = target.mu, and the state they reach.
 
     Rightward is one F step.  Leftward on the open stratum is one hop along
     the section B + xF (x defaults to g): the normalized base area along it
     is x + (mu - x)/(1 + t), strictly decreasing with limit x, so targets at
     or below x are unreachable, and targets <= g or < 1 are refused.
-    Leftward in a stratum is `_left_route` along the label's class, with the
-    blow-up area capped at c_cap.
+    Leftward in a stratum is `_left_route` along the label's class.
     """
-    if mu_target == mu:
+    b, f, _, d = state
+    m, _, dt = target.ints
+    shift = m * f - b * dt  # the sign of mu' - mu
+    if shift == 0:
         return [], state
-    if mu_target > mu:
-        return _advance(state, [_step(F, mu_target - mu)], label)
+    if shift > 0:  # t = (f/d) (mu' - mu)
+        step = InflationStep(F, Fraction(shift, dt * d), ALWAYS)
+        return _advance(state, [step], label)
     if not label.is_open:
-        return _left_route(state, mu_target, label, c_cap)
+        return _left_route(state, target, label)
     x = params.g if x is None else x
     section = _section(x, params)
-    if mu_target <= x:
-        raise PlanError(f"mu' = {format_rational(mu_target)} is unreachable"
+    if m <= x * dt:
+        raise PlanError(f"mu' = {format_rational(target.mu)} is unreachable"
                         f" along B+{x}F: the normalized limit is {x}")
-    if mu_target <= params.g or mu_target < 1:
-        raise _open_left_refusal(params, mu, mu_target)
-    step = _step(section, (mu - mu_target) / (mu_target - x))
+    if m <= params.g * dt or m < dt:
+        raise _open_left_refusal(params, Fraction(b, f), target.mu)
+    # t = (f/d) (mu - mu') / (mu' - x)
+    step = InflationStep(section, Fraction(-shift, d * (m - x * dt)), OPEN)
     return _advance(state, [step], label)
 
 
@@ -508,8 +506,7 @@ def _route(u: NormalizedClass, target: NormalizedClass,
     exactly: with target = (m, n, d), b/f = m/d and e/f = n/d."""
     state = _state_of(u)
     _require_label(state, label)
-    steps, state = _horizontal_leg(state, u.mu, target.mu, label, params,
-                                   hop_x, min(u.c, target.c))
+    steps, state = _horizontal_leg(state, target, label, params, hop_x)
     more, state = _vertical_steps(state, target.c, label, params, raise_x)
     b, f, e, _ = state
     m, n, d = target.ints

@@ -20,9 +20,10 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
+from ruledcone import planner
 from ruledcone.cli import main
 from ruledcone.lattice import SurfaceParams
-from ruledcone.planner import verify_stability
+from ruledcone.planner import PlanError, verify_stability
 
 GOLDEN = Path(__file__).parent / "golden" / "verify.json"
 
@@ -81,6 +82,44 @@ def test_library_payload_is_the_cli_stdout(grid_digests):
         assert _dump(verify_stability(*args, **kwargs)) == outs[name], name
     digest = hashlib.sha256(outs["g1-all-pass"].encode()).hexdigest()
     assert digest == grid_digests[(1, 3, Q(1, 4))]
+
+
+# sha256 of the plans behind the LIBRARY payloads, computed at commit
+# 0427f23, whose planner legs still compared and combined Fractions
+PLAN_SHAPES = ("bb562e41b46413673529931e03bda67c"
+               "f445474514d7cbd4db521144f5655e80")
+
+
+def test_plan_shapes_match_the_fraction_planner(monkeypatch):
+    """The golden payloads hash verdict counts and first failures only, so
+    a changed route that still certifies would keep them.  This hashes
+    every plan the verifier builds on the two grids, in call order: each
+    step's class, t and assumption tag, or the PlanError text.  The digest
+    was computed at commit 0427f23, before the planner's legs moved to
+    integer comparisons.  The g2-below-threshold grid is
+    verify_stability(SurfaceParams(2), 3, 1/4, mu_min=1, min_index=1), so
+    failing plans are covered; the verifier calls `plan` once a verdict."""
+    digest, real, calls = hashlib.sha256(), planner.plan, []
+
+    def hashed(*args, **kwargs):
+        calls.append(args)
+        try:
+            result = real(*args, **kwargs)
+        except PlanError as err:
+            digest.update(f"E {err}\n".encode())
+            raise
+        for step in result.steps:
+            digest.update(f"{step.z} {step.t} {step.assumption};".encode())
+        digest.update(b"\n")
+        return result
+
+    monkeypatch.setattr(planner, "plan", hashed)
+    verdicts = 0
+    for args, kwargs in LIBRARY.values():
+        payload = verify_stability(*args, **kwargs)
+        verdicts += sum(v["checked"] for v in payload["chambers"])
+    assert len(calls) == verdicts == 1080
+    assert digest.hexdigest() == PLAN_SHAPES
 
 
 if __name__ == "__main__":

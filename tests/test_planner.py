@@ -275,12 +275,93 @@ def test_plan_left_stratum_reach_certificate():
     lab = label_for(B - 2 * F - E, P2)
     from ruledcone.planner import _left_reach_bound, _state_of
 
-    assert _left_reach_bound(_state_of(u), B - 2 * F - E) == Q(19, 7)
+    # the bound is an integer pair (numerator, denominator)
+    assert Q(*_left_reach_bound(_state_of(u), B - 2 * F - E)) == Q(19, 7)
     pl = plan_left_stratum(u, 3, lab, P2)
     assert_certified(pl, normalized(3, Q(1, 2)))
     # a target below the iterated limit max(1, k) = 2 is rejected outright
     with pytest.raises(PlanError, match="unreachable"):
         plan_left_stratum(u, Q(3, 2), lab, P2)
+
+
+def _b2fe(params=P2):
+    return label_for(B - 2 * F - E, params)
+
+
+# Each plan's steps ("class t assumption") or error text at a boundary of an
+# integer comparison inside a plan, as captured from the Fraction planner of
+# commit 0427f23.  From (4, 1/2) a hop along B-2F-E reaches down to 19/7,
+# from (4, 1/4) and (3, 1/2) down to 13/5; its wall limit is max(1, 2) = 2.
+BOUNDARIES = {
+    # equal c at both ends, so the cap min(c1, c2) ties; 3 > 19/7: one hop
+    "c cap tie, one hop": (
+        lambda: plan_left_stratum(normalized(4, Q(1, 2)), 3, _b2fe(), P2),
+        ["F 3/2 always", "B-2F-E 1/2 stratum", "E 1/4 always"]),
+    "c cap tie in plan": (
+        lambda: plan(normalized(Q(5, 2), Q(1, 2)),
+                     normalized(Q(9, 4), Q(1, 2)), label_for(B - F - E, P2),
+                     P2),
+        ["F 2/5 always", "B-F-E 1/5 stratum", "E 1/10 always"]),
+    # mu' is the reach bound and c equals the floor, so no drop comes first
+    "c cap tie, target at the bound": (
+        lambda: plan_left_stratum(normalized(4, Q(1, 4)), Q(13, 5), _b2fe(),
+                                  P2),
+        ["F 12/5 always", "B-2F-E 4/5 stratum", "E 3/5 always",
+         "F 9/40 always", "B-2F-E 3/40 stratum", "E 9/160 always"]),
+    # the target's c caps the floor and ties (mu' - limit)/2 = 1/4
+    "target c ties the floor": (
+        lambda: plan(normalized(3, Q(1, 2)), normalized(Q(5, 2), Q(1, 4)),
+                     _b2fe(), P2),
+        ["E 1/4 always", "F 1 always", "B-2F-E 1/3 stratum", "E 1/4 always"]),
+    # mu' = mu: the horizontal leg is empty
+    "empty horizontal leg": (
+        lambda: plan(normalized(Q(5, 2), Q(3, 10)),
+                     normalized(Q(5, 2), Q(2, 5)), label_for(B - F, P2), P2),
+        ["F-E 7/62 always", "B-F 1/31 stratum"]),
+    "empty plan": (
+        lambda: plan_left_stratum(normalized(4, Q(1, 2)), 4, _b2fe(), P2), []),
+    # open-stratum leftward targets exactly at x and exactly at g
+    "open target at x": (
+        lambda: plan_left_open(normalized(4, Q(1, 2)), 1, P2, x=1),
+        "mu' = 1 is unreachable along B+1F: the normalized limit is 1"),
+    "open target at g": (
+        lambda: plan_left_open(normalized(4, Q(1, 2)), 2, P2, x=1),
+        "open-stratum leftward targets must lie in (2, 4], got 2"),
+    "open target at x = g": (
+        lambda: plan_left_open(normalized(4, Q(1, 2)), 2, P2),
+        "mu' = 2 is unreachable along B+2F: the normalized limit is 2"),
+    "open target at 1, g = 0": (
+        lambda: plan_left_open(normalized(2, Q(1, 2)), 1, SurfaceParams(0)),
+        ["B 1 open", "B 1 open", "F-E 1 always"]),
+    # stratum-left targets exactly at the wall limit max(1, k)
+    "stratum target at the wall limit": (
+        lambda: plan_left_stratum(normalized(4, Q(1, 2)), 2, _b2fe(), P2),
+        "mu' = 2 is unreachable along B-2F-E: iterated hops are bounded by"
+        " the wall at 2"),
+    "stratum target at the wall limit, B-2F": (
+        lambda: plan_left_stratum(normalized(4, Q(1, 2)), 2,
+                                  label_for(B - 2 * F, P2), P2),
+        "mu' = 2 is unreachable along B-2F: iterated hops are bounded by the"
+        " wall at 2"),
+    # mu' = 19/7 is exactly one hop's reach bound and c > floor: drop first
+    "target at the reach bound, drop first": (
+        lambda: plan_left_stratum(normalized(4, Q(1, 2)), Q(19, 7), _b2fe(),
+                                  P2),
+        ["E 1/7 always", "F 9/4 always", "B-2F-E 3/4 stratum",
+         "E 13/56 always"]),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARIES)
+def test_integer_comparisons_at_their_boundaries(case):
+    call, expected = BOUNDARIES[case]
+    try:
+        pl = call()
+    except PlanError as err:
+        assert str(err) == expected
+        return
+    assert [f"{s.z} {s.t} {s.assumption}" for s in pl.steps] == expected
+    assert_certified(pl)
 
 
 def test_plan_left_stratum_multi_hop():
