@@ -75,15 +75,19 @@ def _bound(value: int | None, name: str) -> int | None:
 
 def _verify(params: SurfaceParams, mu_max, step, **kwargs):
     """verify_stability's payload on a checked step; a grid that puts no
-    point in an attempted chamber certifies nothing, so it is refused."""
+    point, or one point each, in its attempted chambers checks no
+    transport, so it is refused."""
     if step <= 0:
         raise InputError("grid step must be positive")
     payload = verify_stability(params, mu_max, step, **kwargs)
+    grid = f"({payload['mu_min']}, {payload['mu_max']}]"
     if not payload["chambers"]:
         raise InputError(
-            f"no grid point of ({payload['mu_min']}, {payload['mu_max']}]"
-            f" lies in a chamber of index {payload['min_chamber_index']} or"
-            " more: nothing to certify")
+            f"no grid point of {grid} lies in a chamber of index"
+            f" {payload['min_chamber_index']} or more: nothing to certify")
+    if not any(v["checked"] for v in payload["chambers"]):
+        raise InputError(f"each attempted chamber holds one grid point of"
+                         f" {grid}: no transport to certify")
     return payload
 
 
@@ -225,6 +229,8 @@ def _cmd_verify_stability(args) -> tuple[dict, int]:
     params = _params(args.g)
     mu_max, step = _rational(args.mu_max), _rational(args.step)
     mu_min = _rational(args.mu_min) if args.mu_min else None
+    if mu_min is not None and mu_min < 1:  # no cone point has mu < 1
+        raise InputError(f"mu-min must be >= 1, got {format_rational(mu_min)}")
     payload = _verify(params, mu_max, step, mu_min=mu_min,
                       min_index=_bound(args.min_index, "min-index"))
     return payload, EXIT_OK if payload["ok"] else EXIT_COUNTEREXAMPLE

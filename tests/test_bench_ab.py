@@ -142,3 +142,31 @@ def test_a_tree_that_matches_head_is_refused(tmp_path, monkeypatch):
     assert not tool.differs(tmp_path, compared)
     (tmp_path / "perfbench" / "new.py").write_text("z = 1\n")
     assert tool.differs(tmp_path, compared)
+
+
+@pytest.mark.parametrize("claim", ["grid-verify:walls", "grid-verfy:wall_s",
+                                   "grid-verify", "grid-verify:wall_s:x"])
+def test_a_claim_outside_the_benchmark_is_refused_before_any_run(
+        tmp_path, monkeypatch, claim):
+    tool = _tool()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"paths": ["perfbench"], "run_seconds": 1,
+         "workloads": [{"name": "grid-verify"}],
+         "end_to_end": [{"name": "wall_s", "better": "lower",
+                         "bound": 0.25}]}))
+    started = []
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "differs", lambda root, paths: False)
+    monkeypatch.setattr(tool, "export", lambda *a: started.append(a))
+    monkeypatch.setattr(tool, "run_once", lambda *a: started.append(a))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as refused:
+        tool.main(["--out", str(out), "--claim", claim])
+    assert str(refused.value).startswith(f"bench_ab: --claim {claim} names"
+                                         " no WORKLOAD:METRIC")
+    assert "workloads: grid-verify; metrics: wall_s" in str(refused.value)
+    assert started == [] and not out.exists()
+    # a claim the benchmark declares passes on to the next check
+    with pytest.raises(SystemExit, match="match HEAD"):
+        tool.main(["--out", str(out), "--claim", "grid-verify:wall_s"])
+    assert started == []

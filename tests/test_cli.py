@@ -225,6 +225,12 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("report --g 1 --mu-max 3 --cod-max -1", "cod-max must be >= 0, got -1"),
     ("verify-stability --g 1 --mu-max 2 --step 1/4 --min-index -3",
      "min-index must be >= 0, got -3"),
+    # no cone point has mu < 1, and one point per chamber pairs with none
+    ("verify-stability --g 0 --mu-max 2 --step 1/2 --mu-min -3",
+     "mu-min must be >= 1, got -3"),
+    ("verify-stability --g 0 --mu-max 2 --step 1/2",
+     "each attempted chamber holds one grid point of (1, 2]: no transport"
+     " to certify"),
     # --x pins a section of the open stratum, so a stratum label refuses it
     ("plan --from 4,1/2 --to 15/4,1/2 --g 2 --label B-2F --x 1",
      "section coefficient x=1 pins an open-stratum section; label B-2F is"
@@ -392,8 +398,10 @@ def test_figure_output_file(capsys, tmp_path):
 
 
 def test_report_json(capsys):
+    # step 1/3 puts three points in each chamber (at step 1/2 each holds
+    # one, which checks no transport and is refused)
     payload = check(capsys, "report",
-                    "report", "--g", "2", "--mu-max", "6", "--step", "1/2",
+                    "report", "--g", "2", "--mu-max", "6", "--step", "1/3",
                     "--json")
     assert [c["index"] for c in payload["chambers"]] == list(range(1, 12))
     for c in payload["chambers"]:
@@ -426,9 +434,16 @@ def test_report_gives_every_chamber_its_labels(capsys):
 
 
 def test_report_marks_chambers_without_grid_points(capsys):
-    # step 1/2 puts no grid point in chambers 4 and 5 of (1, 9/4]
+    # step 1/2 puts one grid point in each of chambers 2 and 3 of (1, 9/4],
+    # which checks no transport, so it is refused
     code, out, err = run(capsys, "report", "--g", "1", "--mu-max", "9/4",
                          "--step", "1/2")
+    assert (code, out) == (2, "")
+    assert err == ("error: each attempted chamber holds one grid point of"
+                   " (1, 9/4]: no transport to certify\n")
+    # step 1/3 puts three in each of them and none in chambers 4 and 5
+    code, out, err = run(capsys, "report", "--g", "1", "--mu-max", "9/4",
+                         "--step", "1/3")
     assert (code, err) == (0, "")
     assert [line.rsplit("; stability ", 1)[1]
             for line in out.splitlines()[1:6]] == [

@@ -25,6 +25,8 @@ then.  It refuses to run when neither src/ nor the benchmark's paths differ
 from HEAD (no tracked change, staged or not, and no untracked file there):
 both sides would then be the same code.  So run it before committing the
 change, or from a checkout of the parent with the change unpacked over it.
+A --claim that names no workload and end-to-end metric of BENCHMARK.json
+is refused before the first run.
 """
 
 from __future__ import annotations
@@ -158,6 +160,12 @@ def main(argv=None) -> int:
     spec = bench["end_to_end"]
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
+    claimed = args.claim.split(":") if args.claim else None
+    if claimed and (len(claimed) != 2 or claimed[0] not in workloads
+                    or claimed[1] not in [m["name"] for m in spec]):
+        sys.exit(f"bench_ab: --claim {args.claim} names no WORKLOAD:METRIC"
+                 f" of BENCHMARK.json (workloads: {', '.join(workloads)};"
+                 f" metrics: {', '.join(m['name'] for m in spec)})")
     compared = ["src", *bench["paths"]]
     if not differs(ROOT, compared):
         sys.exit(f"bench_ab: {', '.join(compared)} match HEAD, so both sides"
@@ -182,7 +190,7 @@ def main(argv=None) -> int:
                 runs[side].append(record)
 
     summary = {w: summarize(runs, w, spec) for w in workloads}
-    claim = claim_of(summary, *args.claim.split(":")) if args.claim else None
+    claim = claim_of(summary, *claimed) if claimed else None
     record = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed N"
