@@ -38,16 +38,21 @@ min(g, ceil(mu - c') - 1): its solution is positive exactly there.
 
 Internally a cone point is an integer projective state (b, f, e, d): the
 areas of B, F and E are b/d, f/d and e/d.  A NormalizedClass (m/d, n/d)
-enters as (m, d, n, d) from its cached integer form; a step with t = p/q
-is an integer multiply-add with the pairings (Z.B, Z.F, Z.E, Z.Z) cached
-on Z.  Every comparison inside a plan is an integer comparison on states
-and on the endpoints' cached (m, n, d): `plan`'s preconditions, the range
-check t (-Z.Z) < area(Z), the label check (E and F-E have positive area
-iff 0 < e < f), the sign of mu' - mu, the open-stratum refusals, a hop's
-wall limit and reach bound, and the blow-up-area floor between hops.  A
-`Fraction` is built only where a value leaves the plan: a step's t, a
-`simplest_between` hop target, or an error text.  One walk,
-`_certify`, checks every t against its range and every class of the
+enters as (m, d, n, d) from its cached integer form.  A step is an integer
+move (z, p, q, tag): inflate along z with t = p/q, q > 0, leaning on the
+assumption `tag`; applying it is an integer multiply-add with the pairings
+(Z.B, Z.F, Z.E, Z.Z) cached on Z.  Every comparison inside a plan is an
+integer comparison on states, moves and the endpoints' cached (m, n, d):
+`plan`'s preconditions, the sign and range checks 0 <= p and
+p (-Z.Z) < q area(Z), the label check (E and F-E have positive area iff
+0 < e < f), the sign of mu' - mu, the open-stratum refusals, a hop's wall
+limit and reach bound, and the blow-up-area floor between hops.  A plan
+holds its moves; `InflationPlan.steps` builds the `InflationStep`s, with
+t = Fraction(p, q), on first read, so a plan that is only judged (as by
+the grid verifier) builds no `InflationStep` and no `Fraction` of a step.
+Otherwise a `Fraction` is built only for a `simplest_between` hop target,
+the public `stratum_left_parameter`, or an error text.  One walk,
+`_certify`, checks every move against its range and every class of the
 plan's label at every state it reaches; `_route` checks the start once,
 so a certified plan stays in its stratum.  Leg builders advance states
 only through the walk, so a plan is certified once, as it is built.  One
@@ -58,6 +63,7 @@ exactly, compared in integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,6 +91,10 @@ _MAX_ROUNDS = 1 << 20
 # f/d and e/d, with d > 0 and the four integers coprime.  The start state of
 # a plan has fiber area 1, and each t is measured in those area units.
 State = tuple[int, int, int, int]
+
+# Integer move (z, p, q, tag): inflate along z with t = p/q, q > 0, under the
+# curve-existence assumption `tag` (see `InflationStep`).
+Move = tuple[ClassVector, int, int, str]
 
 
 def _state_of(u: NormalizedClass) -> State:
@@ -120,25 +130,27 @@ def _require_label(state: State, label: StratumLabel | None) -> None:
                         " area")
 
 
-def _certify(state: State, steps, label: StratumLabel | None) -> list[State]:
-    """Walk `steps` from `state`, raising PlanError unless every t lies in
-    its range [0, T) of a class of positive area and every class of `label`
-    has positive area at every state after the start (its caller checks the
-    start); returns the states, the start first."""
-    states = [state]
-    for step in steps:
-        z, t = step.z, step.t
+def _certify(state: State, moves, label: StratumLabel | None,
+             states: list[State] | None = None) -> State:
+    """Walk `moves` from `state`, raising PlanError unless every t = p/q has
+    p >= 0 and q > 0 and lies in its range [0, T) of a class of positive
+    area, and every class of `label` has positive area at every state after
+    the start (its caller checks the start); returns the end state, and
+    appends every state after the start to `states` when given."""
+    for z, p, q, _ in moves:
+        if p < 0 or q <= 0:
+            raise PlanError(f"step ({z}, {p}/{q}) needs a parameter p/q"
+                            " with p >= 0 and q > 0")
         a = _area3(state, z)
         b, f, e, d = state
         if a <= 0:
             raise PlanError(f"{z} has non-positive area"
                             f" {format_rational(Fraction(a, d))} mid-plan")
         db, df, de, zz = z.pairings
-        p, q = t.numerator, t.denominator
         # t (-Z.Z) < a/d, denominators cleared
         if zz < 0 and p * -zz * d >= q * a:
             raise PlanError(
-                f"step ({z}, {format_rational(t)}) exceeds its"
+                f"step ({z}, {format_rational(Fraction(p, q))}) exceeds its"
                 f" range [0, {format_rational(Fraction(a, d * -zz))})")
         # state + t PD(z), over the common denominator d q
         pd = p * d
@@ -146,14 +158,9 @@ def _certify(state: State, steps, label: StratumLabel | None) -> list[State]:
         g = math.gcd(b, f, e, d)
         state = (b // g, f // g, e // g, d // g)
         _require_label(state, label)
-        states.append(state)
-    return states
-
-
-def _advance(state: State, steps: list[InflationStep],
-             label: StratumLabel | None) -> tuple[list[InflationStep], State]:
-    """`steps` and the state they reach, walked from a certified state."""
-    return steps, _certify(state, steps, label)[-1]
+        if states is not None:
+            states.append(state)
+    return state
 
 
 class PlanError(ValueError):
@@ -162,25 +169,32 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class InflationPlan:
-    """A certified sequence of inflation steps from start to end."""
+    """A certified sequence of inflation moves from start to end."""
 
     start: NormalizedClass
-    steps: tuple[InflationStep, ...]
+    moves: tuple[Move, ...]
     end: NormalizedClass
     label: StratumLabel | None = None
 
+    @functools.cached_property
+    def steps(self) -> tuple[InflationStep, ...]:
+        """The moves as `InflationStep`s with t = p/q, built on first read."""
+        return tuple(InflationStep(z, Fraction(p, q), tag)
+                     for z, p, q, tag in self.moves)
+
     def _walk(self) -> list[State]:
-        """The certified states of the steps from the start, the start first."""
-        state = _state_of(self.start)
-        _require_label(state, self.label)
-        return _certify(state, self.steps, self.label)
+        """The certified states of the moves from the start, the start first."""
+        states = [_state_of(self.start)]
+        _require_label(states[0], self.label)
+        _certify(states[0], self.moves, self.label, states)
+        return states
 
     def intermediates(self) -> list[NormalizedClass]:
         """Normalized points after each step (the last one equals `end`)."""
         return [_normalized(st) for st in self._walk()[1:]]
 
     def replay(self) -> NormalizedClass:
-        """Re-run and re-certify the steps, and return the endpoint."""
+        """Re-run and re-certify the moves, and return the endpoint."""
         return _normalized(self._walk()[-1])
 
     def stays_in_chamber(self) -> bool:
@@ -210,10 +224,11 @@ class InflationPlan:
 
 
 def _vertical_solve(state: State, z1: ClassVector,
-                    c_target: Fraction) -> tuple[Fraction, Fraction]:
+                    c_target: Fraction) -> tuple[int, int, int]:
     """Solve state + t1 PD(z1) + t2 PD(F-E) for unchanged normalized mu and
-    normalized blow-up area c_target.  Raises when no positive solution
-    exists (the recipe's feasibility constraint)."""
+    normalized blow-up area c_target, as integers (p1, p2, q) with t1 = p1/q,
+    t2 = p2/q and q > 0.  Raises when no positive solution exists (the
+    recipe's feasibility constraint)."""
     vb, vf, ve, _ = z1.pairings
     b, f, e, d = state
     cn, cd = c_target.numerator, c_target.denominator
@@ -229,19 +244,21 @@ def _vertical_solve(state: State, z1: ClassVector,
             f" {format_rational(vb - ve + c_target * vf)}"
             f" (mu = {format_rational(Fraction(b, f))}): no positive solution")
     rise, lean = cn * f - e * cd, b * vf - vb * f
-    t1, t2 = Fraction(rise * f, d * den), Fraction(rise * lean, d * den)
+    p1, p2, q = rise * f, rise * lean, d * den
     # f, d and den are positive, so t1 and t2 take the signs of rise and
     # rise lean, and den > 0 with c_target > c ensures both
     if rise <= 0 or lean < 0:  # pragma: no cover
         raise PlanError(f"vertical solve along {z1} gave non-positive"
-                        f" parameters t1={t1}, t2={t2}")
-    return t1, t2
+                        f" parameters t1={Fraction(p1, q)},"
+                        f" t2={Fraction(p2, q)}")
+    return p1, p2, q
 
 
-def _interleaved(state: State, z: ClassVector, t1: Fraction, t2: Fraction,
-                 label: StratumLabel) -> tuple[list[InflationStep], State]:
-    """N rounds of (F-E, t2/N) then (z, t1/N), realizing state + t1 PD(z)
-    + t2 PD(F-E), and the state they reach.
+def _interleaved(state: State, z: ClassVector, p1: int, p2: int, q: int,
+                 label: StratumLabel) -> tuple[list[Move], State]:
+    """N rounds of (F-E, t2/N) then (z, t1/N), with t1 = p1/q and
+    t2 = p2/q, realizing state + t1 PD(z) + t2 PD(F-E), and the state they
+    reach.
 
     Each area the walk checks is affine in the round index, so a check
     binds in the first or the last round.  The label holds at both ends of
@@ -252,23 +269,22 @@ def _interleaved(state: State, z: ClassVector, t1: Fraction, t2: Fraction,
     (r = 0, 1) the second implies the first, as the area of F-E changes by
     t1 (1 - r - mu - k) <= 0 over the raise (mu >= 1); N = 1 for r = 1,
     where z.(F-E) = 0.  N grows like 1/(1 - c_target), so a target near 1
-    can ask for any N; past _MAX_ROUNDS the raise is refused before a step
+    can ask for any N; past _MAX_ROUNDS the raise is refused before a move
     is built.
     """
     _, vf, ve, _ = z.pairings
     _, f, e, d = state
-    p1, q1, p2, q2 = t1.numerator, t1.denominator, t2.numerator, t2.denominator
-    # area_start(F-E), t2 and t1 z.(F-E), all times d q1 q2; area_end(F-E)
-    # is fe + rise1 - rise2, and N is the least power of two > both quotients
-    fe, rise2, rise1 = (f - e) * q1 * q2, p2 * d * q1, p1 * (vf - ve) * d * q2
+    # area_start(F-E), t2 and t1 z.(F-E), all times d q; area_end(F-E) is
+    # fe + rise1 - rise2, and N is the least power of two > both quotients
+    fe, rise2, rise1 = (f - e) * q, p2 * d, p1 * (vf - ve) * d
     least = max(rise2 // fe, rise1 // (fe + rise1 - rise2))
     rounds = 1 << least.bit_length()
     if rounds > _MAX_ROUNDS:
         raise PlanError(f"the raise along {z} needs {rounds} interleaved"
                         f" rounds, more than {_MAX_ROUNDS}")
-    steps = [InflationStep(_FE, Fraction(p2, q2 * rounds), ALWAYS),
-             InflationStep(z, Fraction(p1, q1 * rounds), STRATUM)] * rounds
-    return _advance(state, steps, label)
+    qn = q * rounds
+    moves = [(_FE, p2, qn, ALWAYS), (z, p1, qn, STRATUM)] * rounds
+    return moves, _certify(state, moves, label)
 
 
 def _section(x: int, params: SurfaceParams) -> ClassVector:
@@ -290,17 +306,17 @@ def _check_x(x: int | None, label: StratumLabel,
                         f" section; label {label.name} is not open")
 
 
-def _drop(state: State, cn: int, cd: int) -> InflationStep:
-    """The E step lowering the normalized blow-up area e/f to cn/cd (cd > 0):
+def _drop(state: State, cn: int, cd: int) -> Move:
+    """The E move lowering the normalized blow-up area e/f to cn/cd (cd > 0):
     t = (f/d) (e/f - cn/cd)."""
     _, f, e, d = state
-    return InflationStep(E, Fraction(e * cd - cn * f, cd * d), ALWAYS)
+    return (E, e * cd - cn * f, cd * d, ALWAYS)
 
 
 def _vertical_steps(state: State, c_target: Fraction,
                     label: StratumLabel | None, params: SurfaceParams | None,
-                    x: int | None) -> tuple[list[InflationStep], State]:
-    """Steps moving normalized (mu, c) to (mu, c_target), and their end."""
+                    x: int | None) -> tuple[list[Move], State]:
+    """Moves taking normalized (mu, c) to (mu, c_target), and their end."""
     b, f, e, d = state
     cn, cd = c_target.numerator, c_target.denominator
     # the sign of c - c_target, with c = e/f
@@ -308,23 +324,23 @@ def _vertical_steps(state: State, c_target: Fraction,
     if above == 0:
         return [], state
     if above > 0:  # an embedded E always exists
-        return _advance(state, [_drop(state, cn, cd)], label)
+        moves = [_drop(state, cn, cd)]
+        return moves, _certify(state, moves, label)
     if label.is_open:
         if x is None:
             # the largest x <= g with x < mu - c_target (`_vertical_solve`'s
             # test), >= 0 as every route ends at mu >= 1 > c_target
             x = min(params.g, (b * cd - cn * f - 1) // (f * cd))
         section = _section(x, params)
-        t1, t2 = _vertical_solve(state, section, c_target)
+        p1, p2, q = _vertical_solve(state, section, c_target)
         # B+xF has square 2x >= 0; applying it first always stays in range
-        return _advance(state, [InflationStep(section, t1, OPEN),
-                                InflationStep(_FE, t2, ALWAYS)], label)
+        moves = [(section, p1, q, OPEN), (_FE, p2, q, ALWAYS)]
+        return moves, _certify(state, moves, label)
     # rounds exist only if the label is present at the target (its classes
     # then stay positive on the straight path), so check (mu, c_target) first
     _require_label((b * cd, f * cd, cn * f, d * cd), label)
     z = label.core[0]
-    t1, t2 = _vertical_solve(state, z, c_target)
-    return _interleaved(state, z, t1, t2, label)
+    return _interleaved(state, z, *_vertical_solve(state, z, c_target), label)
 
 
 # -- horizontal moves --------------------------------------------------------
@@ -347,12 +363,12 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
         raise PlanError(f"leftward target must lie in (1,"
                         f" {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    return _left_hop(_state_of(u), z, mu_target.numerator,
-                     mu_target.denominator)[-1].t
+    _, p, q, _ = _left_hop(_state_of(u), z, mu_target.numerator,
+                           mu_target.denominator)[-1]
+    return Fraction(p, q)
 
 
-def _left_hop(state: State, z: ClassVector, mn: int,
-              md: int) -> list[InflationStep]:
+def _left_hop(state: State, z: ClassVector, mn: int, md: int) -> list[Move]:
     """One leftward hop to normalized mu' = mn/md > 1: fiber companion
     first, then z (replay-safe order)."""
     companion = 1 - z.pairings[0]
@@ -363,9 +379,8 @@ def _left_hop(state: State, z: ClassVector, mn: int,
     if num <= 0:
         raise PlanError(f"hop target {format_rational(Fraction(mn, md))} is"
                         " not to the left of the current point")
-    steps = ([InflationStep(F, Fraction(companion * num, den), ALWAYS)]
-             if companion > 0 else [])
-    return steps + [InflationStep(z, Fraction(num, den), STRATUM)]
+    moves = [(F, companion * num, den, ALWAYS)] if companion > 0 else []
+    return moves + [(z, num, den, STRATUM)]
 
 
 def _left_reach_bound(state: State, z: ClassVector) -> tuple[int, int]:
@@ -386,7 +401,7 @@ def _left_reach_bound(state: State, z: ClassVector) -> tuple[int, int]:
 
 
 def _left_route(state: State, target: NormalizedClass,
-                label: StratumLabel) -> tuple[list[InflationStep], State]:
+                label: StratumLabel) -> tuple[list[Move], State]:
     """Hops along the label's class z from the start state down to
     mu' = target.mu, and the end state.
 
@@ -416,17 +431,18 @@ def _left_route(state: State, target: NormalizedClass,
     for pn, pd in ((n, dt), (m - limit * dt, 2 * dt)):
         if pn * fd < fn * pd:
             fn, fd = pn, pd
-    steps: list[InflationStep] = []
+    moves: list[Move] = []
     for _ in range(_MAX_HOPS):
         bn, bd = _left_reach_bound(state, z)
         _, f, e, _ = state
         if m * bd <= bn * dt and e * fd > fn * f:  # mu' <= bound, c > floor
-            drop, state = _advance(state, [_drop(state, fn, fd)], label)
-            steps += drop
+            drop = _drop(state, fn, fd)
+            state = _certify(state, (drop,), label)
+            moves.append(drop)
             bn, bd = _left_reach_bound(state, z)
         if m * bd > bn * dt:  # one hop reaches mu'
-            hop, state = _advance(state, _left_hop(state, z, m, dt), label)
-            return steps + hop, state
+            hop = _left_hop(state, z, m, dt)
+            return moves + hop, _certify(state, hop, label)
         b, f, _, _ = state
         if bn * f >= b * bd:  # pragma: no cover - guarded by area checks
             raise PlanError(f"no leftward progress possible along {z}")
@@ -434,9 +450,9 @@ def _left_route(state: State, target: NormalizedClass,
         # small denominators keep plans compact
         hop_to = simplest_between(Fraction(bn, bd),
                                   Fraction(7 * bn * f + b * bd, 8 * bd * f))
-        hop, state = _advance(state, _left_hop(
-            state, z, hop_to.numerator, hop_to.denominator), label)
-        steps += hop
+        hop = _left_hop(state, z, hop_to.numerator, hop_to.denominator)
+        state = _certify(state, hop, label)
+        moves += hop
     raise PlanError(
         f"leftward target {format_rational(target.mu)} needs more than"
         f" {_MAX_HOPS} hops along {z}")
@@ -463,8 +479,8 @@ def _open_left_refusal(params: SurfaceParams, mu: Fraction,
 
 def _horizontal_leg(state: State, target: NormalizedClass,
                     label: StratumLabel | None, params: SurfaceParams | None,
-                    x: int | None) -> tuple[list[InflationStep], State]:
-    """Steps moving the normalized mu = b/f of `state`, a plan's start, to
+                    x: int | None) -> tuple[list[Move], State]:
+    """Moves taking the normalized mu = b/f of `state`, a plan's start, to
     mu' = target.mu, and the state they reach.
 
     Rightward is one F step.  Leftward on the open stratum is one hop along
@@ -479,8 +495,8 @@ def _horizontal_leg(state: State, target: NormalizedClass,
     if shift == 0:
         return [], state
     if shift > 0:  # t = (f/d) (mu' - mu)
-        step = InflationStep(F, Fraction(shift, dt * d), ALWAYS)
-        return _advance(state, [step], label)
+        moves = [(F, shift, dt * d, ALWAYS)]
+        return moves, _certify(state, moves, label)
     if not label.is_open:
         return _left_route(state, target, label)
     x = params.g if x is None else x
@@ -491,8 +507,8 @@ def _horizontal_leg(state: State, target: NormalizedClass,
     if m <= params.g * dt or m < dt:
         raise _open_left_refusal(params, Fraction(b, f), target.mu)
     # t = (f/d) (mu - mu') / (mu' - x)
-    step = InflationStep(section, Fraction(-shift, d * (m - x * dt)), OPEN)
-    return _advance(state, [step], label)
+    moves = [(section, -shift, d * (m - x * dt), OPEN)]
+    return moves, _certify(state, moves, label)
 
 
 def _route(u: NormalizedClass, target: NormalizedClass,
@@ -506,13 +522,13 @@ def _route(u: NormalizedClass, target: NormalizedClass,
     exactly: with target = (m, n, d), b/f = m/d and e/f = n/d."""
     state = _state_of(u)
     _require_label(state, label)
-    steps, state = _horizontal_leg(state, target, label, params, hop_x)
+    moves, state = _horizontal_leg(state, target, label, params, hop_x)
     more, state = _vertical_steps(state, target.c, label, params, raise_x)
     b, f, e, _ = state
     m, n, d = target.ints
     if b * d != m * f or e * d != n * f:  # pragma: no cover - exactness guard
         raise PlanError(f"plan ended at {_normalized(state)}, expected {target}")
-    return InflationPlan(u, tuple(steps + more), target, label)
+    return InflationPlan(u, tuple(moves + more), target, label)
 
 
 # -- the published recipe surface -------------------------------------------

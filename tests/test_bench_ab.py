@@ -82,6 +82,65 @@ def test_a_gain_with_more_failed_ops_is_no_claim():
     assert not tool.claim_of(summary, "classify", "op_ms_p50")["holds"]
 
 
+def _traced(side, workload, correct):
+    return {"side": side, "workload": workload, "correct": correct,
+            "failed": 0 if correct else 3}
+
+
+def test_a_gain_with_an_incorrect_traced_run_is_no_claim():
+    tool = _tool()
+    parent = [_record(s, 1.0, 500) for s in range(10)]
+    change = [_record(s, 0.5, 500) for s in range(10)]
+    summary = {"classify": tool.summarize(
+        {"parent": parent, "change": change}, "classify", SPEC)}
+    both_correct = [_traced("parent", "classify", True),
+                    _traced("change", "classify", True)]
+    assert tool.claim_of(summary, "classify", "op_ms_p50",
+                         both_correct)["holds"]
+    # the change's traced run fails where the parent's passes, on any workload
+    for workload in ("classify", "grid-verify"):
+        traced = [*both_correct, _traced("parent", workload, True),
+                  _traced("change", workload, False)]
+        claim = tool.claim_of(summary, "classify", "op_ms_p50", traced)
+        assert claim["traced_regressions"] == [workload]
+        assert not claim["holds"]
+    # a traced run the parent fails as well is no regression of the change
+    traced = [_traced("parent", "classify", False),
+              _traced("change", "classify", False)]
+    claim = tool.claim_of(summary, "classify", "op_ms_p50", traced)
+    assert claim["traced_regressions"] == [] and claim["holds"]
+
+
+def test_main_prints_traced_runs_and_fails_the_claim(tmp_path, monkeypatch,
+                                                     capsys):
+    tool = _tool()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"paths": ["perfbench"], "run_seconds": 1,
+         "workloads": [{"name": "classify"}], "end_to_end": SPEC}))
+
+    def run_once(root, workload, seed, seconds, trace):
+        change = root == tmp_path
+        record = _record(seed, 0.5 if change else 1.0, 500)
+        if trace:  # the change's traced run finds a wrong answer
+            record.update(correct=not change, failed=2 if change else 0)
+        return record
+
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "differs", lambda root, paths: True)
+    monkeypatch.setattr(tool, "git", lambda *args, **kw: "0" * 40)
+    monkeypatch.setattr(tool, "export", lambda rev, into: None)
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--out", str(out), "--claim", "classify:op_ms_p50"]) == 1
+    printed = capsys.readouterr().out
+    assert "traced parent classify: correct True, failed 0" in printed
+    assert "traced change classify: correct False, failed 2" in printed
+    assert "claim classify:op_ms_p50: FAILS" in printed
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["pairs_won"] == 10 and claim["traced_regressions"] == [
+        "classify"]
+
+
 def test_runs_spread_wider_than_the_bound_are_unresolved():
     tool = _tool()
     parent = [_record(s, 1.0, 500) for s in range(10)]

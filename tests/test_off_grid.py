@@ -19,8 +19,7 @@ import pytest
 
 import ruledcone.planner as planner
 from ruledcone.cone import ChamberId, NormalizedClass, chamber_of, normalized
-from ruledcone.inflation import (InflationStep, apply_step, check_step,
-                                 normalize, raw_from)
+from ruledcone.inflation import apply_step, check_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams, codim
 from ruledcone.planner import PlanError, plan, plan_vertical, verify_stability
 from ruledcone.strata import StratumLabel, chamber_labels
@@ -61,18 +60,19 @@ def _sample():
 
 @contextmanager
 def _recording(calls: list):
-    """Record (state, z, t1, t2, label, N) for every call of
-    `planner._interleaved`, N = None when it raised."""
+    """Record (state, z, p1, p2, q, label, N) for every call of
+    `planner._interleaved` (t1 = p1/q, t2 = p2/q), N = None when it
+    raised."""
     real = planner._interleaved
 
-    def recorded(state, z, t1, t2, label):
+    def recorded(state, z, p1, p2, q, label):
         try:
-            steps, end = real(state, z, t1, t2, label)
+            moves, end = real(state, z, p1, p2, q, label)
         except PlanError:
-            calls.append((state, z, t1, t2, label, None))
+            calls.append((state, z, p1, p2, q, label, None))
             raise
-        calls.append((state, z, t1, t2, label, len(steps) // 2))
-        return steps, end
+        calls.append((state, z, p1, p2, q, label, len(moves) // 2))
+        return moves, end
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "_interleaved", recorded)
@@ -109,15 +109,16 @@ def test_off_grid_verdicts_certify_and_replay_exactly(off_grid):
     assert refused == 0
 
 
-def _doubling_rounds(state, z, t1, t2, label) -> int | None:
+def _doubling_rounds(state, z, p1, p2, q, label) -> int | None:
     """The least N = 1, 2, 4, ... whose rounds certify (the search the
     closed form replaced), or None past 2**20."""
     rounds = 1
     while rounds <= 1 << 20:
-        steps = [InflationStep(F - E, t2 / rounds),
-                 InflationStep(z, t1 / rounds)] * rounds
+        t1, t2 = Q(p1, q) / rounds, Q(p2, q) / rounds
+        moves = [(F - E, t2.numerator, t2.denominator, planner.ALWAYS),
+                 (z, t1.numerator, t1.denominator, planner.STRATUM)] * rounds
         try:
-            planner._certify(state, steps, label)
+            planner._certify(state, moves, label)
             return rounds
         except PlanError:
             rounds *= 2
@@ -144,10 +145,10 @@ def test_interleave_round_count_matches_a_doubling_search(off_grid):
                         plan_vertical(normalized(Q(i, 6), Q(j, 6)), Q(k, 6),
                                       label, params)
     calls = grid_calls + off_grid_calls + other_calls
-    mismatches = [c for c in calls if _doubling_rounds(*c[:5]) != c[5]]
+    mismatches = [c for c in calls if _doubling_rounds(*c[:6]) != c[6]]
     assert mismatches == []
     assert len(grid_calls) == 360
-    assert Counter(c[5] for c in other_calls) == {
+    assert Counter(c[6] for c in other_calls) == {
         1: 492, 2: 137, 4: 107, 8: 53, 16: 9}
-    assert Counter(c[5] for c in off_grid_calls) == {
+    assert Counter(c[6] for c in off_grid_calls) == {
         1: 4939, 2: 182, 4: 93, 8: 51, 16: 24, 32: 11, 64: 7, 128: 5, 256: 5}

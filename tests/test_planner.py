@@ -484,7 +484,7 @@ def test_interleave_round_cap_is_inclusive(monkeypatch):
 def test_replay_keeps_the_stratum():
     # every range holds, but the one step leaves the stratum of B-2F: its
     # area is 2 at (4, 1/2) and 0 at (2, 1/4)
-    pl = InflationPlan(normalized(4, Q(1, 2)), (InflationStep(B, 1),),
+    pl = InflationPlan(normalized(4, Q(1, 2)), ((B, 1, 1, OPEN),),
                        normalized(2, Q(1, 4)), label_for(B - 2 * F, P2))
     text = "label B-2F is absent at (2, 1/4): B-2F has non-positive area"
     for use in (pl.replay, pl.intermediates, pl.as_json):
@@ -527,8 +527,9 @@ def test_plan_steps_respect_ranges_by_replay():
             (50, "step (B-2F-E, 25) exceeds its range [0, 153/10)"),
             (2, "step (B-2F-E, 1) exceeds its range [0, 9/10)")):
         bad = InflationPlan(pl.start,
-                            tuple(InflationStep(s.z, factor * s.t, s.assumption)
-                                  for s in pl.steps), pl.end, pl.label)
+                            tuple((z, factor * p, q, tag)
+                                  for z, p, q, tag in pl.moves), pl.end,
+                            pl.label)
         with pytest.raises(PlanError) as err:
             bad.replay()
         assert str(err.value) == text
@@ -538,20 +539,35 @@ def test_certified_walk_range_boundaries():
     # (7/3, 2/5) is held with denominators cleared; the bound of a step is
     # strict and exact, whatever the scale of the state
     u = normalized(Q(7, 3), Q(2, 5))
-    at_bound = InflationPlan(u, (InflationStep(E, Q(2, 5)),), u)
+    at_bound = InflationPlan(u, ((E, 2, 5, ALWAYS),), u)
     with pytest.raises(PlanError) as err:
         at_bound.replay()
     assert str(err.value) == "step (E, 2/5) exceeds its range [0, 2/5)"
-    inside = InflationPlan(u, (InflationStep(E, Q(2, 5) - Q(1, 10**9)),), u)
+    # an unreduced p/q is the same t
+    at_bound = InflationPlan(u, ((E, 6, 15, ALWAYS),), u)
+    with pytest.raises(PlanError) as err:
+        at_bound.replay()
+    assert str(err.value) == "step (E, 2/5) exceeds its range [0, 2/5)"
+    t = Q(2, 5) - Q(1, 10**9)
+    inside = InflationPlan(u, ((E, t.numerator, t.denominator, ALWAYS),), u)
     assert inside.replay() == normalized(Q(7, 3), Q(1, 10**9))
     assert str(inside.intermediates()[-1]) == "(7/3, 1/1000000000)"
     # after (F, 1/3) the areas are (8/3, 1, 2/5): B-3F has area -1/3
-    negative = InflationPlan(u, (InflationStep(F, Q(1, 3)),
-                                 InflationStep(B - 3 * F, Q(1))), u)
+    negative = InflationPlan(u, ((F, 1, 3, ALWAYS),
+                                 (B - 3 * F, 1, 1, STRATUM)), u)
     for walk in (negative.replay, negative.intermediates):
         with pytest.raises(PlanError) as err:
             walk()
         assert str(err.value) == "B-3F has non-positive area -1/3 mid-plan"
+    # t = p/q needs p >= 0 and q > 0; t = 0 is in range
+    for p, q in ((-1, 3), (1, 0), (1, -3), (0, 0)):
+        bad = InflationPlan(u, ((F, p, q, ALWAYS),), u)
+        for walk in (bad.replay, bad.intermediates):
+            with pytest.raises(PlanError) as err:
+                walk()
+            assert str(err.value) == (f"step (F, {p}/{q}) needs a parameter"
+                                      " p/q with p >= 0 and q > 0")
+    assert InflationPlan(u, ((F, 0, 7, ALWAYS),), u).replay() == u
 
 
 def test_plan_reachability_is_symmetric_on_grid():
@@ -623,7 +639,7 @@ def test_stays_in_chamber_matches_the_point_test():
             assert verdicts[-1] == _stays_by_points(pl), (g, u1, u2)
     assert True in verdicts and False in verdicts
     # a step along B to mu = 1/2 leaves the cone; a start outside it
-    out = InflationPlan(normalized(2, Q(1, 4)), (InflationStep(B, Q(3)),),
+    out = InflationPlan(normalized(2, Q(1, 4)), ((B, 3, 1, OPEN),),
                         normalized(Q(1, 2), Q(1, 16)))
     outside = InflationPlan(normalized(Q(1, 2), Q(1, 4)), (),
                             normalized(Q(1, 2), Q(1, 4)))
@@ -794,6 +810,31 @@ def test_verify_stability_plans_once_per_verdict(monkeypatch):
                            min_index=1)
     assert not rep["ok"] and any(v["failed"] == 0 for v in rep["chambers"])
     assert len(calls) == sum(v["checked"] for v in rep["chambers"]) == 1560
+
+
+def test_verdicts_build_no_steps_and_steps_are_built_once(monkeypatch):
+    # the verifier judges plans by their integer moves alone: on the two
+    # step-1/4 grids of tests/golden/verify.json it builds no InflationStep
+    built = []
+    real = InflationStep.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(InflationStep, "__post_init__", counted)
+    rep1 = verify_stability(P1, 3, Q(1, 4))
+    rep2 = verify_stability(P2, 3, Q(1, 4), mu_min=1, min_index=1)
+    assert sum(v["checked"] for r in (rep1, rep2) for v in r["chambers"]) > 0
+    assert built == []
+    # a read of `steps` builds them once, as Fraction(p, q) of each move
+    pl = plan(normalized(4, Q(1, 2)), normalized(Q(15, 4), Q(5, 8)),
+              label_for(B - 2 * F - E, P2), P2)
+    steps = pl.steps
+    assert len(built) == len(pl.moves) > 2
+    assert pl.steps is steps and len(built) == len(pl.moves)
+    assert steps == tuple(InflationStep(z, Q(p, q), tag)
+                          for z, p, q, tag in pl.moves)
 
 
 def test_discrepancy_records():

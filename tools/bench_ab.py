@@ -18,8 +18,11 @@ is wider than the bound (relative to its median) and not every run of the
 change reads better than every run of the parent, else "within" or
 "outside" by the change of the median.  A claimed metric holds when the
 change wins at least nine tenths of the pairs, its median beats the
-parent's by more than the parent's interquartile range, and no larger
-share of its ops fails.  Run it from the root of the working tree, on an
+parent's by more than the parent's interquartile range, no larger share
+of its ops fails, and no traced run of the change is incorrect where the
+parent's traced run of that workload is correct (a traced run checks more
+than a timed one, e.g. one ``planner.plan`` per grid verdict); each traced
+run's ``correct`` and ``failed`` are printed.  Run it from the root of the working tree, on an
 otherwise idle machine: the sides share its cores with nothing else only
 then.  It refuses to run when neither src/ nor the benchmark's paths differ
 from HEAD (no tracked change, staged or not, and no untracked file there):
@@ -134,18 +137,31 @@ def summarize(runs: dict, workload: str, spec: list[dict]) -> dict:
     return summary
 
 
-def claim_of(summary: dict, workload: str, metric: str) -> dict:
+def traced_regressions(traced: list[dict]) -> list[str]:
+    """The workloads whose traced run of the change is incorrect while the
+    parent's traced run is correct."""
+    correct = {(r["side"], r["workload"]): r["correct"] for r in traced}
+    return sorted(w for side, w in correct if side == "change"
+                  and not correct[side, w] and correct.get(("parent", w)))
+
+
+def claim_of(summary: dict, workload: str, metric: str,
+             traced: list[dict] | None = None) -> dict:
     """The claim holds when the change wins at least nine tenths of the
-    pairs, its median gain exceeds the parent's interquartile range, and
-    no larger share of its ops fails than of the parent's."""
+    pairs, its median gain exceeds the parent's interquartile range, no
+    larger share of its ops fails than of the parent's, and no traced run
+    of the change is incorrect where the parent's is correct."""
     s = summary[workload][metric]
     fail = summary[workload]["fail_share"]
+    regressions = traced_regressions(traced or [])
     return {"workload": workload, "metric": metric,
             "pairs_won": s["pairs_won"], "pairs": s["pairs"],
             "won_by_seed": s["won_by_seed"],
+            "traced_regressions": regressions,
             "holds": (s["pairs_won"] >= 0.9 * s["pairs"]
                       and s["gain_exceeds_parent_iqr"]
-                      and fail["change"] <= fail["parent"])}
+                      and fail["change"] <= fail["parent"]
+                      and not regressions)}
 
 
 def main(argv=None) -> int:
@@ -190,7 +206,7 @@ def main(argv=None) -> int:
                 runs[side].append(record)
 
     summary = {w: summarize(runs, w, spec) for w in workloads}
-    claim = claim_of(summary, *claimed) if claimed else None
+    claim = claim_of(summary, *claimed, traced) if claimed else None
     record = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed N"
@@ -215,6 +231,9 @@ def main(argv=None) -> int:
                   f" change {s['change']['median']:.4g}, won"
                   f" {s['pairs_won']}/{s['pairs']},"
                   f" {s['verdict']} (bound {s['bound']:g})")
+    for r in traced:
+        print(f"traced {r['side']} {r['workload']}: correct {r['correct']},"
+              f" failed {r['failed']}")
     if claim is not None:
         print(f"claim {args.claim}: {'holds' if claim['holds'] else 'FAILS'}")
     return 0 if claim is None or claim["holds"] else 1
