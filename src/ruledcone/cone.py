@@ -20,7 +20,10 @@ are strict on the left condition and non-strict on the right, matching the
 half-open intervals of the minimal case.
 
 Validity and chamber membership are integer comparisons on the cached form
-(m, n, d) of a class, with mu = m/d and c = n/d.
+(m, n, d) of a class, with mu = m/d and c = n/d.  A point computes its
+validity violations and its chamber once and caches them next to (m, n, d),
+so the planner's per-call preconditions cost a lookup; an invalid point
+has no chamber, and `chamber_of` raises the same ValueError on every call.
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ class NormalizedClass:
         return (mu.numerator * (d // mu.denominator),
                 c.numerator * (d // c.denominator), d)
 
+    @cached_property
+    def _validity_and_chamber(self) -> tuple[tuple[str, ...],
+                                             ChamberId | None]:
+        """The violated cone constraints and, for a valid point, its chamber
+        (None otherwise); cached like `ints`, in one property as each first
+        read of a cached property costs about as much as computing both."""
+        bad = _find_violations(self)
+        return bad, None if bad else ChamberId(_find_chamber(self))
+
     def __str__(self) -> str:
         return f"({format_rational(self.mu)}, {format_rational(self.c)})"
 
@@ -79,6 +91,10 @@ def area(u: NormalizedClass, a: ClassVector) -> Fraction:
 def validity_violations(u: NormalizedClass) -> list[str]:
     """Violated cone constraints, mu >= 1 among them; empty when u is a
     valid normalized class."""
+    return list(u._validity_and_chamber[0])
+
+
+def _find_violations(u: NormalizedClass) -> tuple[str, ...]:
     m, n, d = u.ints
     bad: list[str] = []
     if m <= 0:
@@ -91,15 +107,15 @@ def validity_violations(u: NormalizedClass) -> list[str]:
     if m < d:
         bad.append(f"mu >= 1 policy violated (mu = {format_rational(u.mu)});"
                    " the leftmost chamber is out of scope")
-    return bad
+    return tuple(bad)
 
 
 def is_valid(u: NormalizedClass) -> bool:
-    return not validity_violations(u)
+    return not u._validity_and_chamber[0]
 
 
 def require_valid(u: NormalizedClass) -> None:
-    bad = validity_violations(u)
+    bad = u._validity_and_chamber[0]
     if bad:
         raise ValueError("invalid normalized class: " + "; ".join(bad))
 
@@ -154,11 +170,16 @@ class ChamberId:
 
 def chamber_of(u: NormalizedClass) -> ChamberId:
     """Chamber of a valid class: index 2k on k < mu <= k+c, 2k+1 on k+c < mu <= k+1."""
-    require_valid(u)
+    cid = u._validity_and_chamber[1]
+    if cid is None:  # an invalid point: raise its validity error
+        require_valid(u)
+    return cid
+
+
+def _find_chamber(u: NormalizedClass) -> int:
     m, n, d = u.ints
     k = -(-m // d) - 1  # ceil(mu) - 1, the unique integer with k < mu <= k+1
-    index = 2 * k if m <= k * d + n else 2 * k + 1
-    return ChamberId(index)
+    return 2 * k if m <= k * d + n else 2 * k + 1
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,17 @@ t = Fraction(p, q), on first read, so a plan that is only judged (as by
 the grid verifier) builds no `InflationStep` and no `Fraction` of a step.
 Otherwise a `Fraction` is built only for a `simplest_between` hop target,
 the public `stratum_left_parameter`, or an error text.  One walk,
-`_certify`, checks every move against its range and every class of the
-plan's label at every state it reaches; `_route` checks the start once,
+`_certify`, checks every move against its sign and range and every class
+of the plan's label at every state it reaches, in one integer loop with
+the label's core class bound before it; `_route` checks the start once,
 so a certified plan stays in its stratum.  Leg builders advance states
 only through the walk, so a plan is certified once, as it is built.  One
 route, `_route`, serves every entry point: `_horizontal_leg` moves mu,
 then `_vertical_steps` moves c, and the end state must equal the target
-exactly, compared in integers.
+exactly, compared in integers.  `plan` checks both endpoints' validity
+and chamber on every call, but a point computes each once and caches it
+(`cone.NormalizedClass`), as the grid verifier plans every point many
+times; likewise the section B + xF is built once per x.
 """
 
 from __future__ import annotations
@@ -115,11 +119,9 @@ def _normalized(state: State) -> NormalizedClass:
     return NormalizedClass(Fraction(b, f), Fraction(e, f))
 
 
-def _require_label(state: State, label: StratumLabel | None) -> None:
+def _require_label(state: State, label: StratumLabel) -> None:
     """Raise PlanError unless every class of `label` has positive area: its
     core class, then E and F-E, whose areas are e/d and (f - e)/d."""
-    if label is None:
-        return
     _, f, e, _ = state
     core = label.core
     bad = (core[0] if core and _area3(state, core[0]) <= 0
@@ -136,13 +138,22 @@ def _certify(state: State, moves, label: StratumLabel | None,
     p >= 0 and q > 0 and lies in its range [0, T) of a class of positive
     area, and every class of `label` has positive area at every state after
     the start (its caller checks the start); returns the end state, and
-    appends every state after the start to `states` when given."""
+    appends every state after the start to `states` when given.
+
+    One integer loop: the label's signs are tested inline, and
+    `_require_label` runs only when one fails, to write the message."""
+    checked = label is not None
+    core = label.core[0] if checked and label.core else None
+    # d times the core's area is cp b + cq f + cr e > floor; the open label
+    # has no core and tests 0 > -1
+    cp, cq, cr, floor = ((core.p, core.q, core.r[0], 0) if core is not None
+                         else (0, 0, 0, -1))
+    b, f, e, d = state
     for z, p, q, _ in moves:
         if p < 0 or q <= 0:
             raise PlanError(f"step ({z}, {p}/{q}) needs a parameter p/q"
                             " with p >= 0 and q > 0")
-        a = _area3(state, z)
-        b, f, e, d = state
+        a = z.p * b + z.q * f + z.r[0] * e  # d times the area of z
         if a <= 0:
             raise PlanError(f"{z} has non-positive area"
                             f" {format_rational(Fraction(a, d))} mid-plan")
@@ -156,11 +167,13 @@ def _certify(state: State, moves, label: StratumLabel | None,
         pd = p * d
         b, f, e, d = b * q + pd * db, f * q + pd * df, e * q + pd * de, d * q
         g = math.gcd(b, f, e, d)
-        state = (b // g, f // g, e // g, d // g)
-        _require_label(state, label)
+        if g != 1:
+            b, f, e, d = b // g, f // g, e // g, d // g
+        if checked and not (0 < e < f and cp * b + cq * f + cr * e > floor):
+            _require_label((b, f, e, d), label)
         if states is not None:
-            states.append(state)
-    return state
+            states.append((b, f, e, d))
+    return b, f, e, d
 
 
 class PlanError(ValueError):
@@ -185,7 +198,8 @@ class InflationPlan:
     def _walk(self) -> list[State]:
         """The certified states of the moves from the start, the start first."""
         states = [_state_of(self.start)]
-        _require_label(states[0], self.label)
+        if self.label is not None:
+            _require_label(states[0], self.label)
         _certify(states[0], self.moves, self.label, states)
         return states
 
@@ -291,15 +305,18 @@ def _section(x: int, params: SurfaceParams) -> ClassVector:
     """The open-stratum section class B + xF, for 0 <= x <= g."""
     if not 0 <= x <= params.g:
         raise PlanError(f"section coefficient x={x} outside 0..{params.g}")
+    return _section_class(x)
+
+
+@functools.cache
+def _section_class(x: int) -> ClassVector:
+    """B + xF, built once per x, with its pairings cached on it."""
     return B + x * F
 
 
-def _check_x(x: int | None, label: StratumLabel,
-             params: SurfaceParams) -> None:
+def _check_x(x: int, label: StratumLabel, params: SurfaceParams) -> None:
     """Check a pinned section coefficient up front, as routes with no
     section step never read x: in range, and pinned on the open label."""
-    if x is None:
-        return
     _section(x, params)
     if not label.is_open:
         raise PlanError(f"section coefficient x={x} pins an open-stratum"
@@ -318,7 +335,7 @@ def _vertical_steps(state: State, c_target: Fraction,
                     x: int | None) -> tuple[list[Move], State]:
     """Moves taking normalized (mu, c) to (mu, c_target), and their end."""
     b, f, e, d = state
-    cn, cd = c_target.numerator, c_target.denominator
+    cn, cd = c_target.as_integer_ratio()
     # the sign of c - c_target, with c = e/f
     above = e * cd - cn * f
     if above == 0:
@@ -521,7 +538,8 @@ def _route(u: NormalizedClass, target: NormalizedClass,
     reported ahead of any leg error.  The end state must be the target
     exactly: with target = (m, n, d), b/f = m/d and e/f = n/d."""
     state = _state_of(u)
-    _require_label(state, label)
+    if label is not None:
+        _require_label(state, label)
     moves, state = _horizontal_leg(state, target, label, params, hop_x)
     more, state = _vertical_steps(state, target.c, label, params, raise_x)
     b, f, e, _ = state
@@ -542,7 +560,8 @@ def plan_vertical(u: NormalizedClass, c_target, label: StratumLabel,
     if not 0 < c_target < 1:
         raise PlanError(f"target blow-up area must lie in (0, 1), got"
                         f" {format_rational(c_target)}")
-    _check_x(x, label, params)
+    if x is not None:
+        _check_x(x, label, params)
     return _route(u, normalized(u.mu, c_target), label, params, raise_x=x)
 
 
@@ -566,7 +585,8 @@ def plan_left_open(u: NormalizedClass, mu_target, params: SurfaceParams,
     # targets <= g or < 1 are refused by the hop, after its checks of x
     if mu_target > u.mu:
         raise _open_left_refusal(params, u.mu, mu_target)
-    _check_x(x, OPEN_LABEL, params)
+    if x is not None:
+        _check_x(x, OPEN_LABEL, params)
     return _route(u, normalized(mu_target, u.c), OPEN_LABEL, params, hop_x=x)
 
 
@@ -592,13 +612,15 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
     failures raise PlanError naming the violated recipe precondition, which
     is checked on the endpoints' integer forms (m, n, d), mu = m/d, c = n/d.
     """
-    cid = chamber_of(u1)  # checks that u1 is valid
-    require_valid(u2)
-    _check_x(x, label, params)
-    if not cid.contains(u2):
+    # chamber_of checks validity; both are cached on the point, so after a
+    # point's first plan they cost a lookup
+    i1, i2 = chamber_of(u1).index, chamber_of(u2).index
+    if x is not None:
+        _check_x(x, label, params)
+    if i1 != i2:
         raise PlanError(
-            f"{u1} and {u2} lie in chambers {cid.index} and"
-            f" {chamber_of(u2).index}; cross-chamber transport is out of scope")
+            f"{u1} and {u2} lie in chambers {i1} and {i2}; cross-chamber"
+            " transport is out of scope")
     m1, _, d1 = u1.ints
     m2, _, d2 = u2.ints
     if label.is_open:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cone import ChamberId, NormalizedClass, area, chamber_of, require_valid
 from .lattice import (E, F, ClassVector, SurfaceParams, adjunction_genus,
@@ -61,8 +62,10 @@ class StratumLabel:
     def name(self) -> str:
         return str(self.core[0]) if self.core else "open"
 
-    @property
+    @cached_property
     def is_open(self) -> bool:
+        """Whether the label is the open one; cached, as the planner reads it
+        on every call."""
         return not self.core
 
     def classes(self) -> tuple[ClassVector, ...]:

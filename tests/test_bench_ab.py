@@ -25,7 +25,7 @@ def _tool():
 
 def _record(seed, op_ms, ops, failed=0):
     return {"workload": "classify", "provenance": {"seed": seed},
-            "attempted": 100, "failed": failed,
+            "attempted": 100, "failed": failed, "cpu_s": 20 * op_ms,
             "metrics": {"op_ms_p50": {"value": op_ms},
                         "ops_per_s": {"value": ops}}}
 
@@ -136,9 +136,42 @@ def test_main_prints_traced_runs_and_fails_the_claim(tmp_path, monkeypatch,
     assert "traced parent classify: correct True, failed 0" in printed
     assert "traced change classify: correct False, failed 2" in printed
     assert "claim classify:op_ms_p50: FAILS" in printed
+    # CPU seconds, in total and per attempted op, are summarized and
+    # printed, and gate nothing
+    assert ("classify cpu_s: parent 20, change 10; cpu_us_per_op: parent"
+            " 2e+05, change 1e+05 (medians, not gated)" in printed)
     claim = json.loads(out.read_text())["claim"]
     assert claim["pairs_won"] == 10 and claim["traced_regressions"] == [
         "classify"]
+
+
+def test_run_once_records_the_cpu_seconds_of_the_run(tmp_path):
+    # a stand-in perfbench/run.py that burns 0.2 s of CPU and writes its
+    # result where the real one does
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys, time\n"
+        "from pathlib import Path\n"
+        "while time.process_time() < 0.2:\n"
+        "    pass\n"
+        "out = Path('perfbench/out')\n"
+        "out.mkdir()\n"
+        "(out / 'result-classify-seed7-trace0.json').write_text(\n"
+        "    json.dumps({'workload': 'classify', 'argv': sys.argv[1:]}))\n")
+    record = _tool().run_once(tmp_path, "classify", 7, 1.0, 0)
+    assert record["workload"] == "classify"
+    assert record["argv"] == ["--workload", "classify", "--seed", "7",
+                              "--seconds", "1.0", "--trace", "0"]
+    assert 0.2 <= record["cpu_s"] < 30
+    summary = _tool().summarize(
+        {"parent": [_record(s, 1.0, 500) for s in range(4)],
+         "change": [_record(s, 0.5, 500) for s in range(4)]},
+        "classify", SPEC)
+    assert summary["cpu_s"]["parent"]["median"] == 20
+    assert summary["cpu_s"]["change"]["median"] == 10
+    # 100 ops a run: 0.2 and 0.1 s, that is 2e5 and 1e5 us, of CPU per op
+    assert summary["cpu_us_per_op"]["parent"]["median"] == 2e5
+    assert summary["cpu_us_per_op"]["change"]["median"] == 1e5
 
 
 def test_runs_spread_wider_than_the_bound_are_unresolved():

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -323,3 +324,63 @@ def test_normalized_class_keeps_fractions_and_converts_the_rest():
     for raw in (NormalizedClass(3, "1/2"), NormalizedClass("3", Q(1, 2))):
         assert raw == normalized(3, Q(1, 2))
         assert type(raw.mu) is Q and type(raw.c) is Q
+
+
+def test_grid_points_compute_validity_and_chamber_once(monkeypatch):
+    # on the g = 1, step-1/4 grid of tests/golden/verify.json every point
+    # takes part in many `plan` calls, each checking validity and chamber;
+    # the uncached computations run at most once per point
+    import ruledcone.cone as cone
+    from ruledcone.lattice import SurfaceParams
+    from ruledcone.planner import verify_stability
+
+    counts = {"violations": Counter(), "chamber": Counter()}
+
+    def counted(name, real):
+        def wrapper(u):
+            counts[name][u.mu, u.c] += 1
+            return real(u)
+        return wrapper
+
+    monkeypatch.setattr(cone, "_find_violations",
+                        counted("violations", cone._find_violations))
+    monkeypatch.setattr(cone, "_find_chamber",
+                        counted("chamber", cone._find_chamber))
+    rep = verify_stability(SurfaceParams(1), 3, Q(1, 4))
+    points = sum(v["points"] for v in rep["chambers"])
+    assert sum(v["checked"] for v in rep["chambers"]) > 10 * points > 0
+    for name in counts:
+        assert len(counts[name]) >= points
+        assert set(counts[name].values()) == {1}, name
+
+
+def test_an_invalid_point_raises_the_same_error_on_every_call(monkeypatch):
+    import ruledcone.cone as cone
+
+    u = normalized(Q(1, 2), Q(1, 4))
+    text = ("invalid normalized class: mu >= 1 policy violated (mu = 1/2);"
+            " the leftmost chamber is out of scope")
+    for check in (cone.require_valid, chamber_of, active_walls):
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                check(u)
+            assert str(err.value) == text
+    # the violations are cached and returned as a copy
+    bad = validity_violations(u)
+    bad.append("mutated")
+    assert validity_violations(u) == [text.split(": ", 1)[1]]
+
+
+def test_cached_validity_and_chamber_are_invisible_and_pickle():
+    u, v = normalized(Q(7, 3), Q(1, 2)), normalized(Q(7, 3), Q(1, 2))
+    assert is_valid(u) and chamber_of(u).index == 4
+    assert "_validity_and_chamber" in vars(u)
+    assert "_validity_and_chamber" not in vars(v)
+    assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
+    assert repr(u) == ("NormalizedClass(mu=Fraction(7, 3),"
+                       " c=Fraction(1, 2))")
+    w = pickle.loads(pickle.dumps(u))
+    assert w == u and hash(w) == hash(u) and chamber_of(w) == chamber_of(u)
+    # an invalid point differs from a valid one whatever either caches
+    x = normalized(Q(7, 3), 1)
+    assert not is_valid(x) and x != u and repr(x) != repr(u)

@@ -13,9 +13,10 @@ from ruledcone.discrepancies import detected_discrepancies
 from ruledcone.inflation import InflationStep, apply_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams
 from ruledcone.planner import (ALWAYS, OPEN, STRATUM, InflationPlan, PlanError,
-                               plan, plan_left_open, plan_left_stratum,
-                               plan_right, plan_vertical,
-                               stratum_left_parameter, verify_stability)
+                               _certify, _section, _state_of, plan,
+                               plan_left_open, plan_left_stratum, plan_right,
+                               plan_vertical, stratum_left_parameter,
+                               verify_stability)
 from ruledcone.strata import OPEN_LABEL, label_for, stratum_labels
 
 P1 = SurfaceParams(1)
@@ -569,6 +570,59 @@ def test_certified_walk_range_boundaries():
                                       " p/q with p >= 0 and q > 0")
     assert InflationPlan(u, ((F, 0, 7, ALWAYS),), u).replay() == u
 
+
+U_WALK = normalized(Q(7, 3), Q(2, 5))
+U_OPEN = normalized(5, Q(1, 2))
+U_B2F = normalized(4, Q(1, 2))
+
+
+@pytest.mark.parametrize("start, moves, label, text, reached", [
+    (U_WALK, ((F, -1, 3, ALWAYS),), OPEN_LABEL,
+     "step (F, -1/3) needs a parameter p/q with p >= 0 and q > 0", 0),
+    (U_WALK, ((F, 1, 0, ALWAYS),), OPEN_LABEL,
+     "step (F, 1/0) needs a parameter p/q with p >= 0 and q > 0", 0),
+    (U_WALK, ((F, 1, 3, ALWAYS), (B - 3 * F, 1, 1, STRATUM)), None,
+     "B-3F has non-positive area -1/3 mid-plan", 1),
+    (U_WALK, ((E, 2, 5, ALWAYS),), OPEN_LABEL,
+     "step (E, 2/5) exceeds its range [0, 2/5)", 0),
+    # B-2F has area 5/2 after (F, 1/2) and 0 after (B, 5/4), at (2, 2/9);
+    # the last F step would restore it, but the walk stops at the loss
+    (U_B2F, ((F, 1, 2, ALWAYS), (B, 5, 4, OPEN), (F, 1, 1, ALWAYS)),
+     label_for(B - 2 * F, P2),
+     "label B-2F is absent at (2, 2/9): B-2F has non-positive area", 1),
+    # B+E lowers the area of E by t, B-2E that of F-E, both within range
+    (U_OPEN, ((F, 1, 2, ALWAYS), (B + E, 1, 2, OPEN)), OPEN_LABEL,
+     "label open is absent at (11/3, 0): E has non-positive area", 1),
+    (U_OPEN, ((B - 2 * E, 1, 2, OPEN),), OPEN_LABEL,
+     "label open is absent at (10/3, 1): F-E has non-positive area", 0),
+])
+def test_certified_walk_refusal_texts(start, moves, label, text, reached):
+    # one failing move per refusal of `_certify`, pinned byte for byte; the
+    # label's message comes from `_require_label` at the failing state, and
+    # the walk records only the states it reached before the failing move
+    states = []
+    with pytest.raises(PlanError) as err:
+        _certify(_state_of(start), moves, label, states)
+    assert str(err.value) == text
+    assert len(states) == reached
+
+
+def test_certified_walk_checks_no_label_without_one():
+    # with no label only the steps are checked: E may reach zero area
+    state = _certify(_state_of(U_OPEN), ((B + E, 1, 2, OPEN),), None)
+    assert state[2] == 0
+    with pytest.raises(PlanError, match="E has non-positive area"):
+        _certify(_state_of(U_OPEN), ((B + E, 1, 2, OPEN),), OPEN_LABEL)
+
+
+def test_section_class_is_built_once_per_x():
+    assert _section(1, P2) is _section(1, P2) is _section(1, SurfaceParams(5))
+    assert _section(1, P2) == B + F and _section(0, P1) == B
+    for x, params in ((3, P2), (-1, P2), (1, SurfaceParams(0))):
+        with pytest.raises(PlanError) as err:
+            _section(x, params)
+        assert str(err.value) == (f"section coefficient x={x} outside"
+                                  f" 0..{params.g}")
 
 def test_plan_reachability_is_symmetric_on_grid():
     step = Q(1, 4)

@@ -22,10 +22,17 @@ parent's by more than the parent's interquartile range, no larger share
 of its ops fails, and no traced run of the change is incorrect where the
 parent's traced run of that workload is correct (a traced run checks more
 than a timed one, e.g. one ``planner.plan`` per grid verdict); each traced
-run's ``correct`` and ``failed`` are printed.  Run it from the root of the working tree, on an
-otherwise idle machine: the sides share its cores with nothing else only
-then.  It refuses to run when neither src/ nor the benchmark's paths differ
-from HEAD (no tracked change, staged or not, and no untracked file there):
+run's ``correct`` and ``failed`` are printed.  Every run record also holds
+``cpu_s``, the CPU seconds (user + sys) of its ``perfbench/run.py``
+process, interpreter start included.  A run lasts run_seconds whatever
+the code's speed, so the summary also divides cpu_s by the run's
+attempted ops (``cpu_us_per_op``); the per-workload medians of both are
+printed and gate nothing.  Unlike wall time, CPU time does not count the
+time a process waits while others use the host's cores.  Run it from
+the root of the working tree, on an otherwise idle machine: the sides
+share its cores with nothing else only then.  It refuses to run when
+neither src/ nor the benchmark's paths differ from HEAD (no tracked
+change, staged or not, and no untracked file there):
 both sides would then be the same code.  So run it before committing the
 change, or from a checkout of the parent with the change unpacked over it.
 A --claim that names no workload and end-to-end metric of BENCHMARK.json
@@ -39,6 +46,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -73,16 +81,21 @@ def export(rev: str, into: Path) -> None:
 
 def run_once(root: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
-    """One perfbench run in the checkout `root`; its result record."""
+    """One perfbench run in the checkout `root`; its result record, with the
+    run's CPU seconds as ``cpu_s``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         sys.exit(f"bench_ab: {' '.join(argv[1:])} in {root} exited"
                  f" {proc.returncode}:\n{proc.stderr}")
     out = root / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
-    return json.loads(out.read_text())
+    return {**json.loads(out.read_text()),
+            "cpu_s": (after.ru_utime - before.ru_utime
+                      + after.ru_stime - before.ru_stime)}
 
 
 def schedule(workloads: list[str], seeds: range):
@@ -130,6 +143,11 @@ def summarize(runs: dict, workload: str, spec: list[dict]) -> dict:
             "gain_exceeds_parent_iqr":
                 gain > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
+    summary["cpu_s"] = {side: spread([r[i]["cpu_s"] for r in pairs])
+                        for i, side in enumerate(SIDES)}
+    summary["cpu_us_per_op"] = {
+        side: spread([1e6 * r[i]["cpu_s"] / r[i]["attempted"] for r in pairs])
+        for i, side in enumerate(SIDES)}
     summary["fail_share"] = {
         side: sum(r[i]["failed"] for r in pairs)
         / sum(r[i]["attempted"] for r in pairs)
@@ -231,6 +249,12 @@ def main(argv=None) -> int:
                   f" change {s['change']['median']:.4g}, won"
                   f" {s['pairs_won']}/{s['pairs']},"
                   f" {s['verdict']} (bound {s['bound']:g})")
+        cpu = summary[workload]["cpu_s"]
+        per_op = summary[workload]["cpu_us_per_op"]
+        print(f"{workload} cpu_s: parent {cpu['parent']['median']:.4g},"
+              f" change {cpu['change']['median']:.4g}; cpu_us_per_op: parent"
+              f" {per_op['parent']['median']:.4g}, change"
+              f" {per_op['change']['median']:.4g} (medians, not gated)")
     for r in traced:
         print(f"traced {r['side']} {r['workload']}: correct {r['correct']},"
               f" failed {r['failed']}")
