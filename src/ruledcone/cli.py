@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from fractions import Fraction
 
 from . import gromov as gromov_mod
@@ -46,23 +46,22 @@ class InputError(ValueError):
     """Bad user input; maps to exit code 2."""
 
 
-@contextmanager
-def _user_input():
+class _UserInput(AbstractContextManager):
     """Re-raise a ValueError from reading or checking user input as an
     InputError, message unchanged; any other ValueError is a fault."""
-    try:
-        yield
-    except ValueError as err:
-        raise InputError(str(err)) from None
+
+    def __exit__(self, kind, err, tb) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            raise InputError(str(err)) from None
 
 
 def _rational(text: str) -> Fraction:
-    with _user_input():
+    with _UserInput():
         return parse_rational(text)
 
 
 def _params(g: int) -> SurfaceParams:
-    with _user_input():
+    with _UserInput():
         return SurfaceParams(g)
 
 
@@ -170,7 +169,7 @@ def _text_strata(payload, args) -> list[str]:
 
 def _cmd_inflate(args) -> tuple[dict, int]:
     u = _parse_point(args.u)
-    with _user_input():  # a bad class, a class of no area, a t out of range
+    with _UserInput():  # a bad class, a class of no area, a t out of range
         z = parse_class(args.z)
         t = parse_rational(args.t)
         bound = t_range(u, z)
@@ -265,7 +264,7 @@ def _text_verify_stability(payload, args) -> list[str]:
 def _cmd_gromov(args) -> tuple[dict, int]:
     params = _params(args.g)
     k = gromov_mod.virtual_dim_k(ClassVector(args.p, args.q, (0,)), params)
-    with _user_input():
+    with _UserInput():
         value = gromov_mod.gromov_invariant(args.p, args.q, params)
     payload = {
         "p": args.p, "q": args.q, "g": args.g,
@@ -294,7 +293,7 @@ def _text_gromov(payload, args) -> list[str]:
 def _cmd_decompose(args) -> tuple[dict, int]:
     params = _params(args.g)
     _bound(args.r_bound, "r-bound")
-    with _user_input():
+    with _UserInput():
         decs = gromov_mod.section_decompositions(params, args.q_bound,
                                                  r_bound=args.r_bound)
     payload = {

@@ -24,6 +24,7 @@ Validity and chamber membership are integer comparisons on the cached form
 validity violations and its chamber once and caches them next to (m, n, d),
 so the planner's per-call preconditions cost a lookup; an invalid point
 has no chamber, and `chamber_of` raises the same ValueError on every call.
+One closed form, `chamber_index`, gives the chamber of points and states.
 """
 
 from __future__ import annotations
@@ -72,15 +73,15 @@ class NormalizedClass:
         (None otherwise); cached like `ints`, in one property as each first
         read of a cached property costs about as much as computing both."""
         bad = _find_violations(self)
-        return bad, None if bad else ChamberId(_find_chamber(self))
+        return bad, None if bad else ChamberId(chamber_index(*self.ints))
 
     def __str__(self) -> str:
         return f"({format_rational(self.mu)}, {format_rational(self.c)})"
 
 
 def normalized(mu, c) -> NormalizedClass:
-    """Convenience constructor from (mu, c)."""
-    return NormalizedClass(_Q(mu), _Q(c))
+    """Convenience constructor from (mu, c); NormalizedClass converts them."""
+    return NormalizedClass(mu, c)
 
 
 def area(u: NormalizedClass, a: ClassVector) -> Fraction:
@@ -159,14 +160,6 @@ class ChamberId:
             return [f"mu > {k}", f"mu <= {k} + c"]
         return [f"mu > {k} + c", f"mu <= {k + 1}"]
 
-    def contains(self, u: NormalizedClass) -> bool:
-        # defining_classes signs: d area(B-kF) = m-kd, d area(B-kF-E) = m-kd-n
-        m, n, d = u.ints
-        kd = self.index // 2 * d
-        if self.index % 2 == 0:
-            return kd < m <= kd + n
-        return kd + n < m <= kd + d
-
 
 def chamber_of(u: NormalizedClass) -> ChamberId:
     """Chamber of a valid class: index 2k on k < mu <= k+c, 2k+1 on k+c < mu <= k+1."""
@@ -176,8 +169,10 @@ def chamber_of(u: NormalizedClass) -> ChamberId:
     return cid
 
 
-def _find_chamber(u: NormalizedClass) -> int:
-    m, n, d = u.ints
+def chamber_index(m: int, n: int, d: int) -> int:
+    """Chamber index of the valid point (mu, c) = (m/d, n/d), d > 0: the one
+    closed form of the chamber, for a point's cached (m, n, d) and for the
+    planner's states (b, f, e, d) as (b, e, f)."""
     k = -(-m // d) - 1  # ceil(mu) - 1, the unique integer with k < mu <= k+1
     return 2 * k if m <= k * d + n else 2 * k + 1
 

@@ -48,10 +48,11 @@ p (-Z.Z) < q area(Z), the label check (E and F-E have positive area iff
 0 < e < f), the sign of mu' - mu, the open-stratum refusals, a hop's wall
 limit and reach bound, and the blow-up-area floor between hops.  A plan
 holds its moves; `InflationPlan.steps` builds the `InflationStep`s, with
-t = Fraction(p, q), on first read, so a plan that is only judged (as by
-the grid verifier) builds no `InflationStep` and no `Fraction` of a step.
-Otherwise a `Fraction` is built only for a `simplest_between` hop target,
-the public `stratum_left_parameter`, or an error text.  One walk,
+t = Fraction(p, q), on first read.  A plan only judged (by the grid
+verifier) or served (`as_json` writes t from p and q) builds no
+`InflationStep` or step `Fraction`; `stays_in_chamber` places each state
+by the cone's integer chamber formula.  Otherwise a `Fraction` is built
+only for a hop target, `stratum_left_parameter` or an error text.  One walk,
 `_certify`, checks every move against its sign and range and every class
 of the plan's label at every state it reaches, in one integer loop with
 the label's core class bound before it; `_route` checks the start once,
@@ -73,11 +74,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import (ChamberId, NormalizedClass, chamber_of, is_valid,
-                   normalized, require_valid)
+from .cone import (ChamberId, NormalizedClass, chamber_index, chamber_of,
+                   is_valid, normalized, require_valid)
 from .inflation import InflationStep
 from .lattice import B, E, F, ClassVector, SurfaceParams
-from .rationals import format_rational, simplest_between
+from .rationals import format_ratio, format_rational, simplest_between
 from .strata import OPEN_LABEL, StratumLabel, chamber_labels
 
 _Q = Fraction
@@ -212,25 +213,34 @@ class InflationPlan:
         return _normalized(self._walk()[-1])
 
     def stays_in_chamber(self) -> bool:
-        """Whether every intermediate point is valid and in the start chamber."""
+        """Whether every intermediate point is valid and in the start chamber;
+        the moves are re-walked and re-certified first."""
+        states = self._walk()
         if not is_valid(self.start):
             return False
-        left, right = chamber_of(self.start).defining_classes()
-        # a state (b, f, e, d) is valid iff 0 < e < f <= b, and in the
-        # chamber iff its defining classes have these signs
-        return all(0 < s[2] < s[1] <= s[0]
-                   and _area3(s, left) > 0 >= _area3(s, right)
-                   for s in self._walk()[1:])
+        index = chamber_of(self.start).index
+        # a state (b, f, e, d) is valid iff 0 < e < f <= b; mu = b/f, c = e/f
+        return all(0 < e < f <= b and chamber_index(b, e, f) == index
+                   for b, f, e, _ in states[1:])
 
     def as_json(self) -> dict:
+        """The `plan --json` payload, each move written as its
+        `InflationStep` would be once `stays_in_chamber` has certified all."""
+        stays = self.stays_in_chamber()
+        steps = []
+        for z, p, q, tag in self.moves:
+            step = {"z": str(z), "t": format_ratio(p, q)}
+            if tag is not None:
+                step["assumption"] = tag
+            steps.append(step)
         return {
             "start": {"mu": format_rational(self.start.mu),
                       "e": [format_rational(self.start.c)]},
             "end": {"mu": format_rational(self.end.mu),
                     "e": [format_rational(self.end.c)]},
             "label": self.label.name if self.label is not None else None,
-            "steps": [s.as_json() for s in self.steps],
-            "stays_in_chamber": self.stays_in_chamber(),
+            "steps": steps,
+            "stays_in_chamber": stays,
         }
 
 

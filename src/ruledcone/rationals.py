@@ -27,11 +27,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def format_ratio(p: int, q: int) -> str:
+    """The rational p/q, q > 0, as ``"n"`` or ``"n/d"`` in lowest terms."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """A Fraction, int or ``p/q`` string as `format_ratio` writes it."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return format_ratio(x.numerator, x.denominator)
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

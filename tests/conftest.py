@@ -24,3 +24,16 @@ def grid_digests():
     finally:
         sys.path.remove(str(PERFBENCH))
     return module.GRID_DIGESTS
+
+
+@pytest.fixture(scope="session")
+def plan_requests():
+    """perfbench/oracle.py's `plan_requests`: from a seeded random.Random,
+    endless same-chamber requests (g, (mu1, c1), (mu2, c2), label name), as
+    the benchmark's plan-serve workload sends them.  The oracle imports
+    only the standard library."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracle", PERFBENCH / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.plan_requests

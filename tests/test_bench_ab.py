@@ -82,6 +82,30 @@ def test_a_gain_with_more_failed_ops_is_no_claim():
     assert not tool.claim_of(summary, "classify", "op_ms_p50")["holds"]
 
 
+def test_a_gain_with_a_metric_outside_its_bound_is_no_claim():
+    tool = _tool()
+    parent = [_record(s, 1.0, 500) for s in range(10)]
+    change = [_record(s, 0.5, 500) for s in range(10)]
+    runs = {"parent": parent, "change": change}
+    summary = {"classify": tool.summarize(runs, "classify", SPEC)}
+    claim = tool.claim_of(summary, "classify", "op_ms_p50")
+    assert claim["regressions"] == [] and claim["holds"]
+    # ops_per_s falls by 40% (bound 25%) on any workload, claimed or not
+    slow = [_record(s, 0.5, 300) for s in range(10)]
+    for workload in ("classify", "grid-verify"):
+        summary = {"classify": tool.summarize(runs, "classify", SPEC)}
+        summary[workload] = tool.summarize(
+            {"parent": parent, "change": slow}, "classify", SPEC)
+        assert summary[workload]["ops_per_s"]["verdict"] == "outside"
+        claim = tool.claim_of(summary, "classify", "op_ms_p50")
+        assert claim["regressions"] == [f"{workload}:ops_per_s"]
+        assert claim["pairs_won"] == 10 and not claim["holds"]
+    # a metric within its bound, or unresolved, is no regression
+    assert tool.outside_bounds({"classify": {
+        "wall_s": {"verdict": "within"}, "setup_s": {"verdict": "unresolved"},
+        "fail_share": {"parent": 0.0, "change": 0.0}}}) == []
+
+
 def _traced(side, workload, correct):
     return {"side": side, "workload": workload, "correct": correct,
             "failed": 0 if correct else 3}
@@ -143,23 +167,45 @@ def test_main_prints_traced_runs_and_fails_the_claim(tmp_path, monkeypatch,
     claim = json.loads(out.read_text())["claim"]
     assert claim["pairs_won"] == 10 and claim["traced_regressions"] == [
         "classify"]
+    assert "PYTHONPYCACHEPREFIX per run" in json.loads(
+        out.read_text())["machine"]
 
 
 def test_run_once_records_the_cpu_seconds_of_the_run(tmp_path):
-    # a stand-in perfbench/run.py that burns 0.2 s of CPU and writes its
-    # result where the real one does
+    # a stand-in package, whose CLI imports `fractions`, and a stand-in
+    # perfbench/run.py that burns 0.2 s of CPU, lists its bytecode cache and
+    # writes its result where the real one does
+    (tmp_path / "src" / "ruledcone").mkdir(parents=True)
+    (tmp_path / "src" / "ruledcone" / "__init__.py").write_text("")
+    (tmp_path / "src" / "ruledcone" / "cli.py").write_text(
+        "import fractions\n")
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         "import json, sys, time\n"
+        "import os\n"
         "from pathlib import Path\n"
         "while time.process_time() < 0.2:\n"
         "    pass\n"
         "out = Path('perfbench/out')\n"
-        "out.mkdir()\n"
+        "out.mkdir(exist_ok=True)\n"
+        "cache = os.environ['PYTHONPYCACHEPREFIX']\n"
+        "cached = [str(p) for p in Path(cache).rglob('*.pyc')]\n"
         "(out / 'result-classify-seed7-trace0.json').write_text(\n"
-        "    json.dumps({'workload': 'classify', 'argv': sys.argv[1:]}))\n")
+        "    json.dumps({'workload': 'classify', 'argv': sys.argv[1:],\n"
+        "                'cache': cache, 'cached': cached}))\n")
     record = _tool().run_once(tmp_path, "classify", 7, 1.0, 0)
     assert record["workload"] == "classify"
+    # the run read its bytecode from a fresh cache directory that holds
+    # the standard library's, not the checkout's; it is gone after the
+    # run, and the next run gets another
+    names = [Path(p).name.split(".")[0] for p in record["cached"]]
+    assert "fractions" in names
+    assert not any(p.startswith(str(Path(record["cache"],
+                                         *tmp_path.resolve().parts[1:])))
+                   for p in record["cached"])
+    assert not Path(record["cache"]).exists()
+    assert _tool().run_once(tmp_path, "classify", 7, 1.0,
+                            0)["cache"] != record["cache"]
     assert record["argv"] == ["--workload", "classify", "--seed", "7",
                               "--seconds", "1.0", "--trace", "0"]
     assert 0.2 <= record["cpu_s"] < 30

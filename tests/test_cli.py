@@ -170,6 +170,15 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("strata --u 5/2,3/10 --g -1", "genus must be >= 0, got -1"),
     ("plan --from 5/2,3/10 --to 5/2,2/5 --g -1 --label open",
      "genus must be >= 0, got -1"),
+    # each parsed value of `plan`, with --json as plan-serve sends it
+    ("plan --from 2.5,3/10 --to 5/2,2/5 --g 2 --label open --json",
+     "not an integer or p/q rational: '2.5'"),
+    ("plan --from 5/2,3/10 --to 5/2,2/0 --g 2 --label open --json",
+     "zero denominator: '2/0'"),
+    ("plan --from 5/2,3/10 --to 5/2,2/5 --g -1 --label B-2F --json",
+     "genus must be >= 0, got -1"),
+    ("plan --from 5/2,3/10 --to 5/2,2/5 --g 2 --label B-2Q --json",
+     "bad stratum label 'B-2Q': cannot parse class 'B-2Q'"),
     ("plan --from 5/2,3/10 --to 5/2,2/5 --g 0 --label F",
      "bad stratum label 'F': F has codimension -2; only"
      " positive-codimension classes label strata"),

@@ -99,12 +99,12 @@ def test_chamber_id_fields():
 
 
 def test_same_chamber():
-    # two points share a chamber when chamber_of agrees, which is when the
-    # chamber of one contains the other
+    # two points share a chamber when chamber_of agrees, which is when
+    # their chamber indices agree
     a, b = normalized(Q(5, 2), Q(3, 10)), normalized(Q(5, 2), Q(2, 5))
     c = normalized(Q(11, 5), Q(3, 10))
     assert chamber_of(a) == chamber_of(b) != chamber_of(c)
-    assert chamber_of(a).contains(b) and not chamber_of(a).contains(c)
+    assert chamber_of(a).index == chamber_of(b).index != chamber_of(c).index
 
 
 def test_chamber_locally_constant():
@@ -299,10 +299,11 @@ def test_integer_form_agrees_with_fraction_closed_forms():
         assert (Q(m, d), Q(n, d), d) == (mu, c, math.lcm(mu.denominator,
                                                          c.denominator))
         assert validity_violations(u) == fraction_violations(mu, c), (mu, c)
-        if is_valid(u):
-            assert chamber_of(u).index == fraction_chamber(mu, c)
-        for index in range(1, 2 * max(1, math.ceil(mu)) + 3):
-            assert ChamberId(index).contains(u) == \
+        if not is_valid(u):  # no chamber
+            continue
+        assert chamber_of(u).index == fraction_chamber(mu, c)
+        for index in range(1, 2 * math.ceil(mu) + 3):
+            assert (chamber_of(u).index == index) == \
                 fraction_contains(index, mu, c), (index, mu, c)
 
 
@@ -326,6 +327,17 @@ def test_normalized_class_keeps_fractions_and_converts_the_rest():
         assert type(raw.mu) is Q and type(raw.c) is Q
 
 
+def test_normalized_takes_ints_strings_and_fractions_alike():
+    points = [normalized(3, "1/2"), normalized("3", Q(1, 2)),
+              normalized(Q(3), "2/4"), normalized(Q(6, 2), Q(1, 2))]
+    for u in points:
+        assert u == points[0] and hash(u) == hash(points[0])
+        assert type(u.mu) is Q and type(u.c) is Q
+        assert u.ints == (6, 1, 2) and chamber_of(u).index == 5
+    mu, c = Q(7, 3), Q(1, 2)
+    assert normalized(mu, c).mu is mu and normalized(mu, c).c is c
+
+
 def test_grid_points_compute_validity_and_chamber_once(monkeypatch):
     # on the g = 1, step-1/4 grid of tests/golden/verify.json every point
     # takes part in many `plan` calls, each checking validity and chamber;
@@ -336,16 +348,19 @@ def test_grid_points_compute_validity_and_chamber_once(monkeypatch):
 
     counts = {"violations": Counter(), "chamber": Counter()}
 
-    def counted(name, real):
-        def wrapper(u):
-            counts[name][u.mu, u.c] += 1
-            return real(u)
+    def counted(name, real, key):
+        def wrapper(*args):
+            counts[name][key(*args)] += 1
+            return real(*args)
         return wrapper
 
     monkeypatch.setattr(cone, "_find_violations",
-                        counted("violations", cone._find_violations))
-    monkeypatch.setattr(cone, "_find_chamber",
-                        counted("chamber", cone._find_chamber))
+                        counted("violations", cone._find_violations,
+                                lambda u: (u.mu, u.c)))
+    # the chamber's closed form, on a point's cached (m, n, d)
+    monkeypatch.setattr(cone, "chamber_index",
+                        counted("chamber", cone.chamber_index,
+                                lambda m, n, d: (Q(m, d), Q(n, d))))
     rep = verify_stability(SurfaceParams(1), 3, Q(1, 4))
     points = sum(v["points"] for v in rep["chambers"])
     assert sum(v["checked"] for v in rep["chambers"]) > 10 * points > 0

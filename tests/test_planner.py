@@ -11,7 +11,7 @@ import pytest
 from ruledcone.cone import area, chamber_of, is_valid, normalized
 from ruledcone.discrepancies import detected_discrepancies
 from ruledcone.inflation import InflationStep, apply_step, normalize, raw_from
-from ruledcone.lattice import B, E, F, SurfaceParams
+from ruledcone.lattice import B, E, F, SurfaceParams, parse_class
 from ruledcone.planner import (ALWAYS, OPEN, STRATUM, InflationPlan, PlanError,
                                _certify, _section, _state_of, plan,
                                plan_left_open, plan_left_stratum, plan_right,
@@ -505,7 +505,7 @@ def test_plan_replay_exactness_random_pairs():
         mu2 = mu1 + Q(rng.randint(-8, 8), 16)
         c2 = Q(rng.randint(1, 15), 16)
         u2 = normalized(mu2, c2)
-        if not is_valid(u2) or not cid.contains(u2):
+        if not is_valid(u2) or chamber_of(u2).index != cid.index:
             continue
         labels = stratum_labels(u1, P2)
         label = labels[rng.randrange(len(labels))]
@@ -671,7 +671,8 @@ def _stays_by_points(pl: InflationPlan) -> bool:
     if not is_valid(pl.start):
         return False
     cid = chamber_of(pl.start)
-    return all(is_valid(v) and cid.contains(v) for v in pl.intermediates())
+    return all(is_valid(v) and chamber_of(v).index == cid.index
+               for v in pl.intermediates())
 
 
 def test_stays_in_chamber_matches_the_point_test():
@@ -889,6 +890,94 @@ def test_verdicts_build_no_steps_and_steps_are_built_once(monkeypatch):
     assert pl.steps is steps and len(built) == len(pl.moves)
     assert steps == tuple(InflationStep(z, Q(p, q), tag)
                           for z, p, q, tag in pl.moves)
+
+
+def _served_plans(monkeypatch, plan_requests) -> list[InflationPlan]:
+    """Every plan of the two step-1/4 grids of tests/golden/verify.json and
+    of 500 seeded plan-serve requests."""
+    import ruledcone.planner as planner
+
+    plans = []
+
+    def kept(*args, **kwargs):
+        plans.append(plan(*args, **kwargs))
+        return plans[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(planner, "plan", kept)
+        verify_stability(P1, 3, Q(1, 4))
+        verify_stability(P2, 3, Q(1, 4), mu_min=1, min_index=1)
+    requests = plan_requests(random.Random(23))
+    for g, u1, u2, name in itertools.islice(requests, 500):
+        params = SurfaceParams(g)
+        label = (OPEN_LABEL if name == "open"
+                 else label_for(parse_class(name), params))
+        plans.append(plan(normalized(*u1), normalized(*u2), label, params))
+    return plans
+
+
+def _stays_by_defining_classes(pl: InflationPlan) -> bool:
+    """The chamber test by area signs: each intermediate point is valid, the
+    left defining class of the start chamber has positive area there and
+    the right one non-positive area."""
+    if not is_valid(pl.start):
+        return False
+    left, right = chamber_of(pl.start).defining_classes()
+    return all(is_valid(v) and area(v, left) > 0 >= area(v, right)
+               for v in pl.intermediates())
+
+
+def test_plan_json_formats_the_moves_as_their_steps(monkeypatch,
+                                                    plan_requests):
+    # `as_json` writes each move (z, p, q, tag) itself and builds no
+    # InflationStep; its steps and chamber verdict are those the
+    # InflationSteps and the defining classes' area signs give
+    plans = _served_plans(monkeypatch, plan_requests)
+    assert len(plans) > 1000
+    built = []
+    real = InflationStep.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(InflationStep, "__post_init__", counted)
+        payloads = [pl.as_json() for pl in plans]
+    assert built == []
+    verdicts = Counter()
+    for pl, data in zip(plans, payloads):
+        assert data["steps"] == [step.as_json() for step in pl.steps]
+        assert data["stays_in_chamber"] is pl.stays_in_chamber() \
+            is _stays_by_defining_classes(pl), (pl.start, pl.end)
+        verdicts[data["stays_in_chamber"]] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    # a hand-built move without its tag is written without "assumption"
+    u = normalized(Q(7, 3), Q(2, 5))
+    untagged = InflationPlan(u, ((F, 6, 4, None),), normalized(Q(23, 6),
+                                                               Q(2, 5)))
+    assert untagged.replay() == untagged.end
+    assert untagged.as_json()["steps"] == [{"z": "F", "t": "3/2"}]
+    assert untagged.as_json()["steps"] == [s.as_json() for s in untagged.steps]
+
+
+def test_plan_json_certifies_every_move_before_writing_one():
+    # t = p/q needs p >= 0 and q > 0: the walk refuses the move before any
+    # text is written, from a start inside the cone or outside it
+    for u in (normalized(Q(7, 3), Q(2, 5)), normalized(Q(1, 2), Q(1, 4))):
+        for p, q in ((-1, 3), (1, 0), (1, -3), (0, 0)):
+            bad = InflationPlan(u, ((E, 1, 9, ALWAYS), (F, p, q, ALWAYS)), u)
+            with pytest.raises(PlanError) as err:
+                bad.as_json()
+            assert str(err.value) == (f"step (F, {p}/{q}) needs a parameter"
+                                      " p/q with p >= 0 and q > 0")
+    # a start outside the cone has no chamber; its moves are still walked
+    outside = InflationPlan(normalized(Q(1, 2), Q(1, 4)),
+                            ((F, 1, 2, ALWAYS),), normalized(1, Q(1, 4)))
+    assert outside.replay() == outside.end
+    assert outside.as_json()["stays_in_chamber"] is False
+    assert outside.as_json()["steps"] == [{"z": "F", "t": "1/2",
+                                           "assumption": "always"}]
 
 
 def test_discrepancy_records():

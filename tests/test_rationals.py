@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.rationals import format_rational, parse_rational, simplest_between
+from ruledcone.rationals import (format_ratio, format_rational, parse_rational,
+                                 simplest_between)
 
 
 def test_parse():
@@ -21,6 +22,27 @@ def test_format():
     assert format_rational(Q(5, 2)) == "5/2"
     assert format_rational(Q(4, 2)) == "2"
     assert format_rational(Q(-1, 3)) == "-1/3"
+
+
+def _format_by_copy(x) -> str:
+    """The text of a rational as written by a copy into a Fraction."""
+    x = Q(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def test_format_ratio_and_format_rational_write_the_same_text():
+    values = [0, 7, -7, "3", "-5/2", "6/4", " 9/12 ", "0/5", Q(-10, 4),
+              Q(1, 10**12), Q(-(10**20) - 1, 3)]
+    for x in values:
+        assert format_rational(x) == _format_by_copy(x), x
+    rng = random.Random(11)
+    for _ in range(300):
+        p, q, k = rng.randint(-500, 500), rng.randint(1, 97), rng.randint(1, 9)
+        # p/q and the unreduced kp/kq are one rational, written once
+        assert format_ratio(k * p, k * q) == format_ratio(p, q) \
+            == format_rational(Q(p, q)) == _format_by_copy(Q(p, q)), (p, q, k)
+    assert (format_ratio(0, 9), format_ratio(-6, 3), format_ratio(6, 4)) \
+        == ("0", "-2", "3/2")
 
 
 def test_round_trip():

@@ -21,22 +21,32 @@ change wins at least nine tenths of the pairs, its median beats the
 parent's by more than the parent's interquartile range, no larger share
 of its ops fails, and no traced run of the change is incorrect where the
 parent's traced run of that workload is correct (a traced run checks more
-than a timed one, e.g. one ``planner.plan`` per grid verdict); each traced
-run's ``correct`` and ``failed`` are printed.  Every run record also holds
-``cpu_s``, the CPU seconds (user + sys) of its ``perfbench/run.py``
-process, interpreter start included.  A run lasts run_seconds whatever
-the code's speed, so the summary also divides cpu_s by the run's
-attempted ops (``cpu_us_per_op``); the per-workload medians of both are
-printed and gate nothing.  Unlike wall time, CPU time does not count the
-time a process waits while others use the host's cores.  Run it from
-the root of the working tree, on an otherwise idle machine: the sides
-share its cores with nothing else only then.  It refuses to run when
-neither src/ nor the benchmark's paths differ from HEAD (no tracked
-change, staged or not, and no untracked file there):
+than a timed one, e.g. one ``planner.plan`` per grid verdict), and no
+end-to-end metric of any workload reads "outside" its bound (those are
+listed under ``regressions``); each traced run's ``correct`` and
+``failed`` are printed.  Every run record also holds ``cpu_s``, the CPU
+seconds (user + sys) of its ``perfbench/run.py`` process, interpreter
+start included.  Each run gets a fresh ``PYTHONPYCACHEPREFIX`` holding
+the standard library's bytecode and none of the checkout's, so neither
+side reads bytecode of its own code that an earlier run, or a
+``__pycache__`` left in the working tree, compiled (the parent, an
+export, has none): ``setup_s`` times the import of a fresh checkout, which
+compiles the package on every import under ``PYTHONDONTWRITEBYTECODE``.
+The prefix is filled by one import of the package with writing on, after
+which the checkout's part is deleted; an empty prefix would compile the
+standard library on every import too (about 0.4 s against 0.1 s).  A run
+lasts run_seconds whatever the code's speed, so the summary also divides
+cpu_s by the run's attempted ops (``cpu_us_per_op``); the per-workload
+medians of both are printed and gate nothing.  Unlike wall time, CPU
+time does not count the time a process waits while others use the host's
+cores.  Run it from the root of the working tree, on an otherwise idle
+machine: the sides share its cores with nothing else only then.  It
+refuses to run when neither src/ nor the benchmark's paths differ from
+HEAD (no tracked change, staged or not, and no untracked file there):
 both sides would then be the same code.  So run it before committing the
-change, or from a checkout of the parent with the change unpacked over it.
-A --claim that names no workload and end-to-end metric of BENCHMARK.json
-is refused before the first run.
+change, or from a checkout of the parent with the change unpacked over
+it.  A --claim that names no workload and end-to-end metric of
+BENCHMARK.json is refused before the first run.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -79,6 +90,20 @@ def export(rev: str, into: Path) -> None:
         archive.extractall(into, filter="data")
 
 
+def stdlib_cache(root: Path, cache: str) -> None:
+    """Fill the empty bytecode cache `cache` with the modules that the
+    import ``setup_s`` times (as perfbench/run.py's measure_setup runs it)
+    loads from outside the checkout `root`: import them once with writing
+    on, then delete what was compiled from `root`."""
+    root = root.resolve()  # the cache mirrors absolute source paths
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": cache,
+           "PYTHONPATH": str(root / "src")}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", "import ruledcone, ruledcone.cli"],
+                   cwd=root, env=env, check=True)
+    shutil.rmtree(Path(cache, *root.parts[1:]), ignore_errors=True)
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     """One perfbench run in the checkout `root`; its result record, with the
@@ -86,9 +111,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace)]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    with tempfile.TemporaryDirectory(prefix="bench_ab-pycache-") as cache:
+        stdlib_cache(root, cache)
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True,
+                              text=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         sys.exit(f"bench_ab: {' '.join(argv[1:])} in {root} exited"
                  f" {proc.returncode}:\n{proc.stderr}")
@@ -163,23 +192,34 @@ def traced_regressions(traced: list[dict]) -> list[str]:
                   and not correct[side, w] and correct.get(("parent", w)))
 
 
+def outside_bounds(summary: dict) -> list[str]:
+    """WORKLOAD:METRIC of every end-to-end metric whose verdict is
+    "outside" its bound."""
+    return sorted(f"{workload}:{name}"
+                  for workload, metrics in summary.items()
+                  for name, s in metrics.items()
+                  if s.get("verdict") == "outside")
+
+
 def claim_of(summary: dict, workload: str, metric: str,
              traced: list[dict] | None = None) -> dict:
     """The claim holds when the change wins at least nine tenths of the
     pairs, its median gain exceeds the parent's interquartile range, no
-    larger share of its ops fails than of the parent's, and no traced run
-    of the change is incorrect where the parent's is correct."""
+    larger share of its ops fails than of the parent's, no traced run of
+    the change is incorrect where the parent's is correct, and no
+    end-to-end metric of any workload is outside its bound."""
     s = summary[workload][metric]
     fail = summary[workload]["fail_share"]
-    regressions = traced_regressions(traced or [])
+    traced_bad = traced_regressions(traced or [])
+    regressions = outside_bounds(summary)
     return {"workload": workload, "metric": metric,
             "pairs_won": s["pairs_won"], "pairs": s["pairs"],
             "won_by_seed": s["won_by_seed"],
-            "traced_regressions": regressions,
+            "traced_regressions": traced_bad, "regressions": regressions,
             "holds": (s["pairs_won"] >= 0.9 * s["pairs"]
                       and s["gain_exceeds_parent_iqr"]
                       and fail["change"] <= fail["parent"]
-                      and not regressions)}
+                      and not traced_bad and not regressions)}
 
 
 def main(argv=None) -> int:
@@ -230,7 +270,11 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed N"
                    f" --seconds {seconds:g} --trace T",
         "machine": f"{platform.machine()}, {os.cpu_count()} cores,"
-                   f" Python {platform.python_version()}",
+                   f" Python {platform.python_version()},"
+                   f" PYTHONDONTWRITEBYTECODE="
+                   f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r},"
+                   " a fresh PYTHONPYCACHEPREFIX per run holding the"
+                   " standard library's bytecode only",
         "sides": {
             "parent": f"commit {commit}, run from its committed files"
                       " (git archive); provenance.commit is null",
@@ -259,7 +303,9 @@ def main(argv=None) -> int:
         print(f"traced {r['side']} {r['workload']}: correct {r['correct']},"
               f" failed {r['failed']}")
     if claim is not None:
-        print(f"claim {args.claim}: {'holds' if claim['holds'] else 'FAILS'}")
+        print(f"claim {args.claim}: {'holds' if claim['holds'] else 'FAILS'}"
+              + "".join(f"; {r} outside its bound"
+                        for r in claim["regressions"]))
     return 0 if claim is None or claim["holds"] else 1
 
 
