@@ -19,11 +19,12 @@ A point on a wall belongs to the chamber on its left: the inequality signs
 are strict on the left condition and non-strict on the right, matching the
 half-open intervals of the minimal case.
 
-Validity and chamber membership are integer comparisons on the cached form
-(m, n, d) of a class, with mu = m/d and c = n/d.  A point computes its
-validity violations and its chamber once and caches them next to (m, n, d),
-so the planner's per-call preconditions cost a lookup; an invalid point
-has no chamber, and `chamber_of` raises the same ValueError on every call.
+Validity and chamber membership are integer comparisons on the form
+(m, n, d) of a class, with mu = m/d and c = n/d.  A point computes (m, n, d),
+its validity violations and its chamber when it is built and keeps them as
+plain attributes, so the planner's per-call preconditions cost a read; an
+invalid point still constructs, has no chamber, and `chamber_of` raises the
+same ValueError on every call.
 One closed form, `chamber_index`, gives the chamber of points and states.
 """
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .lattice import B, E, F, ClassVector
 from .rationals import format_rational
@@ -52,28 +52,25 @@ class NormalizedClass:
     c: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mu, Fraction):  # an int or a "p/q" string
-            object.__setattr__(self, "mu", _Q(self.mu))
-        if not isinstance(self.c, Fraction):
-            object.__setattr__(self, "c", _Q(self.c))
-
-    @cached_property
-    def ints(self) -> tuple[int, int, int]:
-        """(m, n, d) with mu = m/d, c = n/d and d the lcm of the two
-        denominators; cached outside the fields (==, hash, repr ignore it)."""
+        """Set, outside the fields (==, hash, repr ignore them, pickle keeps
+        them): `ints`, (m, n, d) with mu = m/d, c = n/d and d the lcm of the
+        two denominators; `_violations`, the violated cone constraints; and
+        `_chamber`, the chamber of a valid point (None otherwise)."""
         mu, c = self.mu, self.c
+        if not isinstance(mu, Fraction):  # an int or a "p/q" string
+            mu = _Q(mu)
+            object.__setattr__(self, "mu", mu)
+        if not isinstance(c, Fraction):
+            c = _Q(c)
+            object.__setattr__(self, "c", c)
         d = math.lcm(mu.denominator, c.denominator)
-        return (mu.numerator * (d // mu.denominator),
+        ints = (mu.numerator * (d // mu.denominator),
                 c.numerator * (d // c.denominator), d)
-
-    @cached_property
-    def _validity_and_chamber(self) -> tuple[tuple[str, ...],
-                                             ChamberId | None]:
-        """The violated cone constraints and, for a valid point, its chamber
-        (None otherwise); cached like `ints`, in one property as each first
-        read of a cached property costs about as much as computing both."""
+        object.__setattr__(self, "ints", ints)
         bad = _find_violations(self)
-        return bad, None if bad else ChamberId(chamber_index(*self.ints))
+        object.__setattr__(self, "_violations", bad)
+        object.__setattr__(self, "_chamber",
+                           None if bad else ChamberId(chamber_index(*ints)))
 
     def __str__(self) -> str:
         return f"({format_rational(self.mu)}, {format_rational(self.c)})"
@@ -92,7 +89,7 @@ def area(u: NormalizedClass, a: ClassVector) -> Fraction:
 def validity_violations(u: NormalizedClass) -> list[str]:
     """Violated cone constraints, mu >= 1 among them; empty when u is a
     valid normalized class."""
-    return list(u._validity_and_chamber[0])
+    return list(u._violations)
 
 
 def _find_violations(u: NormalizedClass) -> tuple[str, ...]:
@@ -112,11 +109,11 @@ def _find_violations(u: NormalizedClass) -> tuple[str, ...]:
 
 
 def is_valid(u: NormalizedClass) -> bool:
-    return not u._validity_and_chamber[0]
+    return not u._violations
 
 
 def require_valid(u: NormalizedClass) -> None:
-    bad = u._validity_and_chamber[0]
+    bad = u._violations
     if bad:
         raise ValueError("invalid normalized class: " + "; ".join(bad))
 
@@ -139,13 +136,6 @@ class ChamberId:
     def is_even(self) -> bool:
         return self.index % 2 == 0
 
-    def defining_classes(self) -> tuple[ClassVector, ClassVector]:
-        """(A_left, A_right): the chamber is area(A_left) > 0, area(A_right) <= 0."""
-        k = self.k
-        if self.is_even:
-            return B - k * F, B - k * F - E
-        return B - k * F - E, B - (k + 1) * F
-
     def section_classes(self) -> list[ClassVector]:
         """The classes B-jF (j >= 1) and B-jF-E (j >= 0) of positive area on
         the chamber, by codimension: B-jF for j <= k, and B-jF-E for j < k on
@@ -163,7 +153,7 @@ class ChamberId:
 
 def chamber_of(u: NormalizedClass) -> ChamberId:
     """Chamber of a valid class: index 2k on k < mu <= k+c, 2k+1 on k+c < mu <= k+1."""
-    cid = u._validity_and_chamber[1]
+    cid = u._chamber
     if cid is None:  # an invalid point: raise its validity error
         require_valid(u)
     return cid
@@ -171,7 +161,7 @@ def chamber_of(u: NormalizedClass) -> ChamberId:
 
 def chamber_index(m: int, n: int, d: int) -> int:
     """Chamber index of the valid point (mu, c) = (m/d, n/d), d > 0: the one
-    closed form of the chamber, for a point's cached (m, n, d) and for the
+    closed form of the chamber, for a point's (m, n, d) and for the
     planner's states (b, f, e, d) as (b, e, f)."""
     k = -(-m // d) - 1  # ceil(mu) - 1, the unique integer with k < mu <= k+1
     return 2 * k if m <= k * d + n else 2 * k + 1
@@ -202,7 +192,7 @@ def active_walls(u: NormalizedClass) -> list[Wall]:
     k, rest = divmod(m, d)
     if rest not in (0, n):
         return []
-    return [Wall(B - k * F - E if rest else B - k * F)]
+    return [Wall(ClassVector(1, -k, (-1,) if rest else (0,)))]
 
 
 # -- figure model ------------------------------------------------------------

@@ -38,11 +38,11 @@ min(g, ceil(mu - c') - 1): its solution is positive exactly there.
 
 Internally a cone point is an integer projective state (b, f, e, d): the
 areas of B, F and E are b/d, f/d and e/d.  A NormalizedClass (m/d, n/d)
-enters as (m, d, n, d) from its cached integer form.  A step is an integer
+enters as (m, d, n, d) from its integer form.  A step is an integer
 move (z, p, q, tag): inflate along z with t = p/q, q > 0, leaning on the
 assumption `tag`; applying it is an integer multiply-add with the pairings
 (Z.B, Z.F, Z.E, Z.Z) cached on Z.  Every comparison inside a plan is an
-integer comparison on states, moves and the endpoints' cached (m, n, d):
+integer comparison on states, moves and the endpoints' (m, n, d):
 `plan`'s preconditions, the sign and range checks 0 <= p and
 p (-Z.Z) < q area(Z), the label check (E and F-E have positive area iff
 0 < e < f), the sign of mu' - mu, the open-stratum refusals, a hop's wall
@@ -61,9 +61,9 @@ only through the walk, so a plan is certified once, as it is built.  One
 route, `_route`, serves every entry point: `_horizontal_leg` moves mu,
 then `_vertical_steps` moves c, and the end state must equal the target
 exactly, compared in integers.  `plan` checks both endpoints' validity
-and chamber on every call, but a point computes each once and caches it
-(`cone.NormalizedClass`), as the grid verifier plans every point many
-times; likewise the section B + xF is built once per x.
+and chamber on every call, but a point computes both once, when it is
+built (`cone.NormalizedClass`), as the grid verifier plans every point
+many times; likewise the section B + xF is built once per x.
 """
 
 from __future__ import annotations
@@ -227,9 +227,15 @@ class InflationPlan:
         """The `plan --json` payload, each move written as its
         `InflationStep` would be once `stays_in_chamber` has certified all."""
         stays = self.stays_in_chamber()
-        steps = []
+        # each class object is formatted once: a plan's moves share one
+        # object per class (interleaved rounds repeat two), and identity is
+        # cheaper to look up than a class's hash
+        steps, names = [], {}
         for z, p, q, tag in self.moves:
-            step = {"z": str(z), "t": format_ratio(p, q)}
+            name = names.get(id(z))
+            if name is None:
+                name = names[id(z)] = str(z)
+            step = {"z": name, "t": format_ratio(p, q)}
             if tag is not None:
                 step["assumption"] = tag
             steps.append(step)
@@ -622,8 +628,7 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
     failures raise PlanError naming the violated recipe precondition, which
     is checked on the endpoints' integer forms (m, n, d), mu = m/d, c = n/d.
     """
-    # chamber_of checks validity; both are cached on the point, so after a
-    # point's first plan they cost a lookup
+    # chamber_of checks validity; the point computed both when it was built
     i1, i2 = chamber_of(u1).index, chamber_of(u2).index
     if x is not None:
         _check_x(x, label, params)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cone import ChamberId, NormalizedClass, area, chamber_of, require_valid
 from .lattice import (E, F, ClassVector, SurfaceParams, adjunction_genus,
@@ -57,16 +56,13 @@ class StratumLabel:
             raise ValueError(
                 "a stratum label has at most one core class, got "
                 + ", ".join(str(a) for a in self.core))
+        # whether the label is the open one, a plain attribute outside the
+        # fields, as the planner reads it on every call
+        object.__setattr__(self, "is_open", not self.core)
 
     @property
     def name(self) -> str:
         return str(self.core[0]) if self.core else "open"
-
-    @cached_property
-    def is_open(self) -> bool:
-        """Whether the label is the open one; cached, as the planner reads it
-        on every call."""
-        return not self.core
 
     def classes(self) -> tuple[ClassVector, ...]:
         """Full label: the core plus the ubiquitous codim-0 classes."""
@@ -120,8 +116,10 @@ def chamber_labels(cid: ChamberId, params: SurfaceParams,
     if cod_max is not None:  # 2(g + i) <= cod_max
         stop = max(0, min(stop, cod_max // 2 - g + 1))
     seq = _SECTION_LABELS.setdefault(g, [])
-    seq += _section_labels(g, len(seq), min(stop, _MEMO_INDEX))
     start = 1 if g == 0 else 0  # at g = 0, B-E has codimension 0
+    if stop <= len(seq):  # the memo reaches stop
+        return [OPEN_LABEL, *seq[start:stop]]
+    seq += _section_labels(g, len(seq), min(stop, _MEMO_INDEX))
     return [OPEN_LABEL] + seq[start:stop] + _section_labels(g, len(seq), stop)
 
 

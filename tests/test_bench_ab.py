@@ -23,11 +23,12 @@ def _tool():
     return module
 
 
-def _record(seed, op_ms, ops, failed=0):
+def _record(seed, op_ms, ops, failed=0, attempted=100, rss_mb=30.0):
     return {"workload": "classify", "provenance": {"seed": seed},
-            "attempted": 100, "failed": failed, "cpu_s": 20 * op_ms,
+            "attempted": attempted, "failed": failed, "cpu_s": 20 * op_ms,
             "metrics": {"op_ms_p50": {"value": op_ms},
-                        "ops_per_s": {"value": ops}}}
+                        "ops_per_s": {"value": ops},
+                        "peak_rss_mb": {"value": rss_mb}}}
 
 
 def test_schedule_alternates_the_first_side_and_traces_last():
@@ -169,6 +170,41 @@ def test_main_prints_traced_runs_and_fails_the_claim(tmp_path, monkeypatch,
         "classify"]
     assert "PYTHONPYCACHEPREFIX per run" in json.loads(
         out.read_text())["machine"]
+
+
+def test_attempted_ops_are_summarized_and_printed_beside_peak_rss(
+        tmp_path, monkeypatch, capsys):
+    # the change attempts twice the ops and its peak RSS grows with them;
+    # the median op count per side is printed next to the memory metric
+    tool = _tool()
+    rss = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"paths": ["perfbench"], "run_seconds": 1,
+         "workloads": [{"name": "classify"}], "end_to_end": [*SPEC, rss]}))
+
+    def run_once(root, workload, seed, seconds, trace):
+        change = root == tmp_path
+        return {**_record(seed, 1.0, 500, attempted=(200 if change else 100)
+                          + seed % 3, rss_mb=40.0 if change else 30.0),
+                "correct": True}
+
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "differs", lambda root, paths: True)
+    monkeypatch.setattr(tool, "git", lambda *args, **kw: "0" * 40)
+    monkeypatch.setattr(tool, "export", lambda rev, into: None)
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert ("classify peak_rss_mb: parent 30, change 40, won 0/10,"
+            " outside (bound 0.1); attempted ops: parent 101, change 201"
+            " (medians)" in printed)
+    assert "attempted ops" not in printed.split("peak_rss_mb")[0]
+    attempted = json.loads(out.read_text())["summary_trace0"]["classify"][
+        "attempted"]
+    assert attempted["parent"]["median"] == 101
+    assert attempted["parent"]["n"] == 10
+    assert attempted["change"]["median"] == 201
 
 
 def test_run_once_records_the_cpu_seconds_of_the_run(tmp_path):

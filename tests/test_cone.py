@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -9,8 +10,8 @@ import pytest
 
 from ruledcone.cone import (ChamberId, NormalizedClass, active_walls, area,
                             chamber_of, figure_data, is_valid, normalized,
-                            validity_violations)
-from ruledcone.lattice import B, E, F, parse_class
+                            require_valid, validity_violations)
+from ruledcone.lattice import B, E, F
 from ruledcone.rationals import format_rational
 
 
@@ -88,12 +89,14 @@ def test_chamber_requires_validity():
         chamber_of(normalized(Q(1, 2), Q(1, 4)))
 
 
-def test_chamber_id_fields():
+def test_chamber_id_fields(chamber_inequalities_hold):
     cid = ChamberId(5)
     assert cid.k == 2 and not cid.is_even
     assert cid.inequalities() == ["mu > 2 + c", "mu <= 3"]
-    left, right = cid.defining_classes()
-    assert left == parse_class("B-2F-E") and right == parse_class("B-3F")
+    assert chamber_inequalities_hold(cid, Q(5, 2), Q(1, 4))
+    assert not chamber_inequalities_hold(cid, Q(5, 2), Q(1, 2))  # on B-2F-E
+    assert chamber_inequalities_hold(cid, Q(3), Q(1, 2))  # on B-3F
+    assert not chamber_inequalities_hold(cid, Q(13, 4), Q(1, 2))
     with pytest.raises(ValueError):
         ChamberId(0)
 
@@ -137,16 +140,23 @@ def test_active_walls_match_a_scan_over_k():
     assert on_walls > 50
 
 
-def test_chamber_section_classes():
+def test_chamber_section_classes(chamber_inequalities_hold):
     assert ChamberId(1).section_classes() == [B - E]
     assert ChamberId(4).section_classes() == [B - E, B - F, B - F - E,
                                               B - 2 * F]
     assert ChamberId(5).section_classes()[-1] == B - 2 * F - E
+    # chamber n is where its last section class has positive area and the
+    # last one of chamber n + 1 non-positive area: its printed inequalities
+    points = [normalized(i * Q(1, 8), j * Q(1, 8))
+              for i in range(8, 57) for j in range(1, 8)]
     for n in range(1, 12):
         cid = ChamberId(n)
-        left, right = cid.defining_classes()
-        assert cid.section_classes()[-1] == left
-        assert ChamberId(n + 1).section_classes()[-1] == right
+        left = cid.section_classes()[-1]
+        right = ChamberId(n + 1).section_classes()[-1]
+        inside = [u for u in points if area(u, left) > 0 >= area(u, right)]
+        assert inside == [u for u in points
+                          if chamber_inequalities_hold(cid, u.mu, u.c)]
+        assert inside and all(chamber_of(u) == cid for u in inside), n
 
 
 def test_active_walls():
@@ -387,15 +397,54 @@ def test_an_invalid_point_raises_the_same_error_on_every_call(monkeypatch):
 
 
 def test_cached_validity_and_chamber_are_invisible_and_pickle():
+    # every point carries (m, n, d), its violations and its chamber from
+    # construction, before any read, outside the fields
     u, v = normalized(Q(7, 3), Q(1, 2)), normalized(Q(7, 3), Q(1, 2))
+    for point in (u, v):
+        assert vars(point) == {"mu": Q(7, 3), "c": Q(1, 2), "ints": (14, 3, 6),
+                               "_violations": (), "_chamber": ChamberId(4)}
     assert is_valid(u) and chamber_of(u).index == 4
-    assert "_validity_and_chamber" in vars(u)
-    assert "_validity_and_chamber" not in vars(v)
     assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
     assert repr(u) == ("NormalizedClass(mu=Fraction(7, 3),"
                        " c=Fraction(1, 2))")
     w = pickle.loads(pickle.dumps(u))
     assert w == u and hash(w) == hash(u) and chamber_of(w) == chamber_of(u)
-    # an invalid point differs from a valid one whatever either caches
+    assert vars(w) == vars(u)
+    # an invalid point differs from a valid one whatever either carries
     x = normalized(Q(7, 3), 1)
     assert not is_valid(x) and x != u and repr(x) != repr(u)
+    assert vars(pickle.loads(pickle.dumps(x))) == vars(x)
+
+
+def test_invalid_points_construct_and_raise_only_when_placed():
+    # building, comparing, printing and checking an invalid point raise
+    # nothing; chamber_of and require_valid raise its violations
+    invalid = [(mu, c) for mu, c in sweep_points()
+               if fraction_violations(mu, c)]
+    assert len(invalid) >= 10
+    for mu, c in invalid:
+        u = NormalizedClass(mu, c)
+        assert u == normalized(mu, c) and str(u) and u._chamber is None
+        assert not is_valid(u)
+        text = "invalid normalized class: " + "; ".join(
+            fraction_violations(mu, c))
+        assert validity_violations(u) == fraction_violations(mu, c)
+        for check in (chamber_of, require_valid):
+            with pytest.raises(ValueError) as err:
+                check(u)
+            assert str(err.value) == text
+
+
+def test_active_walls_builds_the_wall_class_of_its_point():
+    # seeded points on the vertical wall mu = k and the slanted wall
+    # mu = k + c carry B-kF and B-kF-E, whose areas vanish there
+    rng = random.Random(24)
+    for _ in range(500):
+        k, den = rng.randint(1, 20), rng.randint(2, 60)
+        c = Q(rng.randint(1, den - 1), den)
+        for mu, wall in ((Q(k), B - k * F), (k + c, B - k * F - E)):
+            u = normalized(mu, c)
+            assert [w.curve_class for w in active_walls(u)] == [wall], u
+            assert area(u, wall) == 0
+        # just off the walls, inside a chamber, no wall passes
+        assert active_walls(normalized(k + c / 2, c)) == []

@@ -1,6 +1,7 @@
 """Negative class enumeration, stratum labels, wide scan."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -146,6 +147,42 @@ def test_chamber_labels_match_a_from_scratch_reference(monkeypatch):
     # the memo stops at its cap; indices past it are built per call
     assert all(len(seq) == strata._MEMO_INDEX
                for seq in strata._SECTION_LABELS.values())
+
+
+def test_chamber_labels_build_no_label_once_the_memo_reaches_them(
+        monkeypatch):
+    monkeypatch.setattr(strata, "_SECTION_LABELS", {})
+    built = []
+    real = strata._section_labels
+
+    def counted(g, lo, hi):
+        built.append((g, lo, hi))
+        return real(g, lo, hi)
+
+    monkeypatch.setattr(strata, "_section_labels", counted)
+    first = chamber_labels(ChamberId(9), P2)
+    assert built  # the first call grows the memo to index 9
+    built.clear()
+    for index in range(1, 10):
+        for cod_max in (None, 6, 100):
+            chamber_labels(ChamberId(index), P2, cod_max)
+    assert chamber_labels(ChamberId(9), P2) == first and built == []
+    # past the memo's cap the labels are still built per call
+    chamber_labels(ChamberId(strata._MEMO_INDEX + 2), P2)
+    assert built[-1] == (2, strata._MEMO_INDEX, strata._MEMO_INDEX + 2)
+
+
+def test_is_open_is_set_at_construction_outside_the_fields():
+    core = label_for(B - 2 * F, P2)
+    assert vars(OPEN_LABEL)["is_open"] is True
+    assert vars(core)["is_open"] is False
+    twin = StratumLabel(core.codim, core.core)
+    assert twin == core and hash(twin) == hash(core)
+    assert repr(core) == ("StratumLabel(codim=10,"
+                          " core=(ClassVector(p=1, q=-2, r=(0,)),))")
+    assert OPEN_LABEL < core and not core < twin
+    restored = pickle.loads(pickle.dumps(core))
+    assert restored == core and vars(restored) == vars(core)
 
 
 def test_chamber_labels_are_a_fresh_list_each_call():

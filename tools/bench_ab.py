@@ -37,7 +37,10 @@ which the checkout's part is deleted; an empty prefix would compile the
 standard library on every import too (about 0.4 s against 0.1 s).  A run
 lasts run_seconds whatever the code's speed, so the summary also divides
 cpu_s by the run's attempted ops (``cpu_us_per_op``); the per-workload
-medians of both are printed and gate nothing.  Unlike wall time, CPU
+medians of both are printed and gate nothing.  The per-side median of
+attempted ops (``attempted``) is printed beside ``peak_rss_mb``: the
+benchmark's tally keeps two floats per op, so that memory metric moves
+with the op count as well as with the program.  Unlike wall time, CPU
 time does not count the time a process waits while others use the host's
 cores.  Run it from the root of the working tree, on an otherwise idle
 machine: the sides share its cores with nothing else only then.  It
@@ -177,6 +180,9 @@ def summarize(runs: dict, workload: str, spec: list[dict]) -> dict:
     summary["cpu_us_per_op"] = {
         side: spread([1e6 * r[i]["cpu_s"] / r[i]["attempted"] for r in pairs])
         for i, side in enumerate(SIDES)}
+    # Tally keeps two floats per op, so peak_rss_mb moves with the op count
+    summary["attempted"] = {side: spread([r[i]["attempted"] for r in pairs])
+                            for i, side in enumerate(SIDES)}
     summary["fail_share"] = {
         side: sum(r[i]["failed"] for r in pairs)
         / sum(r[i]["attempted"] for r in pairs)
@@ -287,12 +293,16 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload in workloads:
+        ops = summary[workload]["attempted"]
         for name in [m["name"] for m in spec]:
             s = summary[workload][name]
             print(f"{workload} {name}: parent {s['parent']['median']:.4g},"
                   f" change {s['change']['median']:.4g}, won"
                   f" {s['pairs_won']}/{s['pairs']},"
-                  f" {s['verdict']} (bound {s['bound']:g})")
+                  f" {s['verdict']} (bound {s['bound']:g})"
+                  + (f"; attempted ops: parent {ops['parent']['median']:g},"
+                     f" change {ops['change']['median']:g} (medians)"
+                     if name == "peak_rss_mb" else ""))
         cpu = summary[workload]["cpu_s"]
         per_op = summary[workload]["cpu_us_per_op"]
         print(f"{workload} cpu_s: parent {cpu['parent']['median']:.4g},"
