@@ -227,15 +227,9 @@ class InflationPlan:
         """The `plan --json` payload, each move written as its
         `InflationStep` would be once `stays_in_chamber` has certified all."""
         stays = self.stays_in_chamber()
-        # each class object is formatted once: a plan's moves share one
-        # object per class (interleaved rounds repeat two), and identity is
-        # cheaper to look up than a class's hash
-        steps, names = [], {}
+        steps = []
         for z, p, q, tag in self.moves:
-            name = names.get(id(z))
-            if name is None:
-                name = names[id(z)] = str(z)
-            step = {"z": name, "t": format_ratio(p, q)}
+            step = {"z": str(z), "t": format_ratio(p, q)}
             if tag is not None:
                 step["assumption"] = tag
             steps.append(step)

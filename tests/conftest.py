@@ -1,7 +1,6 @@
 """Fixtures shared by the test modules."""
 
 import importlib.util
-import operator
 import sys
 from pathlib import Path
 
@@ -38,22 +37,3 @@ def plan_requests():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.plan_requests
-
-
-def _inequalities_hold(cid, mu, c) -> bool:
-    """Whether (mu, c) meets every inequality `cid.inequalities()` prints,
-    each "mu > RHS" or "mu <= RHS" with RHS "k" or "k + c"."""
-    for text in cid.inequalities():
-        _, op, rhs = text.split(" ", 2)
-        k, _, plus_c = rhs.partition(" + ")
-        bound = int(k) + (c if plus_c == "c" else 0)
-        if not {">": operator.gt, "<=": operator.le}[op](mu, bound):
-            return False
-    return True
-
-
-@pytest.fixture(scope="session")
-def chamber_inequalities_hold():
-    """`(cid, mu, c) -> bool`: whether the point meets the chamber's printed
-    inequalities, read from their text."""
-    return _inequalities_hold

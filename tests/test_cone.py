@@ -89,14 +89,20 @@ def test_chamber_requires_validity():
         chamber_of(normalized(Q(1, 2), Q(1, 4)))
 
 
-def test_chamber_id_fields(chamber_inequalities_hold):
+def test_chamber_id_fields():
     cid = ChamberId(5)
     assert cid.k == 2 and not cid.is_even
     assert cid.inequalities() == ["mu > 2 + c", "mu <= 3"]
-    assert chamber_inequalities_hold(cid, Q(5, 2), Q(1, 4))
-    assert not chamber_inequalities_hold(cid, Q(5, 2), Q(1, 2))  # on B-2F-E
-    assert chamber_inequalities_hold(cid, Q(3), Q(1, 2))  # on B-3F
-    assert not chamber_inequalities_hold(cid, Q(13, 4), Q(1, 2))
+    # chamber 5 is area(B-2F-E) > 0 >= area(B-3F)
+    left = cid.section_classes()[-1]
+    right = ChamberId(6).section_classes()[-1]
+    assert left == B - 2 * F - E and right == B - 3 * F
+    for mu, c, inside in ((Q(5, 2), Q(1, 4), True),
+                          (Q(5, 2), Q(1, 2), False),  # on B-2F-E
+                          (Q(3), Q(1, 2), True),  # on B-3F
+                          (Q(13, 4), Q(1, 2), False)):
+        u = normalized(mu, c)
+        assert (area(u, left) > 0 >= area(u, right)) is inside
     with pytest.raises(ValueError):
         ChamberId(0)
 
@@ -140,13 +146,13 @@ def test_active_walls_match_a_scan_over_k():
     assert on_walls > 50
 
 
-def test_chamber_section_classes(chamber_inequalities_hold):
+def test_chamber_section_classes():
     assert ChamberId(1).section_classes() == [B - E]
     assert ChamberId(4).section_classes() == [B - E, B - F, B - F - E,
                                               B - 2 * F]
     assert ChamberId(5).section_classes()[-1] == B - 2 * F - E
     # chamber n is where its last section class has positive area and the
-    # last one of chamber n + 1 non-positive area: its printed inequalities
+    # last one of chamber n + 1 non-positive area
     points = [normalized(i * Q(1, 8), j * Q(1, 8))
               for i in range(8, 57) for j in range(1, 8)]
     for n in range(1, 12):
@@ -154,9 +160,9 @@ def test_chamber_section_classes(chamber_inequalities_hold):
         left = cid.section_classes()[-1]
         right = ChamberId(n + 1).section_classes()[-1]
         inside = [u for u in points if area(u, left) > 0 >= area(u, right)]
+        assert inside, n
         assert inside == [u for u in points
-                          if chamber_inequalities_hold(cid, u.mu, u.c)]
-        assert inside and all(chamber_of(u) == cid for u in inside), n
+                          if is_valid(u) and chamber_of(u) == cid], n
 
 
 def test_active_walls():
