@@ -329,8 +329,12 @@ def _cmd_figure(args) -> int:
     else:
         text = model.to_svg(scale=args.scale)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:  # a path the user named that cannot be written
+            raise InputError(f"cannot write {args.output}:"
+                             f" {err.strerror}") from None
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

@@ -23,13 +23,15 @@ Move catalogue (all parameters solved exactly, all steps certified):
             last round, which implies every other check (`_interleaved`);
             for Z = B-kF-rE it is N area_end(F-E) > t1 Z.(F-E).  N grows
             like 1/(1 - c), so past _MAX_ROUNDS the raise is refused.
-  left hop  inflate along Z together with (1 - Z.B) t fibers so the family
+  left      inflate along Z together with (1 - Z.B) t fibers so the family
             is (mu+t, 1+t, ...); the solved parameter for a normalized start
-            is t = (mu - mu') / (mu' - 1).  One hop reaches mu' down to a
-            bound where the area of Z hits zero; the planner chains hops
-            (targets picked as smallest-denominator rationals near the
-            bound, with blow-up-area drops in between) toward the limiting
-            wall max(1, k).
+            is t = (mu - mu') / (mu' - 1) (`stratum_left_parameter`).  Along
+            B-kF-E the leg first drops c to a floor c0 and adds (1 - c0) t
+            of E to hold it there, and it is realized as N rounds of
+            (F, Z, E), N the least power of two keeping Z in range in the
+            first and the last round (`_left_route`).  N grows like
+            1/(mu' - limit) toward the wall limit max(1, k), so past
+            _MAX_ROUNDS the leg is refused.
 
 The open stratum guarantees a section B + xF for *some* x <= g only, so the
 x used by each step is recorded as that step's assumption; where x is free
@@ -45,14 +47,14 @@ assumption `tag`; applying it is an integer multiply-add with the pairings
 integer comparison on states, moves and the endpoints' (m, n, d):
 `plan`'s preconditions, the sign and range checks 0 <= p and
 p (-Z.Z) < q area(Z), the label check (E and F-E have positive area iff
-0 < e < f), the sign of mu' - mu, the open-stratum refusals, a hop's wall
-limit and reach bound, and the blow-up-area floor between hops.  A plan
+0 < e < f), the sign of mu' - mu, the open-stratum refusals, and the
+leftward leg's wall limit, blow-up-area floor and round count.  A plan
 holds its moves; `InflationPlan.steps` builds the `InflationStep`s, with
 t = Fraction(p, q), on first read.  A plan only judged (by the grid
 verifier) or served (`as_json` writes t from p and q) builds no
 `InflationStep` or step `Fraction`; `stays_in_chamber` places each state
 by the cone's integer chamber formula.  Otherwise a `Fraction` is built
-only for a hop target, `stratum_left_parameter` or an error text.  One walk,
+only for `stratum_left_parameter` or an error text.  One walk,
 `_certify`, checks every move against its sign and range and every class
 of the plan's label at every state it reaches, in one integer loop with
 the label's core class bound before it; `_route` checks the start once,
@@ -78,7 +80,7 @@ from .cone import (ChamberId, NormalizedClass, chamber_index, chamber_of,
                    is_valid, normalized, require_valid)
 from .inflation import InflationStep
 from .lattice import B, E, F, ClassVector, SurfaceParams
-from .rationals import format_ratio, format_rational, simplest_between
+from .rationals import format_ratio, format_rational
 from .strata import OPEN_LABEL, StratumLabel, chamber_labels
 
 _Q = Fraction
@@ -88,7 +90,6 @@ OPEN = "open"
 STRATUM = "stratum"
 
 _FE = F - E
-_MAX_HOPS = 256
 _MAX_ROUNDS = 1 << 20
 
 
@@ -302,12 +303,23 @@ def _interleaved(state: State, z: ClassVector, p1: int, p2: int, q: int,
     # fe + rise1 - rise2, and N is the least power of two > both quotients
     fe, rise2, rise1 = (f - e) * q, p2 * d, p1 * (vf - ve) * d
     least = max(rise2 // fe, rise1 // (fe + rise1 - rise2))
+    return _rounds(state, least, [(_FE, p2, q, ALWAYS), (z, p1, q, STRATUM)],
+                   label, "the raise")
+
+
+def _rounds(state: State, least: int, parts: list[Move],
+            label: StratumLabel, leg: str) -> tuple[list[Move], State]:
+    """N rounds of `parts` with every t divided by N, N the least power of
+    two above `least`, and the state they reach; past _MAX_ROUNDS the leg
+    is refused, by its name and the class of its stratum move, before a
+    move is built."""
     rounds = 1 << least.bit_length()
     if rounds > _MAX_ROUNDS:
-        raise PlanError(f"the raise along {z} needs {rounds} interleaved"
-                        f" rounds, more than {_MAX_ROUNDS}")
-    qn = q * rounds
-    moves = [(_FE, p2, qn, ALWAYS), (z, p1, qn, STRATUM)] * rounds
+        z = next(z for z, _, _, tag in parts if tag == STRATUM)
+        raise PlanError(f"{leg} along {z} needs {rounds} interleaved rounds,"
+                        f" more than {_MAX_ROUNDS}")
+    moves = ([(z, p, q * rounds, tag) for z, p, q, tag in parts] * rounds
+             if rounds > 1 else parts)
     return moves, _certify(state, moves, label)
 
 
@@ -390,61 +402,47 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
         raise PlanError(f"leftward target must lie in (1,"
                         f" {format_rational(u.mu)}), got"
                         f" {format_rational(mu_target)}")
-    _, p, q, _ = _left_hop(_state_of(u), z, mu_target.numerator,
-                           mu_target.denominator)[-1]
-    return Fraction(p, q)
+    return Fraction(*_hop_parameter(_state_of(u), mu_target.numerator,
+                                    mu_target.denominator))
 
 
-def _left_hop(state: State, z: ClassVector, mn: int, md: int) -> list[Move]:
-    """One leftward hop to normalized mu' = mn/md > 1: fiber companion
-    first, then z (replay-safe order)."""
-    companion = 1 - z.pairings[0]
+def _hop_parameter(state: State, mn: int, md: int) -> tuple[int, int]:
+    """The hop parameter t = num/den, den > 0, taking the normalized mu of
+    `state` to mn/md > 1: per unit t the base and fiber areas both grow by
+    1, so t = (b/d - mu' f/d) / (mu' - 1)."""
     b, f, _, d = state
-    # increment per unit t is (1, 1, ...): base and fiber slots both +1, so
-    # t = (b/d - mu' f/d) / (mu' - 1), whose denominator is positive
-    num, den = b * md - mn * f, d * (mn - md)
-    if num <= 0:
-        raise PlanError(f"hop target {format_rational(Fraction(mn, md))} is"
-                        " not to the left of the current point")
-    moves = [(F, companion * num, den, ALWAYS)] if companion > 0 else []
-    return moves + [(z, num, den, STRATUM)]
-
-
-def _left_reach_bound(state: State, z: ClassVector) -> tuple[int, int]:
-    """Infimum of normalized mu reachable by a single hop along z, as a
-    pair (numerator, positive denominator).
-
-    Along the hop the area of z changes by (z.z + 1 - z.B) per unit t; when
-    that drift is negative the hop dies where the area of z hits zero, which
-    is the wall of z.  Returns 1 when the drift is non-negative (any target
-    above 1 is reachable in one hop)."""
-    vb, _, _, zz = z.pairings
-    drift = zz + 1 - vb
-    if drift >= 0:
-        return 1, 1
-    # the scale d of the state cancels from the ratio; the area of z is > 0
-    a = _area3(state, z)
-    return -drift * state[0] + a, -drift * state[1] + a
+    return b * md - mn * f, d * (mn - md)
 
 
 def _left_route(state: State, target: NormalizedClass,
                 label: StratumLabel) -> tuple[list[Move], State]:
-    """Hops along the label's class z from the start state down to
+    """The leftward leg along the label's class z from the start state to
     mu' = target.mu, and the end state.
 
-    Iterated hops (with blow-up-area drops between them) are bounded by the
-    wall of z at vanishing blow-up area, limit = max(1, k), so targets at
-    or below it are refused.  A hop along B-kF-E raises the normalized
-    blow-up area, which in turn worsens the next reach bound, so the area
-    is dropped back to a floor between hops (an embedded E always exists).
-    The floor (mu' - limit)/2 pins the hop attractor, the wall of z at the
-    shrunken blow-up area, strictly left of mu'; the blow-up areas of both
-    ends additionally cap it (the route never raises the area here).  A
-    pass is at most one drop and one hop; past _MAX_HOPS hops the target is
-    refused.  The loop stays: hop targets come from `simplest_between`, and
-    the count grows about linearly in 1/(mu' - limit) (10, 22, ..., 378 and
-    1,515 hops along B-F-E at g = 1 from (3/2, 1/4) to 1 + 1/n, n = 8 ..
-    256 and 1024), so it has no closed form.
+    Per unit t the class z with its fiber companion (1 - z.B) F moves the
+    areas (b, f, e) by (1, 1, z.E), and the hop parameter T reaches mu'.
+    The wall of z at vanishing blow-up area, limit = max(1, k), bounds
+    every such leg, so targets at or below it are refused.  Along B-kF
+    (z.E = 0) the leg is that hop.  Along B-kF-E the hop raises c while the
+    area of z falls, so the leg first drops c to the floor
+    c0 = min(c, c', (mu' - limit)/2), which raises the area of z, and an E
+    amount w = (1 - c0) T then holds c at c0, where z stays positive
+    (mu' - k - c0 >= (mu' - limit)/2).  The drop comes first, not spread
+    over the rounds, so that near the wall of z the first round's z step
+    does not spend the start's small area of z before E restores it.
+
+    N rounds of (F, z, E), every t divided by N, realize the straight
+    segment in (b, f, e) from there, so each area the walk checks is affine
+    in the round index and binds in the first or the last round.  The label
+    holds at both ends, and the range of a step along a class of negative
+    square is the positivity of its area after the step, so only the range
+    of z can bind: N area_start(z) > -drift T in the first round, with
+    drift = z.z + 1 - z.B the change of the area of z per unit t, and
+    N area_end(z) > (z.E) w in the last, whose E step follows z.  (E's range
+    is e > 0 after each E step, which holds on the segment; along B-kF,
+    (k - 1) T < area_start(z), so N = 1.)  N is the least power of two
+    meeting both.  It grows like 1/(mu' - limit), so past _MAX_ROUNDS the
+    leg is refused before a move is built.
     """
     z = label.core[0]
     limit = max(1, -z.q)
@@ -458,31 +456,25 @@ def _left_route(state: State, target: NormalizedClass,
     for pn, pd in ((n, dt), (m - limit * dt, 2 * dt)):
         if pn * fd < fn * pd:
             fn, fd = pn, pd
+    vb, _, ve, zz = z.pairings
     moves: list[Move] = []
-    for _ in range(_MAX_HOPS):
-        bn, bd = _left_reach_bound(state, z)
-        _, f, e, _ = state
-        if m * bd <= bn * dt and e * fd > fn * f:  # mu' <= bound, c > floor
-            drop = _drop(state, fn, fd)
-            state = _certify(state, (drop,), label)
-            moves.append(drop)
-            bn, bd = _left_reach_bound(state, z)
-        if m * bd > bn * dt:  # one hop reaches mu'
-            hop = _left_hop(state, z, m, dt)
-            return moves + hop, _certify(state, hop, label)
-        b, f, _, _ = state
-        if bn * f >= b * bd:  # pragma: no cover - guarded by area checks
-            raise PlanError(f"no leftward progress possible along {z}")
-        # aim just right of the bound, an eighth of the way to mu = b/f;
-        # small denominators keep plans compact
-        hop_to = simplest_between(Fraction(bn, bd),
-                                  Fraction(7 * bn * f + b * bd, 8 * bd * f))
-        hop = _left_hop(state, z, hop_to.numerator, hop_to.denominator)
-        state = _certify(state, hop, label)
-        moves += hop
-    raise PlanError(
-        f"leftward target {format_rational(target.mu)} needs more than"
-        f" {_MAX_HOPS} hops along {z}")
+    if ve and state[2] * fd > fn * state[1]:  # c > floor: drop first
+        moves = [_drop(state, fn, fd)]
+        state = _certify(state, moves, label)
+    num, den = _hop_parameter(state, m, dt)
+    d = state[3]
+    # T, the area of z at the start and w = ve (1 - c0) T, all times
+    # d den fd, and the area of z at the end
+    t = num * d * fd
+    start = _area3(state, z) * den * fd
+    w = ve * (fd - fn) * num * d
+    end = start + (zz + 1 - vb) * t + ve * w
+    least = max(0, (vb - 1 - zz) * t // start, ve * w // end)
+    parts = [(F, (1 - vb) * num, den, ALWAYS), (z, num, den, STRATUM)]
+    if w:  # w / (d den fd) with d cancelled, as ve = 1
+        parts.append((E, (fd - fn) * num, den * fd, ALWAYS))
+    more, state = _rounds(state, least, parts, label, "the leftward leg")
+    return moves + more, state
 
 
 def _left_refusal(what: str, low: int, closed: bool, mu: Fraction,

@@ -3,7 +3,9 @@
 Rationals cross every external boundary as ``p/q`` strings.  Decimal
 literals are rejected on purpose: ``0.1`` silently becomes 3602879701896397/2**55
 under float parsing, and the chamber inequalities are exact half-open
-conditions where that error is fatal.
+conditions where that error is fatal.  The Stern-Brocot search
+(`simplest_between`) has no caller in the package: the benchmark's tracer
+wraps it, and the tests' reference hop chain picks its hop targets with it.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ def format_rational(x: Fraction) -> str:
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """Smallest-denominator rational strictly inside the open interval (lo, hi).
 
-    Classic continued-fraction descent.  Used to pick inflation hop targets
-    with tame denominators so chained plans do not blow up coefficient sizes.
+    Classic continued-fraction descent.  The planner once chained leftward
+    hops toward such targets; the tests keep that chain as the reference
+    for the leftward leg, and `perfbench/tracing.py` wraps this function.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:

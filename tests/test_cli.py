@@ -226,6 +226,10 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("figure --mu-max 1", "mu-max must exceed 1"),
     ("figure --mu-max 3 --scale -5", "scale must be positive, got -5"),
     ("figure --mu-max 3 --scale 0", "scale must be positive, got 0"),
+    # an output path that cannot be opened for writing is the user's to fix
+    ("figure --mu-max 3 -o /nonexistent-dir/fig.svg",
+     "cannot write /nonexistent-dir/fig.svg: No such file or directory"),
+    ("figure --mu-max 3 -o .", "cannot write .: Is a directory"),
     ("decompose --g 2 --q-bound 2 --r-bound -1 --json",
      "r-bound must be >= 0, got -1"),
     ("strata --u 3,1/2 --g 1 --wide -1",

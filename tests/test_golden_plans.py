@@ -2,8 +2,9 @@
 
 The corpus covers every route shape the planner builds: the README
 examples, open-stratum leftward hops for each section coefficient, a
-multi-hop stratum route with blow-up-area drops, a rightward plan and a
-vertical plan whose interleave needs more than one round.
+leftward stratum leg of several rounds that holds the blow-up area at its
+floor, a rightward plan and a vertical plan whose interleave needs more
+than one round.
 
 Regenerate (only when a plan is meant to change) with
 
@@ -46,9 +47,9 @@ def corpus() -> dict:
                                    OPEN_LABEL, P2, x=1),
         "stratum-left-minus-e": plan_left_stratum(
             normalized(4, Q(1, 2)), 3, label_for(B - 2 * F - E, P2), P2),
-        "stratum-multi-hop": plan(normalized(2, Q(7, 8)),
-                                  normalized(Q(5, 4), Q(1, 8)),
-                                  label_for(B - F - E, P1), P1),
+        "stratum-left-rounds": plan(normalized(2, Q(7, 8)),
+                                    normalized(Q(5, 4), Q(1, 8)),
+                                    label_for(B - F - E, P1), P1),
         "right": plan_right(normalized(2, Q(1, 2)), Q(17, 8)),
         "right-then-vertical": plan(normalized(Q(13, 4), Q(1, 2)),
                                     normalized(Q(7, 2), Q(5, 8)),

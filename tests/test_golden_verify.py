@@ -84,10 +84,10 @@ def test_library_payload_is_the_cli_stdout(grid_digests):
     assert digest == grid_digests[(1, 3, Q(1, 4))]
 
 
-# sha256 of the plans behind the LIBRARY payloads, computed at commit
-# 0427f23, whose planner legs still compared and combined Fractions
-PLAN_SHAPES = ("bb562e41b46413673529931e03bda67c"
-               "f445474514d7cbd4db521144f5655e80")
+# sha256 of the plans behind the LIBRARY payloads, recomputed when the
+# leftward stratum leg became closed-form rounds of (F, z, E)
+PLAN_SHAPES = ("e7f61f5110b1e9688aa32b52fefdc41b"
+               "78cb28642b77fd361a062472d9067a4f")
 
 
 def test_plan_shapes_match_the_fraction_planner(monkeypatch):
@@ -95,8 +95,11 @@ def test_plan_shapes_match_the_fraction_planner(monkeypatch):
     a changed route that still certifies would keep them.  This hashes
     every plan the verifier builds on the two grids, in call order: each
     step's class, t and assumption tag, or the PlanError text.  The digest
-    was computed at commit 0427f23, before the planner's legs moved to
-    integer comparisons.  The g2-below-threshold grid is
+    was first computed at commit 0427f23, whose planner legs still compared
+    and combined Fractions; the integer legs kept it, and it was recomputed
+    once, when the leftward stratum leg changed from chained hops to
+    closed-form rounds of (F, z, E) with the same verdicts.  The
+    g2-below-threshold grid is
     verify_stability(SurfaceParams(2), 3, 1/4, mu_min=1, min_index=1), so
     failing plans are covered; the verifier calls `plan` once a verdict."""
     digest, real, calls = hashlib.sha256(), planner.plan, []

@@ -271,13 +271,10 @@ def test_plan_left_stratum_single_hop():
 
 
 def test_plan_left_stratum_reach_certificate():
-    # along B-2F-E from (4, 1/2) one hop reaches exactly mu' > 19/7
+    # along B-2F-E from (4, 1/2) the leg reaches mu' = 3 (a single hop
+    # reaches down to 19/7, see test_off_grid.py::_reach_bound)
     u = normalized(4, Q(1, 2))
     lab = label_for(B - 2 * F - E, P2)
-    from ruledcone.planner import _left_reach_bound, _state_of
-
-    # the bound is an integer pair (numerator, denominator)
-    assert Q(*_left_reach_bound(_state_of(u), B - 2 * F - E)) == Q(19, 7)
     pl = plan_left_stratum(u, 3, lab, P2)
     assert_certified(pl, normalized(3, Q(1, 2)))
     # a target below the iterated limit max(1, k) = 2 is rejected outright
@@ -291,7 +288,8 @@ def _b2fe(params=P2):
 
 # Each plan's steps ("class t assumption") or error text at a boundary of an
 # integer comparison inside a plan, as captured from the Fraction planner of
-# commit 0427f23.  From (4, 1/2) a hop along B-2F-E reaches down to 19/7,
+# commit 0427f23; the two leftward legs that the closed-form rounds changed
+# are recomputed.  From (4, 1/2) a hop along B-2F-E reaches down to 19/7,
 # from (4, 1/4) and (3, 1/2) down to 13/5; its wall limit is max(1, 2) = 2.
 BOUNDARIES = {
     # equal c at both ends, so the cap min(c1, c2) ties; 3 > 19/7: one hop
@@ -303,12 +301,13 @@ BOUNDARIES = {
                      normalized(Q(9, 4), Q(1, 2)), label_for(B - F - E, P2),
                      P2),
         ["F 2/5 always", "B-F-E 1/5 stratum", "E 1/10 always"]),
-    # mu' is the reach bound and c equals the floor, so no drop comes first
+    # mu' is the reach bound and c equals the floor, so no drop comes first;
+    # the last round's range of B-2F-E asks for N = 2
     "c cap tie, target at the bound": (
         lambda: plan_left_stratum(normalized(4, Q(1, 4)), Q(13, 5), _b2fe(),
                                   P2),
-        ["F 12/5 always", "B-2F-E 4/5 stratum", "E 3/5 always",
-         "F 9/40 always", "B-2F-E 3/40 stratum", "E 9/160 always"]),
+        ["F 21/16 always", "B-2F-E 7/16 stratum", "E 21/64 always",
+         "F 21/16 always", "B-2F-E 7/16 stratum", "E 21/64 always"]),
     # the target's c caps the floor and ties (mu' - limit)/2 = 1/4
     "target c ties the floor": (
         lambda: plan(normalized(3, Q(1, 2)), normalized(Q(5, 2), Q(1, 4)),
@@ -344,12 +343,13 @@ BOUNDARIES = {
                                   label_for(B - 2 * F, P2), P2),
         "mu' = 2 is unreachable along B-2F: iterated hops are bounded by the"
         " wall at 2"),
-    # mu' = 19/7 is exactly one hop's reach bound and c > floor: drop first
+    # mu' = 19/7 is exactly one hop's reach bound and c > floor 5/14: drop
+    # first, hold c at the floor, then raise it back to 1/2
     "target at the reach bound, drop first": (
         lambda: plan_left_stratum(normalized(4, Q(1, 2)), Q(19, 7), _b2fe(),
                                   P2),
         ["E 1/7 always", "F 9/4 always", "B-2F-E 3/4 stratum",
-         "E 13/56 always"]),
+         "E 27/56 always", "F-E 33/146 always", "B-2F-E 7/146 stratum"]),
 }
 
 
@@ -365,44 +365,45 @@ def test_integer_comparisons_at_their_boundaries(case):
     assert_certified(pl)
 
 
-def test_plan_left_stratum_multi_hop():
-    # one hop cannot pass the wall attractor; chained hops with blow-up-area
-    # drops do
+def test_plan_left_stratum_multi_round():
+    # one hop cannot pass the wall attractor; the leg drops the blow-up area
+    # to its floor, then holds it there over rounds of (F, B-F-E, E)
     u1, u2 = normalized(2, Q(7, 8)), normalized(Q(5, 4), Q(1, 8))
     lab = label_for(B - F - E, P1)
     pl = plan(u1, u2, lab, P1)
     assert_certified(pl, u2)
-    hops = [s for s in pl.steps if s.assumption == STRATUM]
-    assert len(hops) > 1
-    drops = [s for s in pl.steps if s.z == E]
-    assert drops  # the route lowers the blow-up area between hops
-    # coefficients stay tame thanks to smallest-denominator hop targets
-    assert max(s.t.denominator for s in pl.steps) < 10**6
+    assert [str(s.z) for s in pl.steps] == ["E"] + ["F", "B-F-E", "E"] * 8
+    assert max(s.t.denominator for s in pl.steps) == 64
 
 
-def test_left_route_hop_cap_counts_hops(monkeypatch):
-    # a drop and the hop after it share one pass of the route, so the cap of
-    # 256 counts hops: 245 certify (then the c-restore adds one more B-F-E
-    # step), and a target needing 294 is refused by a text naming the cap
-    import ruledcone.planner as planner
-
+def test_left_route_certifies_near_the_wall():
+    # the hop chain refused (95/64, 1/64) -> (201/200, 4999/10^6), which
+    # needed 294 hops against its cap of 256: the leg drops c to the floor
+    # 1/400, takes 512 rounds and raises c to 4999/10^6, and the Fraction
+    # engine replays it
     lab = label_for(B - F - E, P1)
-    u1, u2 = normalized(Q(3, 2), Q(31999, 64000)), normalized(Q(503, 500),
-                                                              Q(5999, 10**6))
-    pl = plan(u1, u2, lab, P1)
-    assert_certified(pl, u2)
-    assert sum(s.z == B - F - E for s in pl.steps) == 246
     u1, u2 = normalized(Q(95, 64), Q(1, 64)), normalized(Q(201, 200),
                                                          Q(4999, 10**6))
+    pl = plan(u1, u2, lab, P1)
+    assert len(pl.steps) == 1539
+    assert sum(s.assumption == STRATUM for s in pl.steps) == 512 + 1
+    assert_certified(pl, u2)  # replays through the Fraction engine too
+    # a start near the wall of B-F-E: dropping c first raises its area
+    u1, u2 = normalized(Q(3, 2), Q(31999, 64000)), normalized(Q(503, 500),
+                                                              Q(5999, 10**6))
+    assert_certified(plan(u1, u2, lab, P1), u2)
+
+
+def test_left_route_round_cap_refuses_at_once():
+    # 10^-9 above the wall limit 1 the closed form asks for 2^31 rounds,
+    # refused before a move is built
+    lab = label_for(B - F - E, P1)
+    u1, u2 = normalized(Q(95, 64), Q(1, 64)), normalized(1 + Q(1, 10**9),
+                                                         Q(1, 10**10))
     with pytest.raises(PlanError) as err:
         plan(u1, u2, lab, P1)
-    assert str(err.value) == ("leftward target 201/200 needs more than 256"
-                              " hops along B-F-E")
-    monkeypatch.setattr(planner, "_MAX_HOPS", 293)
-    with pytest.raises(PlanError, match="more than 293 hops"):
-        plan(u1, u2, lab, P1)
-    monkeypatch.setattr(planner, "_MAX_HOPS", 294)
-    assert_certified(plan(u1, u2, lab, P1), u2)
+    assert str(err.value) == ("the leftward leg along B-F-E needs 2147483648"
+                              " interleaved rounds, more than 1048576")
 
 
 def test_plan_same_point_and_vertical_only():
