@@ -18,20 +18,22 @@ Move catalogue (all parameters solved exactly, all steps certified):
               t2 = t1 (mu (Z.F) - Z.B).
             Near a wall neither single-class order satisfies its range even
             though the straight path stays positive, so the pair is realized
-            as N interleaved rounds.  N is computed, not searched: the
-            least power of two keeping F-E in range in the first and the
-            last round, which implies every other check (`_interleaved`);
-            for Z = B-kF-rE it is N area_end(F-E) > t1 Z.(F-E).  N grows
-            like 1/(1 - c), so past _MAX_ROUNDS the raise is refused.
+            as N rounds of (F-E, Z).  N grows like 1/(1 - c), so past
+            _MAX_ROUNDS the raise is refused.
   left      inflate along Z together with (1 - Z.B) t fibers so the family
             is (mu+t, 1+t, ...); the solved parameter for a normalized start
             is t = (mu - mu') / (mu' - 1) (`stratum_left_parameter`).  Along
             B-kF-E the leg first drops c to a floor c0 and adds (1 - c0) t
-            of E to hold it there, and it is realized as N rounds of
-            (F, Z, E), N the least power of two keeping Z in range in the
-            first and the last round (`_left_route`).  N grows like
-            1/(mu' - limit) toward the wall limit max(1, k), so past
-            _MAX_ROUNDS the leg is refused.
+            of E to hold it there, as N rounds of (F, Z, E) (`_left_route`).
+            N grows like 1/(mu' - limit) toward the wall limit max(1, k), so
+            past _MAX_ROUNDS the leg is refused.
+
+Every leg is a straight segment in (b, f, e): its parts, N rounds of them
+with every t divided by N.  One builder, `_rounds`, walks one round, and
+only if that refuses computes N by one rule (`_least_rounds`): each area
+the walk checks is affine in the round index, so N is the least power of
+two keeping each part of negative square in range in the first and the
+last round.
 
 The open stratum guarantees a section B + xF for *some* x <= g only, so the
 x used by each step is recorded as that step's assumption; where x is free
@@ -48,7 +50,8 @@ integer comparison on states, moves and the endpoints' (m, n, d):
 `plan`'s preconditions, the sign and range checks 0 <= p and
 p (-Z.Z) < q area(Z), the label check (E and F-E have positive area iff
 0 < e < f), the sign of mu' - mu, the open-stratum refusals, and the
-leftward leg's wall limit, blow-up-area floor and round count.  A plan
+leftward leg's wall limit and blow-up-area floor, and each segment's
+round count.  A plan
 holds its moves; `InflationPlan.steps` builds the `InflationStep`s, with
 t = Fraction(p, q), on first read.  A plan only judged (by the grid
 verifier) or served (`as_json` writes t from p and q) builds no
@@ -59,7 +62,7 @@ only for `stratum_left_parameter` or an error text.  One walk,
 of the plan's label at every state it reaches, in one integer loop with
 the label's core class bound before it; `_route` checks the start once,
 so a certified plan stays in its stratum.  Leg builders advance states
-only through the walk, so a plan is certified once, as it is built.  One
+only through `_rounds`, so a plan is certified once, as it is built.  One
 route, `_route`, serves every entry point: `_horizontal_leg` moves mu,
 then `_vertical_steps` moves c, and the end state must equal the target
 exactly, compared in integers.  `plan` checks both endpoints' validity
@@ -79,7 +82,7 @@ from fractions import Fraction
 from .cone import (ChamberId, NormalizedClass, chamber_index, chamber_of,
                    is_valid, normalized, require_valid)
 from .inflation import InflationStep
-from .lattice import B, E, F, ClassVector, SurfaceParams
+from .lattice import B, E, F, ClassVector, SurfaceParams, pair
 from .rationals import format_ratio, format_rational
 from .strata import OPEN_LABEL, StratumLabel, chamber_labels
 
@@ -279,47 +282,51 @@ def _vertical_solve(state: State, z1: ClassVector,
     return p1, p2, q
 
 
-def _interleaved(state: State, z: ClassVector, p1: int, p2: int, q: int,
-                 label: StratumLabel) -> tuple[list[Move], State]:
-    """N rounds of (F-E, t2/N) then (z, t1/N), with t1 = p1/q and
-    t2 = p2/q, realizing state + t1 PD(z) + t2 PD(F-E), and the state they
-    reach.
+def _least_rounds(state: State, parts: list[Move]) -> int:
+    """The least power of two N whose rounds of `parts` from `state`, every
+    t divided by N, keep each part of negative square in range; 1 if an end
+    area of one is not positive, where no N does.
 
-    Each area the walk checks is affine in the round index, so a check
-    binds in the first or the last round.  The label holds at both ends of
-    the raise, z.z < 0 and (F-E).E > 0, and these imply every check but
-    the range of F-E: N area_start(F-E) > t2 in the first round and
-    N area_end(F-E) > t1 z.(F-E) in the last.  N is the least power of two
-    meeting both, and the walk still certifies it.  For z = B-kF-rE
-    (r = 0, 1) the second implies the first, as the area of F-E changes by
-    t1 (1 - r - mu - k) <= 0 over the raise (mu >= 1); N = 1 for r = 1,
-    where z.(F-E) = 0.  N grows like 1/(1 - c_target), so a target near 1
-    can ask for any N; past _MAX_ROUNDS the raise is refused before a move
-    is built.
-    """
-    _, vf, ve, _ = z.pairings
-    _, f, e, d = state
-    # area_start(F-E), t2 and t1 z.(F-E), all times d q; area_end(F-E) is
-    # fe + rise1 - rise2, and N is the least power of two > both quotients
-    fe, rise2, rise1 = (f - e) * q, p2 * d, p1 * (vf - ve) * d
-    least = max(rise2 // fe, rise1 // (fe + rise1 - rise2))
-    return _rounds(state, least, [(_FE, p2, q, ALWAYS), (z, p1, q, STRATUM)],
-                   label, "the raise")
+    Along the segment each area is affine in the round index, so a range
+    binds in the first or the last round: for part i, with t_l = p_l/q_l,
+      N A_start(z_i) > -sum_{l <= i} t_l (z_l.z_i) in the first round and
+      N A_end(z_i) > sum_{l > i} t_l (z_l.z_i) in the last.
+    Sign and label checks bind no N, as the label holds at both ends."""
+    d, q = state[3], math.lcm(*(q for _, _, q, _ in parts))
+    amounts = [(z, p * (q // qz)) for z, p, qz, _ in parts]  # t = p/q
+    least = 0
+    for i, (zi, _) in enumerate(amounts):
+        if zi.pairings[3] >= 0:
+            continue
+        # d q times the area of z_i at the start, and its rise per part
+        start = _area3(state, zi) * q
+        rises = [d * p * pair(z, zi) for z, p in amounts]
+        end = start + sum(rises)
+        if start <= 0 or end <= 0:
+            return 1
+        least = max(least, -sum(rises[:i + 1]) // start,
+                    sum(rises[i + 1:]) // end)
+    return 1 << least.bit_length()
 
 
-def _rounds(state: State, least: int, parts: list[Move],
-            label: StratumLabel, leg: str) -> tuple[list[Move], State]:
-    """N rounds of `parts` with every t divided by N, N the least power of
-    two above `least`, and the state they reach; past _MAX_ROUNDS the leg
-    is refused, by its name and the class of its stratum move, before a
-    move is built."""
-    rounds = 1 << least.bit_length()
+def _rounds(state: State, parts: list[Move], label: StratumLabel | None,
+            leg: str) -> tuple[list[Move], State]:
+    """The moves of one straight segment from `state`, and the state they
+    reach: `parts` if one round certifies, else N rounds of them with every
+    t divided by N = `_least_rounds`, or the round's refusal if N = 1.  Past
+    _MAX_ROUNDS the leg is refused, by its name and the class of its stratum
+    move, before its rounds are built."""
+    try:
+        return parts, _certify(state, parts, label)
+    except PlanError:
+        rounds = _least_rounds(state, parts)
+        if rounds == 1:
+            raise
     if rounds > _MAX_ROUNDS:
         z = next(z for z, _, _, tag in parts if tag == STRATUM)
         raise PlanError(f"{leg} along {z} needs {rounds} interleaved rounds,"
                         f" more than {_MAX_ROUNDS}")
-    moves = ([(z, p, q * rounds, tag) for z, p, q, tag in parts] * rounds
-             if rounds > 1 else parts)
+    moves = [(z, p, q * rounds, tag) for z, p, q, tag in parts] * rounds
     return moves, _certify(state, moves, label)
 
 
@@ -363,8 +370,7 @@ def _vertical_steps(state: State, c_target: Fraction,
     if above == 0:
         return [], state
     if above > 0:  # an embedded E always exists
-        moves = [_drop(state, cn, cd)]
-        return moves, _certify(state, moves, label)
+        return _rounds(state, [_drop(state, cn, cd)], label, "the drop")
     if label.is_open:
         if x is None:
             # the largest x <= g with x < mu - c_target (`_vertical_solve`'s
@@ -373,13 +379,15 @@ def _vertical_steps(state: State, c_target: Fraction,
         section = _section(x, params)
         p1, p2, q = _vertical_solve(state, section, c_target)
         # B+xF has square 2x >= 0; applying it first always stays in range
-        moves = [(section, p1, q, OPEN), (_FE, p2, q, ALWAYS)]
-        return moves, _certify(state, moves, label)
+        return _rounds(state, [(section, p1, q, OPEN), (_FE, p2, q, ALWAYS)],
+                       label, "the open raise")
     # rounds exist only if the label is present at the target (its classes
     # then stay positive on the straight path), so check (mu, c_target) first
     _require_label((b * cd, f * cd, cn * f, d * cd), label)
     z = label.core[0]
-    return _interleaved(state, z, *_vertical_solve(state, z, c_target), label)
+    p1, p2, q = _vertical_solve(state, z, c_target)
+    return _rounds(state, [(_FE, p2, q, ALWAYS), (z, p1, q, STRATUM)], label,
+                   "the raise")
 
 
 # -- horizontal moves --------------------------------------------------------
@@ -426,23 +434,11 @@ def _left_route(state: State, target: NormalizedClass,
     (z.E = 0) the leg is that hop.  Along B-kF-E the hop raises c while the
     area of z falls, so the leg first drops c to the floor
     c0 = min(c, c', (mu' - limit)/2), which raises the area of z, and an E
-    amount w = (1 - c0) T then holds c at c0, where z stays positive
+    amount (1 - c0) T then holds c at c0, where z stays positive
     (mu' - k - c0 >= (mu' - limit)/2).  The drop comes first, not spread
     over the rounds, so that near the wall of z the first round's z step
-    does not spend the start's small area of z before E restores it.
-
-    N rounds of (F, z, E), every t divided by N, realize the straight
-    segment in (b, f, e) from there, so each area the walk checks is affine
-    in the round index and binds in the first or the last round.  The label
-    holds at both ends, and the range of a step along a class of negative
-    square is the positivity of its area after the step, so only the range
-    of z can bind: N area_start(z) > -drift T in the first round, with
-    drift = z.z + 1 - z.B the change of the area of z per unit t, and
-    N area_end(z) > (z.E) w in the last, whose E step follows z.  (E's range
-    is e > 0 after each E step, which holds on the segment; along B-kF,
-    (k - 1) T < area_start(z), so N = 1.)  N is the least power of two
-    meeting both.  It grows like 1/(mu' - limit), so past _MAX_ROUNDS the
-    leg is refused before a move is built.
+    does not spend the start's small area of z before E restores it.  The
+    rest is one segment of parts (F, z, E), which `_rounds` builds.
     """
     z = label.core[0]
     limit = max(1, -z.q)
@@ -456,24 +452,16 @@ def _left_route(state: State, target: NormalizedClass,
     for pn, pd in ((n, dt), (m - limit * dt, 2 * dt)):
         if pn * fd < fn * pd:
             fn, fd = pn, pd
-    vb, _, ve, zz = z.pairings
+    vb, _, ve, _ = z.pairings
     moves: list[Move] = []
     if ve and state[2] * fd > fn * state[1]:  # c > floor: drop first
-        moves = [_drop(state, fn, fd)]
-        state = _certify(state, moves, label)
+        moves, state = _rounds(state, [_drop(state, fn, fd)], label,
+                               "the leftward leg")
     num, den = _hop_parameter(state, m, dt)
-    d = state[3]
-    # T, the area of z at the start and w = ve (1 - c0) T, all times
-    # d den fd, and the area of z at the end
-    t = num * d * fd
-    start = _area3(state, z) * den * fd
-    w = ve * (fd - fn) * num * d
-    end = start + (zz + 1 - vb) * t + ve * w
-    least = max(0, (vb - 1 - zz) * t // start, ve * w // end)
     parts = [(F, (1 - vb) * num, den, ALWAYS), (z, num, den, STRATUM)]
-    if w:  # w / (d den fd) with d cancelled, as ve = 1
+    if ve:  # (1 - c0) T of E holds c at the floor
         parts.append((E, (fd - fn) * num, den * fd, ALWAYS))
-    more, state = _rounds(state, least, parts, label, "the leftward leg")
+    more, state = _rounds(state, parts, label, "the leftward leg")
     return moves + more, state
 
 
@@ -514,8 +502,8 @@ def _horizontal_leg(state: State, target: NormalizedClass,
     if shift == 0:
         return [], state
     if shift > 0:  # t = (f/d) (mu' - mu)
-        moves = [(F, shift, dt * d, ALWAYS)]
-        return moves, _certify(state, moves, label)
+        return _rounds(state, [(F, shift, dt * d, ALWAYS)], label,
+                       "the rightward step")
     if not label.is_open:
         return _left_route(state, target, label)
     x = params.g if x is None else x
@@ -526,8 +514,8 @@ def _horizontal_leg(state: State, target: NormalizedClass,
     if m <= params.g * dt or m < dt:
         raise _open_left_refusal(params, Fraction(b, f), target.mu)
     # t = (f/d) (mu - mu') / (mu' - x)
-    moves = [(section, -shift, d * (m - x * dt), OPEN)]
-    return moves, _certify(state, moves, label)
+    return _rounds(state, [(section, -shift, d * (m - x * dt), OPEN)], label,
+                   "the open hop")
 
 
 def _route(u: NormalizedClass, target: NormalizedClass,

@@ -5,10 +5,12 @@ blow-up areas c = n/den with den <= 4,099, and mu either anywhere in the
 chamber at that c or, for a fifth of the points, within 10^-3 of one of the
 chamber's two walls.  Every certified plan is replayed with the independent
 `Fraction` engine of `inflation`.  The same sample, and the two grids of
-`tests/golden/verify.json`, feed every call of `planner._interleaved` and of
-`planner._left_route` to doubling searches kept here as the references for
-their closed-form round counts.  The hop chain that the leftward leg
-replaced is kept here too, as the reference for its verdicts.
+`tests/golden/verify.json`, record every segment that `planner._rounds`
+builds.  On every stratum raise and leftward leg the round-count rule,
+`planner._least_rounds`, is compared with doubling searches kept here as
+the references, whether or not one round certified; on every other segment
+it must give one round.  The hop chain that the leftward leg replaced is
+kept here too, as the reference for its verdicts.
 """
 
 import itertools
@@ -62,63 +64,75 @@ def _sample():
 
 
 @contextmanager
-def _recording(calls: list, legs: list):
-    """Record (state, z, p1, p2, q, label, N) for every call of
-    `planner._interleaved` (t1 = p1/q, t2 = p2/q) in `calls`, and
-    (state, target, label, N) for every call of `planner._left_route` in
-    `legs`; N = None when the call raised."""
-    interleaved, left_route = planner._interleaved, planner._left_route
+def _recording(segments: list, legs: list):
+    """Record (state, parts, label, leg, N) for every call of
+    `planner._rounds` in `segments`, and (state, target, label, N, segment)
+    for every call of `planner._left_route` in `legs`, its segment being
+    the last `_rounds` call it made; N = None when the call raised."""
+    rounds, left_route = planner._rounds, planner._left_route
 
-    def recorded(state, z, p1, p2, q, label):
+    def recorded(state, parts, label, leg):
         try:
-            moves, end = interleaved(state, z, p1, p2, q, label)
+            moves, end = rounds(state, parts, label, leg)
         except PlanError:
-            calls.append((state, z, p1, p2, q, label, None))
+            segments.append((state, parts, label, leg, None))
             raise
-        calls.append((state, z, p1, p2, q, label, len(moves) // 2))
+        segments.append((state, parts, label, leg, len(moves) // len(parts)))
         return moves, end
 
     def recorded_leg(state, target, label):
+        made = len(segments)
         try:
-            moves, end = left_route(state, target, label)
-        except PlanError:
-            legs.append((state, target, label, None))
-            raise
-        # N: one step along the label's class per round
-        legs.append((state, target, label,
-                     sum(tag == planner.STRATUM for *_, tag in moves)))
-        return moves, end
+            return left_route(state, target, label)
+        finally:
+            segment = segments[-1] if len(segments) > made else None
+            legs.append((state, target, label,
+                         segment and segment[4], segment))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planner, "_interleaved", recorded)
+        mp.setattr(planner, "_rounds", recorded)
         mp.setattr(planner, "_left_route", recorded_leg)
         yield
 
 
+def _raises(segments: list) -> list:
+    """(state, z, p1, p2, q, label, N) of every stratum raise among the
+    recorded segments, whose parts are (F-E, p2/q) and (z, p1/q)."""
+    return [(state, z, p1, p2, q, label, n)
+            for state, ((_, p2, q, _), (z, p1, _, _)), label, leg, n
+            in (s for s in segments if s[3] == "the raise")]
+
+
+def _rule(state, parts) -> int | None:
+    """The rule's N, or None past 2**20 as in the doubling searches."""
+    rounds = planner._least_rounds(state, parts)
+    return rounds if rounds <= 1 << 20 else None
+
+
 @pytest.fixture(scope="module")
 def off_grid():
-    """The sample's (u1, u2, plan or PlanError), its interleaved calls and
-    its leftward stratum legs."""
-    outcomes, calls, legs = [], [], []
-    with _recording(calls, legs):
+    """The sample's (u1, u2, plan or PlanError), its segments and its
+    leftward stratum legs."""
+    outcomes, segments, legs = [], [], []
+    with _recording(segments, legs):
         for u1, u2, label, params in _sample():
             assert chamber_of(u1).index == chamber_of(u2).index
             try:
                 outcomes.append((u1, u2, plan(u1, u2, label, params)))
             except PlanError as err:
                 outcomes.append((u1, u2, err))
-    return outcomes, calls, legs
+    return outcomes, segments, legs
 
 
 @pytest.fixture(scope="module")
 def grids():
-    """The interleaved calls and leftward stratum legs of the grids of
+    """The segments and leftward stratum legs of the grids of
     tests/golden/verify.json."""
-    calls, legs = [], []
-    with _recording(calls, legs):
+    segments, legs = [], []
+    with _recording(segments, legs):
         verify_stability(SurfaceParams(1), 3, Q(1, 4))
         verify_stability(SurfaceParams(2), 3, Q(1, 4), mu_min=1, min_index=1)
-    return calls, legs
+    return segments, legs
 
 
 def test_off_grid_verdicts_certify_and_replay_exactly(off_grid):
@@ -149,14 +163,12 @@ def _doubling_rounds(state, z, p1, p2, q, label) -> int | None:
 
 
 def test_interleave_round_count_matches_a_doubling_search(off_grid, grids):
-    _, off_grid_calls, _ = off_grid
-    grid_calls, _ = grids
     # raises along negative classes outside the B-kF, B-kF-E families,
     # which label no stratum (`label_for` refuses them) but which the
     # planner takes as a label core: on these the range of F-E in the first
     # round can bind
-    other_calls, params = [], SurfaceParams(2)
-    with _recording(other_calls, []):
+    other_segments, params = [], SurfaceParams(2)
+    with _recording(other_segments, []):
         for a in (B + E, 2 * B + 2 * E, B - F + E, 2 * B - F, B - 2 * E):
             label = StratumLabel(codim(a, params), (a,))
             for i, j in itertools.product(range(7, 25), range(1, 6)):
@@ -164,14 +176,32 @@ def test_interleave_round_count_matches_a_doubling_search(off_grid, grids):
                     with suppress(PlanError):
                         plan_vertical(normalized(Q(i, 6), Q(j, 6)), Q(k, 6),
                                       label, params)
+    grid_calls, off_grid_calls, other_calls = (
+        _raises(grids[0]), _raises(off_grid[1]), _raises(other_segments))
     calls = grid_calls + off_grid_calls + other_calls
     mismatches = [c for c in calls if _doubling_rounds(*c[:6]) != c[6]]
     assert mismatches == []
+    rule = [_rule(state, [(F - E, p2, q, planner.ALWAYS),
+                          (z, p1, q, planner.STRATUM)])
+            for state, z, p1, p2, q, _, _ in calls]
+    assert rule == [c[6] for c in calls]
     assert Counter(c[6] for c in grid_calls) == {1: 394, 2: 6}
     assert Counter(c[6] for c in other_calls) == {
         1: 492, 2: 137, 4: 107, 8: 53, 16: 9}
     assert Counter(c[6] for c in off_grid_calls) == {
         1: 5197, 2: 182, 4: 93, 8: 51, 16: 24, 32: 11, 64: 7, 128: 5, 256: 5}
+
+
+def test_other_segments_take_one_round(off_grid, grids):
+    # the drop, the rightward step, the open hop, the leftward drop and the
+    # open raise, whose end keeps F-E at area 1 - c' > 0
+    segments = [s for s in off_grid[1] + grids[0]
+                if len(s[1]) == 1 or s[3] == "the open raise"]
+    assert {s[3] for s in segments} == {
+        "the drop", "the rightward step", "the open hop", "the leftward leg",
+        "the open raise"}
+    assert {planner._least_rounds(*s[:2]) for s in segments} == {1}
+    assert {s[4] for s in segments} == {1}
 
 
 # -- the leftward stratum leg ------------------------------------------------
@@ -275,7 +305,8 @@ def test_reference_hop_reach_bound():
 def test_left_round_count_matches_a_doubling_search(off_grid, grids):
     legs = off_grid[2] + grids[1]
     mismatches = [leg for leg in legs
-                  if _doubling_left_rounds(*leg[:3]) != leg[3]]
+                  if not (_doubling_left_rounds(*leg[:3]) == leg[3]
+                          == _rule(*leg[4][:2]))]
     assert mismatches == []
     assert Counter(leg[3] for leg in grids[1]) == {1: 298, 2: 10}
     assert Counter(leg[3] for leg in off_grid[2]) == {

@@ -394,16 +394,51 @@ def test_left_route_certifies_near_the_wall():
     assert_certified(plan(u1, u2, lab, P1), u2)
 
 
-def test_left_route_round_cap_refuses_at_once():
-    # 10^-9 above the wall limit 1 the closed form asks for 2^31 rounds,
-    # refused before a move is built
+def _walked(monkeypatch) -> list[int]:
+    """The number of moves of each `_certify` walk from here on."""
+    import ruledcone.planner as planner
+
+    walks, certify = [], planner._certify
+
+    def counted(state, moves, *args):
+        walks.append(len(moves))
+        return certify(state, moves, *args)
+
+    monkeypatch.setattr(planner, "_certify", counted)
+    return walks
+
+
+def test_left_route_round_cap_refuses_at_once(monkeypatch):
+    # 10^-9 above the wall limit 1 the rule asks for 2^31 rounds, refused
+    # after the drop and one round of (F, B-F-E, E), before its rounds are
+    # built
     lab = label_for(B - F - E, P1)
     u1, u2 = normalized(Q(95, 64), Q(1, 64)), normalized(1 + Q(1, 10**9),
                                                          Q(1, 10**10))
+    walks = _walked(monkeypatch)
     with pytest.raises(PlanError) as err:
         plan(u1, u2, lab, P1)
     assert str(err.value) == ("the leftward leg along B-F-E needs 2147483648"
                               " interleaved rounds, more than 1048576")
+    assert walks == [1, 3]
+
+
+def test_rounds_keep_the_walks_refusal_where_no_count_certifies():
+    # raising (2, 1/2) to c' = 1 along B-F ends at zero area of F-E, so no
+    # number of rounds certifies: the one round's refusal is raised, not a
+    # cap refusal
+    import ruledcone.planner as planner
+
+    lab = label_for(B - F, P1)
+    state = _state_of(normalized(2, Q(1, 2)))
+    p1, p2, q = planner._vertical_solve(state, B - F, Q(1))
+    parts = [(F - E, p2, q, ALWAYS), (B - F, p1, q, STRATUM)]
+    assert planner._least_rounds(state, parts) == 1
+    with pytest.raises(PlanError) as walk:
+        _certify(state, parts, lab)
+    with pytest.raises(PlanError) as err:
+        planner._rounds(state, parts, lab, "the raise")
+    assert str(err.value) == str(walk.value)
 
 
 def test_plan_same_point_and_vertical_only():
@@ -445,8 +480,8 @@ def test_plan_label_absent():
 def test_label_absent_at_the_target_fails_fast():
     # B-F-E has zero area at (5/4, 1/4) and negative area at (3/2, 3/4); the
     # check at the target keeps B-F-E's area positive at the end of the
-    # interleaved c-restore, as its closed-form round count needs, so the
-    # refusal comes before any round is built
+    # interleaved c-restore, as the round-count rule needs, so the refusal
+    # comes before any round is built
     u = normalized(Q(3, 2), Q(1, 4))
     lab = label_for(B - F - E, P1)
     with pytest.raises(PlanError, match="absent at \\(5/4, 1/4\\)"):
@@ -455,17 +490,19 @@ def test_label_absent_at_the_target_fails_fast():
         plan_vertical(u, Q(3, 4), lab, P1)
 
 
-def test_interleave_round_count_is_capped():
+def test_interleave_round_count_is_capped(monkeypatch):
     # N grows like 1/(1 - c_target): raising (2, 1/2) to 1 - 10^-9 along
-    # B-F needs 2^28 rounds, refused from the closed form before any step
-    # is built (a list of 2^29 steps would not fit in memory)
+    # B-F needs 2^28 rounds, refused by the rule after one round, before its
+    # rounds are built (a list of 2^29 steps would not fit in memory)
     lab = label_for(B - F, P1)
     u = normalized(2, Q(1, 2))
+    walks = _walked(monkeypatch)
     with pytest.raises(PlanError, match="needs 268435456 interleaved rounds,"
                        " more than 1048576"):
         plan_vertical(u, 1 - Q(1, 10**9), lab, P1)
     with pytest.raises(PlanError, match="more than 1048576"):
         plan_vertical(u, 1 - Q(1, 10**12), lab, P1)
+    assert walks == [2, 2]
 
 
 def test_interleave_round_cap_is_inclusive(monkeypatch):
