@@ -446,7 +446,7 @@ def _left_route(state: State, target: NormalizedClass,
     if m <= limit * dt:
         raise PlanError(
             f"mu' = {format_rational(target.mu)} is unreachable along {z}:"
-            f" iterated hops are bounded by the wall at {limit}")
+            f" the leftward leg is bounded by the wall at {limit}")
     # the floor fn/fd = min(c, target.c, (mu' - limit)/2), c = e/f here
     _, fd, fn, _ = state
     for pn, pd in ((n, dt), (m - limit * dt, 2 * dt)):

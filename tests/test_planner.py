@@ -336,13 +336,13 @@ BOUNDARIES = {
     # stratum-left targets exactly at the wall limit max(1, k)
     "stratum target at the wall limit": (
         lambda: plan_left_stratum(normalized(4, Q(1, 2)), 2, _b2fe(), P2),
-        "mu' = 2 is unreachable along B-2F-E: iterated hops are bounded by"
-        " the wall at 2"),
+        "mu' = 2 is unreachable along B-2F-E: the leftward leg is bounded"
+        " by the wall at 2"),
     "stratum target at the wall limit, B-2F": (
         lambda: plan_left_stratum(normalized(4, Q(1, 2)), 2,
                                   label_for(B - 2 * F, P2), P2),
-        "mu' = 2 is unreachable along B-2F: iterated hops are bounded by the"
-        " wall at 2"),
+        "mu' = 2 is unreachable along B-2F: the leftward leg is bounded by"
+        " the wall at 2"),
     # mu' = 19/7 is exactly one hop's reach bound and c > floor 5/14: drop
     # first, hold c at the floor, then raise it back to 1/2
     "target at the reach bound, drop first": (
