@@ -292,7 +292,7 @@ def _least_rounds(state: State, parts: list[Move]) -> int:
       N A_start(z_i) > -sum_{l <= i} t_l (z_l.z_i) in the first round and
       N A_end(z_i) > sum_{l > i} t_l (z_l.z_i) in the last.
     Sign and label checks bind no N, as the label holds at both ends."""
-    d, q = state[3], math.lcm(*(q for _, _, q, _ in parts))
+    d, q = state[3], math.lcm(*(qz for _, _, qz, _ in parts))
     amounts = [(z, p * (q // qz)) for z, p, qz, _ in parts]  # t = p/q
     least = 0
     for i, (zi, _) in enumerate(amounts):

@@ -87,7 +87,7 @@ def _recording(segments: list, legs: list):
         finally:
             segment = segments[-1] if len(segments) > made else None
             legs.append((state, target, label,
-                         segment and segment[4], segment))
+                         None if segment is None else segment[4], segment))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "_rounds", recorded)
@@ -96,11 +96,14 @@ def _recording(segments: list, legs: list):
 
 
 def _raises(segments: list) -> list:
-    """(state, z, p1, p2, q, label, N) of every stratum raise among the
-    recorded segments, whose parts are (F-E, p2/q) and (z, p1/q)."""
-    return [(state, z, p1, p2, q, label, n)
-            for state, ((_, p2, q, _), (z, p1, _, _)), label, leg, n
-            in (s for s in segments if s[3] == "the raise")]
+    """(state, z, p1, p2, q, label, N, parts) of every stratum raise among
+    the recorded segments, whose parts are (F-E, p2/q) and (z, p1/q)."""
+    raises = []
+    for state, parts, label, leg, n in segments:
+        if leg == "the raise":
+            (_, p2, q, _), (z, p1, _, _) = parts
+            raises.append((state, z, p1, p2, q, label, n, parts))
+    return raises
 
 
 def _rule(state, parts) -> int | None:
@@ -179,12 +182,9 @@ def test_interleave_round_count_matches_a_doubling_search(off_grid, grids):
     grid_calls, off_grid_calls, other_calls = (
         _raises(grids[0]), _raises(off_grid[1]), _raises(other_segments))
     calls = grid_calls + off_grid_calls + other_calls
-    mismatches = [c for c in calls if _doubling_rounds(*c[:6]) != c[6]]
+    mismatches = [c for c in calls
+                  if not _doubling_rounds(*c[:6]) == c[6] == _rule(c[0], c[7])]
     assert mismatches == []
-    rule = [_rule(state, [(F - E, p2, q, planner.ALWAYS),
-                          (z, p1, q, planner.STRATUM)])
-            for state, z, p1, p2, q, _, _ in calls]
-    assert rule == [c[6] for c in calls]
     assert Counter(c[6] for c in grid_calls) == {1: 394, 2: 6}
     assert Counter(c[6] for c in other_calls) == {
         1: 492, 2: 137, 4: 107, 8: 53, 16: 9}
