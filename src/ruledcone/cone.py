@@ -24,7 +24,8 @@ Validity and chamber membership are integer comparisons on the form
 its validity violations and its chamber when it is built and keeps them as
 plain attributes, so the planner's per-call preconditions cost a read; an
 invalid point still constructs, has no chamber, and `chamber_of` raises the
-same ValueError on every call.
+same ValueError on every call.  Points share one `ChamberId` per chamber,
+and `active_walls` one `Wall` per wall, below a fixed index bound.
 One closed form, `chamber_index`, gives the chamber of points and states.
 """
 
@@ -35,42 +36,50 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import B, E, F, ClassVector
-from .rationals import format_rational
+from .rationals import exact_rational, format_rational
 
 _Q = Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NormalizedClass:
     """Areas (mu, 1, c) of B, F, E as exact rationals.
 
     Instances are plain data; they may violate the cone constraints (so that
     `is_valid` can report on them).  Use `validity_violations` to check.
+
+    Construction takes mu and c as Fractions, ints or "p/q" strings (a float
+    raises ValueError) and builds, outside the fields (==, hash, repr ignore
+    them, pickle keeps them): `ints`, (m, n, d) with mu = m/d, c = n/d and d
+    the lcm of the two denominators; `_violations`, the violated cone
+    constraints; and `_chamber`, the shared `ChamberId` of a valid point
+    (None otherwise).  Validity is one chained integer comparison on a valid
+    point; the violation texts are built only for an invalid one.
     """
 
     mu: Fraction
     c: Fraction
 
-    def __post_init__(self) -> None:
-        """Set, outside the fields (==, hash, repr ignore them, pickle keeps
-        them): `ints`, (m, n, d) with mu = m/d, c = n/d and d the lcm of the
-        two denominators; `_violations`, the violated cone constraints; and
-        `_chamber`, the chamber of a valid point (None otherwise)."""
-        mu, c = self.mu, self.c
-        if not isinstance(mu, Fraction):  # an int or a "p/q" string
-            mu = _Q(mu)
-            object.__setattr__(self, "mu", mu)
+    def __init__(self, mu, c) -> None:
+        if not isinstance(mu, Fraction):
+            mu = exact_rational(mu)
         if not isinstance(c, Fraction):
-            c = _Q(c)
-            object.__setattr__(self, "c", c)
-        d = math.lcm(mu.denominator, c.denominator)
-        ints = (mu.numerator * (d // mu.denominator),
-                c.numerator * (d // c.denominator), d)
-        object.__setattr__(self, "ints", ints)
-        bad = _find_violations(self)
-        object.__setattr__(self, "_violations", bad)
-        object.__setattr__(self, "_chamber",
-                           None if bad else ChamberId(chamber_index(*ints)))
+            c = exact_rational(c)
+        m, dm = mu.as_integer_ratio()
+        n, d = c.as_integer_ratio()
+        if dm != d:
+            lcm = math.lcm(dm, d)
+            m, n, d = m * (lcm // dm), n * (lcm // d), lcm
+        # written once each, straight into the instance dict, which the
+        # frozen __setattr__ leaves alone
+        attrs = self.__dict__
+        attrs["mu"] = mu
+        attrs["c"] = c
+        attrs["ints"] = (m, n, d)
+        attrs["_violations"] = bad = _find_violations(self)
+        index = 0 if bad else chamber_index(m, n, d)
+        attrs["_chamber"] = (_CHAMBERS[index] if index < _MEMO_INDEX
+                             else ChamberId(index))
 
     def __str__(self) -> str:
         return f"({format_rational(self.mu)}, {format_rational(self.c)})"
@@ -94,6 +103,8 @@ def validity_violations(u: NormalizedClass) -> list[str]:
 
 def _find_violations(u: NormalizedClass) -> tuple[str, ...]:
     m, n, d = u.ints
+    if 0 < n < d <= m:  # valid: m > 0 and n < m follow
+        return ()
     bad: list[str] = []
     if m <= 0:
         bad.append(f"mu > 0 violated (mu = {format_rational(u.mu)})")
@@ -118,15 +129,16 @@ def require_valid(u: NormalizedClass) -> None:
         raise ValueError("invalid normalized class: " + "; ".join(bad))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChamberId:
     """Region number of the chamber decomposition (index >= 1)."""
 
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"chamber index must be >= 1, got {self.index}")
+    def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ValueError(f"chamber index must be >= 1, got {index}")
+        self.__dict__["index"] = index
 
     @property
     def k(self) -> int:
@@ -149,6 +161,14 @@ class ChamberId:
         if self.is_even:
             return [f"mu > {k}", f"mu <= {k} + c"]
         return [f"mu > {k} + c", f"mu <= {k + 1}"]
+
+
+# Points share the ChamberId of each index below _MEMO_INDEX (None at 0, the
+# chamber of no point), and `active_walls` the Wall of each B-kF and B-kF-E
+# with k below half of it, the walls of those chambers; larger ones are
+# built per point.
+_MEMO_INDEX = 64
+_CHAMBERS = (None, *(ChamberId(i) for i in range(1, _MEMO_INDEX)))
 
 
 def chamber_of(u: NormalizedClass) -> ChamberId:
@@ -185,14 +205,25 @@ def active_walls(u: NormalizedClass) -> list[Wall]:
     The boundary classes E and F-E never qualify: the cone constraints give
     them positive area.
     """
-    require_valid(u)
+    if u._chamber is None:  # an invalid point: raise its validity error
+        require_valid(u)
     m, n, d = u.ints
     # mu = k + rest/d lies on B-kF when rest = 0 and on B-kF-E when rest = n;
     # 0 < n < d makes these exclusive, and k >= 1 as mu >= 1
     k, rest = divmod(m, d)
     if rest not in (0, n):
         return []
-    return [Wall(ClassVector(1, -k, (-1,) if rest else (0,)))]
+    slanted = rest != 0
+    return [_WALLS.get((k, slanted)) or _wall(k, slanted)]
+
+
+def _wall(k: int, slanted: bool) -> Wall:
+    """The wall of B-kF-E if slanted, else of B-kF."""
+    return Wall(ClassVector(1, -k, (-1,) if slanted else (0,)))
+
+
+_WALLS = {(k, slanted): _wall(k, slanted)
+          for k in range(1, _MEMO_INDEX // 2) for slanted in (False, True)}
 
 
 # -- figure model ------------------------------------------------------------
@@ -275,7 +306,7 @@ def figure_data(mu_max) -> FigureModel:
     Only walls strictly inside the window are emitted: verticals mu = k for
     k < mu_max, slants (k,0)-(k+1,1) for k+1 < mu_max.
     """
-    mu_max = _Q(mu_max)
+    mu_max = exact_rational(mu_max)
     if mu_max <= 1:
         raise ValueError("mu_max must exceed 1")
 

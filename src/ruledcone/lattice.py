@@ -18,18 +18,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfaceParams:
-    """Topological input: the base genus g."""
+    """Topological input: the base genus g, an int >= 0."""
 
     g: int
 
-    def __post_init__(self) -> None:
-        if self.g < 0:
-            raise ValueError(f"genus must be >= 0, got {self.g}")
+    def __init__(self, g: int) -> None:
+        if type(g) is not int:
+            raise ValueError(f"genus must be an int, got {g!r}")
+        if g < 0:
+            raise ValueError(f"genus must be >= 0, got {g}")
+        self.__dict__["g"] = g
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class ClassVector:
     """p*B + q*F + r*E with integer coefficients, r held as the 1-tuple (r,).
 
@@ -41,10 +44,14 @@ class ClassVector:
     q: int
     r: tuple[int] = (0,)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, tuple) or len(self.r) != 1:
+    def __init__(self, p: int, q: int, r: tuple[int] = (0,)) -> None:
+        if not isinstance(r, tuple) or len(r) != 1:
             raise ValueError(f"exceptional coefficients must be a 1-tuple"
-                             f" (one blow-up), got {self.r!r}")
+                             f" (one blow-up), got {r!r}")
+        fields = self.__dict__
+        fields["p"] = p
+        fields["q"] = q
+        fields["r"] = r
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0 and self.r[0] == 0

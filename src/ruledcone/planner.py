@@ -83,10 +83,10 @@ from .cone import (ChamberId, NormalizedClass, chamber_index, chamber_of,
                    is_valid, normalized, require_valid)
 from .inflation import InflationStep
 from .lattice import B, E, F, ClassVector, SurfaceParams, pair
-from .rationals import format_ratio, format_rational
+from .rationals import exact_rational, format_ratio, format_rational
 from .strata import OPEN_LABEL, StratumLabel, chamber_labels
 
-_Q = Fraction
+_Q = exact_rational  # an int, Fraction or p/q string; never a float
 
 ALWAYS = "always"
 OPEN = "open"

@@ -424,7 +424,8 @@ def test_cached_validity_and_chamber_are_invisible_and_pickle():
 
 def test_invalid_points_construct_and_raise_only_when_placed():
     # building, comparing, printing and checking an invalid point raise
-    # nothing; chamber_of and require_valid raise its violations
+    # nothing; chamber_of, require_valid and active_walls raise its
+    # violations
     invalid = [(mu, c) for mu, c in sweep_points()
                if fraction_violations(mu, c)]
     assert len(invalid) >= 10
@@ -435,7 +436,7 @@ def test_invalid_points_construct_and_raise_only_when_placed():
         text = "invalid normalized class: " + "; ".join(
             fraction_violations(mu, c))
         assert validity_violations(u) == fraction_violations(mu, c)
-        for check in (chamber_of, require_valid):
+        for check in (chamber_of, require_valid, active_walls):
             with pytest.raises(ValueError) as err:
                 check(u)
             assert str(err.value) == text

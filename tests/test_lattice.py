@@ -113,6 +113,13 @@ def test_class_arithmetic_and_order():
     assert sorted([B, E, F]) == [ClassVector(0, 0, (1,)),
                                  ClassVector(0, 1, (0,)),
                                  ClassVector(1, 0, (0,))]
+    # lexicographic in (p, q, r), and only among class vectors
+    classes = [B - 2 * F, B - 2 * F - E, E, F - E, B, F, -B, ClassVector(0, 0)]
+    assert sorted(classes) == [-B, ClassVector(0, 0), E, F - E, F,
+                               B - 2 * F - E, B - 2 * F, B]
+    assert B - 2 * F - E < B - 2 * F <= B - 2 * F < B and not B < B
+    with pytest.raises(TypeError):
+        B < (1, 0, (0,))
 
 
 @pytest.mark.parametrize("text,expected", [

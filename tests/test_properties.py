@@ -1,0 +1,91 @@
+"""Property-based tests at the walls, where exact half-open conditions are
+decided.
+
+A point is drawn on a wall mu = k or mu = k + c, or within 2^-j or 10^-j of
+one on either side, with a free second coordinate.  Its one-pass
+construction must agree with an independent `Fraction` reference: the
+violated cone constraints and their texts, the chamber read from the area
+signs of the section classes, and the walls as the section classes of zero
+area.  Hypothesis runs derandomized and without an example database, so
+every run draws the same points.
+"""
+
+import math
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ruledcone.cone import ChamberId, active_walls, chamber_of, normalized
+from ruledcone.rationals import format_rational
+
+NEAR_WALL = settings(derandomize=True, database=None, max_examples=400,
+                     deadline=None)
+
+
+@st.composite
+def near_wall_points(draw) -> tuple[Q, Q]:
+    """(mu, c): a wall B-kF (mu = k) or B-kF-E (mu = k + c), k in 1..40,
+    moved by 0 or by +-2^-j or +-10^-j; c = a/b in (0, 1) with b up to
+    10^12.  Below mu = 1 a point is invalid."""
+    den = draw(st.integers(2, 10**12))
+    c = Q(draw(st.integers(1, den - 1)), den)
+    k = draw(st.integers(1, 40))
+    mu = k + c if draw(st.booleans()) else Q(k)
+    base, j = draw(st.sampled_from([(2, 60), (10, 18)]))
+    sign = draw(st.sampled_from([-1, 0, 1]))
+    return mu + sign * Q(1, base ** draw(st.integers(0, j))), c
+
+
+def area(a, mu: Q, c: Q) -> Q:
+    return a.p * mu + a.q + a.r[0] * c
+
+
+def reference_violations(mu: Q, c: Q) -> list[str]:
+    """The cone constraints as Fraction comparisons, with their texts."""
+    fm, fc = format_rational(mu), format_rational(c)
+    bad = []
+    if not mu > 0:
+        bad.append(f"mu > 0 violated (mu = {fm})")
+    if not (0 < c and c < 1):
+        bad.append(f"0 < e_1 < 1 violated (e_1 = {fc})")
+    if not c < mu:
+        bad.append(f"e_1 < mu violated (e_1 = {fc}, mu = {fm})")
+    if not mu >= 1:
+        bad.append(f"mu >= 1 policy violated (mu = {fm});"
+                   " the leftmost chamber is out of scope")
+    return bad
+
+
+def reference_chamber_and_walls(mu: Q, c: Q):
+    """The chamber n of a valid point, where the first n section classes
+    B-E, B-F, B-F-E, ... have positive area and the rest do not, and the
+    section classes of zero area."""
+    sections = ChamberId(2 * math.ceil(mu) + 2).section_classes()
+    signs = [area(a, mu, c) > 0 for a in sections]
+    n = signs.index(False)
+    assert not any(signs[n:]), (mu, c)
+    return n, [a for a in sections if area(a, mu, c) == 0]
+
+
+@NEAR_WALL
+@given(near_wall_points())
+def test_one_pass_points_agree_with_the_fraction_reference(point):
+    mu, c = point
+    u = normalized(mu, c)
+    m, n, d = u.ints
+    assert (Q(m, d), Q(n, d)) == (mu, c)
+    assert d == math.lcm(mu.denominator, c.denominator)
+    bad = reference_violations(mu, c)
+    assert list(u._violations) == bad
+    if bad:
+        text = "invalid normalized class: " + "; ".join(bad)
+        for check in (chamber_of, active_walls):
+            with pytest.raises(ValueError) as err:
+                check(u)
+            assert str(err.value) == text
+        return
+    index, walls = reference_chamber_and_walls(mu, c)
+    assert chamber_of(u) == ChamberId(index)
+    assert [w.curve_class for w in active_walls(u)] == walls
