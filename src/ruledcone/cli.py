@@ -5,25 +5,34 @@ decompose, figure, report.  Rationals cross the boundary as ``p/q`` strings
 only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
 3 verification found a counterexample.  Output is deterministic for a given
 flag set: no clocks, no randomness.  The parser is built once per process,
-so ``main`` can be called repeatedly in-process.
+so ``main`` can be called repeatedly in-process.  When the first argument
+names a command, ``main`` parses the rest with that command's own parser,
+as the top-level parser would after finding it, and reports leftover
+arguments through the top-level parser; every other argument vector (none,
+help, an unknown command, an option first) goes through the top-level
+parser, which owns help and every parse error.
 
 Each command but ``figure`` (which writes its own SVG or CSV) builds one
 payload, the JSON that ``--json`` prints, and renders its text from that
 payload and the parsed arguments alone, so the text claims nothing the JSON
 does not.  ``main`` is the one place that prints; a reader that closes the
-output early does not change the exit code.
+output early does not change the exit code.  ``_json_text`` writes the JSON
+that ``json.dumps(payload, indent=2, sort_keys=True)`` would, without the
+standard library's pure-Python indenting encoder; a payload holds only
+dicts with str keys, lists, str, bool, None and int, so a float (inexact
+output) is a fault.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from contextlib import AbstractContextManager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import gromov as gromov_mod
 from .cone import (ChamberId, active_walls, chamber_of, figure_data,
@@ -407,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " normalized symplectic cone of one-point blow-ups of"
                     " irrational ruled surfaces (exact arithmetic).")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # name -> the command's own parser, for main
 
     def add_json(p):
         p.add_argument("--json", action="store_true",
@@ -492,13 +502,76 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, for dicts with str
+    keys, lists, tuples, str, bool, None and int; anything else raises
+    TypeError."""
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    return "".join(out)
+
+
+def _write_json(x, newline: str, out: list[str]) -> None:
+    kind = type(x)
+    if kind is str:
+        out.append(_quote(x))
+    elif kind is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"JSON key {key!r} is not a str")
+            out += (sep, _quote(key), ": ")
+            _write_json(x[key], inner, out)
+            sep = "," + inner
+        out += (newline, "}")
+    elif kind is list or kind is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out += (newline, "]")
+    elif x is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if x else "false")
+    elif kind is int:
+        out.append(repr(x))
+    else:
+        raise TypeError(f"{kind.__name__} {x!r} has no exact JSON form")
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, with a known
+    command parsed by its own parser alone."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command, help, an unknown one, an option first
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.text is None:  # figure writes its own SVG or CSV
             return args.func(args)
         payload, code = args.func(args)
-        lines = ([json.dumps(payload, indent=2, sort_keys=True)] if args.json
+        lines = ([_json_text(payload)] if args.json
                  else args.text(payload, args))
     except (InputError, PlanError) as err:
         print(f"error: {err}", file=sys.stderr)

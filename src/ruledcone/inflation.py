@@ -21,9 +21,8 @@ from fractions import Fraction
 
 from .cone import NormalizedClass
 from .lattice import B, E, F, ClassVector, pair
+from .rationals import exact_rational as _Q
 from .rationals import format_rational
-
-_Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,8 @@ class InflationStep:
     assumption: str | None = None
 
     def __post_init__(self) -> None:
-        # the planner passes Fractions; ints and "p/q" strings are converted
+        # the planner passes Fractions; ints and "p/q" strings are converted,
+        # and a float is refused
         if not isinstance(self.t, Fraction):
             object.__setattr__(self, "t", _Q(self.t))
         if self.t.numerator < 0:

@@ -48,6 +48,12 @@ class ClassVector:
         if not isinstance(r, tuple) or len(r) != 1:
             raise ValueError(f"exceptional coefficients must be a 1-tuple"
                              f" (one blow-up), got {r!r}")
+        if type(p) is not int or type(q) is not int or type(r[0]) is not int:
+            name, x = next((name, x) for name, x in
+                           (("p", p), ("q", q), ("r[0]", r[0]))
+                           if type(x) is not int)
+            raise ValueError(f"class coefficient {name} must be an int,"
+                             f" got {x!r}")
         fields = self.__dict__
         fields["p"] = p
         fields["q"] = q

@@ -293,6 +293,17 @@ def test_library_fault_exits_1(capsys, monkeypatch):
                    " normalize, got 0\n")
 
 
+def test_float_in_a_payload_exits_1(capsys, monkeypatch):
+    # the JSON is exact: a float that reaches a payload is a fault, named
+    # at the first key in sorted order (c before mu)
+    import ruledcone.cli as cli
+
+    monkeypatch.setattr(cli, "format_rational", float)
+    code, out, err = run(capsys, "chamber", "--u", "5/2,3/10", "--json")
+    assert (code, out) == (1, "")
+    assert err == "internal error: float 0.3 has no exact JSON form\n"
+
+
 @pytest.mark.parametrize("argv, stays, last_line", [
     # the F companion of the left hop carries this route out of chamber 4
     (["--from", "5/2,3/4", "--to", "9/4,1/2", "--label", "B-F"],
@@ -619,3 +630,15 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(ruledcone, name), name
+
+
+def test_a_known_command_parses_as_the_top_level_parser_would():
+    # main parses a known command with that command's own parser
+    from ruledcone.cli import _parse_args
+
+    golden = Path(__file__).parent / "golden" / "cli_argv.json"
+    parsed = [entry["argv"] for entry in json.loads(golden.read_text())
+              if entry["exit"] != 2 and "-h" not in entry["argv"]]
+    assert len(parsed) >= 20
+    for argv in parsed:
+        assert _parse_args(argv) == build_parser().parse_args(argv), argv

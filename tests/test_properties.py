@@ -1,15 +1,19 @@
 """Property-based tests at the walls, where exact half-open conditions are
-decided.
+decided, and of the CLI's JSON writer.
 
 A point is drawn on a wall mu = k or mu = k + c, or within 2^-j or 10^-j of
 one on either side, with a free second coordinate.  Its one-pass
 construction must agree with an independent `Fraction` reference: the
 violated cone constraints and their texts, the chamber read from the area
 signs of the section classes, and the walls as the section classes of zero
-area.  Hypothesis runs derandomized and without an example database, so
-every run draws the same points.
+area.  The CLI's `_json_text` must write what
+``json.dumps(x, indent=2, sort_keys=True)`` writes for every nesting of
+dicts, lists and tuples of str, int, bool and None, and refuse anything
+else.  Hypothesis runs derandomized and without an example database, so
+every run draws the same examples.
 """
 
+import json
 import math
 from fractions import Fraction as Q
 
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruledcone.cli import _json_text
 from ruledcone.cone import ChamberId, active_walls, chamber_of, normalized
 from ruledcone.rationals import format_rational
 
@@ -89,3 +94,42 @@ def test_one_pass_points_agree_with_the_fraction_reference(point):
     index, walls = reference_chamber_and_walls(mu, c)
     assert chamber_of(u) == ChamberId(index)
     assert [w.curve_class for w in active_walls(u)] == walls
+
+
+JSON_VALUES = settings(derandomize=True, database=None, max_examples=150,
+                       deadline=None)
+
+# quotes, backslashes, control characters, DEL, non-ASCII and an astral
+# character, beside any code point (lone surrogates included)
+_CHARS = st.one_of(
+    st.sampled_from('"\\/\n\t\b\x00\x1f\x7f\xe9\u20ac\U0001f600'),
+    st.characters(exclude_categories=()))
+_KEYS = st.one_of(
+    st.sampled_from(["", "a", "B", "_", "a0", "aa", "\xe9", "Z"]),
+    st.text(_CHARS, max_size=6))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.integers(-10**60, 10**60),
+                     st.text(_CHARS, max_size=12))
+JSON_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=5)),
+    max_leaves=24)
+
+
+@JSON_VALUES
+@given(JSON_PAYLOADS)
+def test_json_writer_writes_what_json_dumps_writes(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2,
+                                             sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    0.5, {"t": 1.0}, [1, [2.5]], {1: "a"}, {"a": {None: 1}}, {"a": 1, 2: 3},
+    Q(1, 2), {"a", "b"}])
+def test_json_writer_refuses_floats_and_non_str_keys(payload):
+    # json.dumps would write a float, or turn the key into a string; a
+    # Fraction or a set has no JSON form at all
+    with pytest.raises(TypeError):
+        _json_text(payload)

@@ -6,7 +6,8 @@ their fields by position or keyword, and refuse assignment.  A
 `NormalizedClass` also carries (m, n, d), its violations and its chamber
 outside the fields; pickling and copying keep them, and replacing
 recomputes them.  The library's rational inputs are exact: a float is
-refused where a Fraction, an int or a p/q string is taken.
+refused where a Fraction, an int or a p/q string is taken, and a class
+coefficient that is not an int is refused.
 """
 
 import copy
@@ -19,6 +20,7 @@ import pytest
 
 from ruledcone.cone import (ChamberId, NormalizedClass, Wall, active_walls,
                             chamber_of, figure_data, normalized)
+from ruledcone.inflation import InflationStep, RawClass
 from ruledcone.lattice import B, E, F, ClassVector, SurfaceParams, codim
 from ruledcone.planner import (plan_left_open, plan_left_stratum, plan_right,
                                plan_vertical, stratum_left_parameter,
@@ -150,15 +152,30 @@ _LABEL = label_for(B - 2 * F, _G1)
     (lambda g: SurfaceParams(g), 3, Q(3), "genus must be an int, got"
      " Fraction(3, 1)"),
     (lambda g: SurfaceParams(g), 1, True, "genus must be an int, got True"),
+    # the Fraction engine used to keep a float's binary fraction, so that
+    # RawClass(1, 1, 0.1) printed [1, 1, 3602879701896397/36028797018963968]
+    (lambda x: RawClass(1, 1, x), "1/10", 0.1, None),
+    (lambda x: InflationStep(F, x), Q(1, 10), 0.1, None),
+    # a class with a coefficient that is not an int used to build, and its
+    # area came out a float
+    (lambda x: ClassVector(x, 0), 1, 0.5, "class coefficient p must be an"
+     " int, got 0.5"),
+    (lambda x: ClassVector(1, x), -2, Q(-2), "class coefficient q must be an"
+     " int, got Fraction(-2, 1)"),
+    (lambda x: ClassVector(1, 0, (x,)), -1, True, "class coefficient r[0]"
+     " must be an int, got True"),
 ], ids=["normalized-mu", "NormalizedClass-c", "plan_right",
         "plan_left_open", "plan_left_stratum", "plan_vertical",
         "plan_vertical-open", "stratum_left_parameter", "verify-mu_max",
         "verify-grid_step", "verify-mu_min", "figure_data", "codim-genus",
-        "genus-float", "genus-str", "genus-Fraction", "genus-bool"])
+        "genus-float", "genus-str", "genus-Fraction", "genus-bool",
+        "RawClass", "InflationStep-t", "ClassVector-p", "ClassVector-q",
+        "ClassVector-r"])
 def test_inputs_are_exact_at_the_library_boundary(call, exact, inexact,
                                                   text):
     # the exact input works; a float, exact in binary or not, is refused
-    # with the form to use instead, and so is a genus that is not an int
+    # with the form to use instead, and so is a genus or a class
+    # coefficient that is not an int
     call(exact)
     with pytest.raises(ValueError) as err:
         call(inexact)
