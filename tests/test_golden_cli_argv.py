@@ -4,8 +4,10 @@ The corpus pins how the command line is parsed, not what a command
 computes: no arguments, help, an unknown command and a prefix of one, a
 missing required option for each command that has one, a retired option
 after a command and an option before it, the ``--opt=value`` form, a
-repeated option, one valid call per command with and without ``--json``,
-and a few inputs that each command's own checks refuse.  Help and usage
+repeated option, values that begin with a dash or hold a space, an
+abbreviation, an empty and a negative value, a repeated flag, a trailing
+positional, one valid call per command with and without ``--json``, and a
+few inputs that each command's own checks refuse.  Help and usage
 lines wrap at the terminal width, so every call runs with ``COLUMNS=80``.
 
 Regenerate (only when a parse result is meant to change) with
@@ -56,6 +58,17 @@ ARGVS = [
     ["chamber", "--", "--u", "5/2,3/10"],
     ["gromov", "--p", "one", "--q", "2", "--g", "2"],
     ["figure", "--mu-max", "2", "--format", "png"],
+    # values with a leading dash or a space, abbreviations, empty and
+    # negative values, repeats and leftovers
+    ["plan", "--from", "-1/2,1/2", *PLAN[3:]],
+    ["plan", "--from", "-1/2, 1/2", *PLAN[3:]],
+    ["plan", "--fr", *PLAN[2:]],
+    [*PLAN, "--x", "one"],
+    [*PLAN[:-1], ""],
+    ["decompose", "--g", "1", "--q-bound", "2", "--r-bound", "-1"],
+    ["figure", "--mu-max", "2", "--format", "csv", "-o", "/dev/null"],
+    ["chamber", "--u", "5/2,3/10", "--json", "--json"],
+    [*PLAN, "extra"],
     # one valid call per command, with and without --json
     ["chamber", "--u", "5/2,3/10"],
     ["chamber", "--u", "5/2,3/10", "--json"],
