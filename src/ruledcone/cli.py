@@ -5,12 +5,19 @@ decompose, figure, report.  Rationals cross the boundary as ``p/q`` strings
 only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
 3 verification found a counterexample.  Output is deterministic for a given
 flag set: no clocks, no randomness.  The parser is built once per process,
-so ``main`` can be called repeatedly in-process.  When the first argument
-names a command, ``main`` parses the rest with that command's own parser,
-as the top-level parser would after finding it, and reports leftover
-arguments through the top-level parser; every other argument vector (none,
-help, an unknown command, an option first) goes through the top-level
-parser, which owns help and every parse error.
+so ``main`` can be called repeatedly in-process.  Help and usage wrap at 78
+columns, whatever the terminal's width.  When the first argument names a
+command and the rest is a list of that command's exact option strings, each
+at most once and every required one present, each store option followed by
+a value that does not begin with '-', converts by its type and is among its
+choices, ``_read_known`` builds the namespace from those pairs and the
+parser's defaults, as argparse would.  Any other rest (help, an
+abbreviation, ``--opt=value``, ``--``, a value that begins with '-', a
+missing or bad value, a leftover) goes to that command's own parser, as
+the top-level parser would after finding the command, and leftover
+arguments are reported through the top-level parser; every other argument
+vector (none, help, an unknown command, an option first) goes through the
+top-level parser.  So argparse owns help, usage and every parse error.
 
 Each command but ``figure`` (which writes its own SVG or CSV) builds one
 payload, the JSON that ``--json`` prints, and renders its text from that
@@ -410,12 +417,18 @@ def _text_report(payload, args) -> list[str]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # help and usage wrap at 78 columns (argparse's width at COLUMNS=80),
+    # whatever the terminal is
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     ap = argparse.ArgumentParser(
-        prog="ruledcone",
+        prog="ruledcone", formatter_class=formatter,
         description="Chamber structure, strata and inflation planning for the"
                     " normalized symplectic cone of one-point blow-ups of"
                     " irrational ruled surfaces (exact arithmetic).")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       formatter_class=formatter))
     ap.commands = sub.choices  # name -> the command's own parser, for main
 
     def add_json(p):
@@ -499,7 +512,57 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_report, text=_text_report)
 
+    ap.tables = {name: _option_table(p) for name, p in ap.commands.items()}
     return ap
+
+
+def _option_table(command: argparse.ArgumentParser):
+    """What `_read_known` needs of one command, from its parser's own
+    actions: each exact option string of a one-value store or a constant
+    flag, the required actions, and every destination's default."""
+    options = {}
+    for action in command._actions:
+        if (type(action) is argparse._StoreAction and action.nargs is None
+                or isinstance(action, argparse._StoreConstAction)):
+            options.update(dict.fromkeys(action.option_strings, action))
+    required = frozenset(a for a in command._actions if a.required)
+    # argparse sets no attribute for a suppressed dest or default (help's)
+    dests = [a.dest for a in command._actions
+             if argparse.SUPPRESS not in (a.dest, a.default)]
+    defaults = {d: command.get_default(d) for d in [*dests, *command._defaults]}
+    return options, required, defaults
+
+
+def _read_known(table, argv) -> argparse.Namespace | None:
+    """The namespace the command's parser would return for ``argv`` when it
+    accepts it trivially: exact option strings, each once, each value
+    present, not starting with '-', of its type and among its choices, and
+    every required option given; None for anything else."""
+    options, required, defaults = table
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:  # a flag
+            values[action.dest] = action.const
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _json_text(payload) -> str:
@@ -551,16 +614,18 @@ def _write_json(x, newline: str, out: list[str]) -> None:
 
 def _parse_args(argv) -> argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` returns, with a known
-    command parsed by its own parser alone."""
+    command read by `_read_known` or else parsed by its own parser alone."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:  # no command, help, an unknown one, an option first
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _read_known(parser.tables[argv[0]], argv[1:])
+    if args is None:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
     return args
 

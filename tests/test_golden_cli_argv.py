@@ -8,7 +8,11 @@ repeated option, values that begin with a dash or hold a space, an
 abbreviation, an empty and a negative value, a repeated flag, a trailing
 positional, one valid call per command with and without ``--json``, and a
 few inputs that each command's own checks refuse.  Help and usage
-lines wrap at the terminal width, so every call runs with ``COLUMNS=80``.
+lines wrap at 78 columns whatever the terminal's width is (checked at
+``COLUMNS=40`` and ``200``); the corpus is recorded at ``COLUMNS=80``,
+where argparse's own width is 78 too.  A valid call of a known command is
+read without its argparse parser, which the corpus cannot show, so one
+test makes that parser raise.
 
 Regenerate (only when a parse result is meant to change) with
 
@@ -22,7 +26,9 @@ import os
 import sys
 from pathlib import Path
 
-from ruledcone.cli import main
+import pytest
+
+from ruledcone.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_argv.json"
 
@@ -127,6 +133,37 @@ def render() -> str:
 def test_cli_argv_corpus_matches_golden(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def golden_entry(argv: list[str]) -> dict:
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return next(entry for entry in entries if entry["argv"] == argv)
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [["-h"], ["plan", "-h"], PLAN[:-2]])
+def test_help_and_usage_ignore_the_terminal_width(monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    entry = golden_entry(argv)
+    code, out, err = run(argv)
+    assert (code, out.split("\n"), err.split("\n")) == (
+        entry["exit"], entry["stdout"], entry["stderr"])
+
+
+def test_a_valid_call_is_read_without_argparse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was asked to parse")
+
+    monkeypatch.setattr(build_parser().commands["plan"], "parse_known_args",
+                        refuse)
+    argv = [*PLAN, "--x", "1", "--json"]
+    entry = golden_entry(argv)
+    code, out, err = run(argv)
+    assert (code, out.split("\n"), err) == (0, entry["stdout"], "")
+    assert entry["exit"] == 0
+    # an abbreviation is argparse's to resolve
+    with pytest.raises(AssertionError, match="argparse was asked"):
+        run(["plan", "--fr", *PLAN[2:]])
 
 
 if __name__ == "__main__":

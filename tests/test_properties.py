@@ -1,5 +1,5 @@
 """Property-based tests at the walls, where exact half-open conditions are
-decided, and of the CLI's JSON writer.
+decided, and of the CLI's argument reader and JSON writer.
 
 A point is drawn on a wall mu = k or mu = k + c, or within 2^-j or 10^-j of
 one on either side, with a free second coordinate.  Its one-pass
@@ -9,10 +9,15 @@ signs of the section classes, and the walls as the section classes of zero
 area.  The CLI's `_json_text` must write what
 ``json.dumps(x, indent=2, sort_keys=True)`` writes for every nesting of
 dicts, lists and tuples of str, int, bool and None, and refuse anything
-else.  Hypothesis runs derandomized and without an example database, so
-every run draws the same examples.
+else.  Whenever the CLI's `_read_known` builds a command's namespace, that
+command's own parser must return the same one with no leftovers, and
+whenever the parser exits (help or an error), the reader must have
+declined.  Hypothesis runs derandomized and without an example database,
+so every run draws the same examples.
 """
 
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction as Q
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledcone.cli import _json_text
+from ruledcone.cli import _json_text, _read_known, build_parser
 from ruledcone.cone import ChamberId, active_walls, chamber_of, normalized
 from ruledcone.rationals import format_rational
 
@@ -133,3 +138,67 @@ def test_json_writer_refuses_floats_and_non_str_keys(payload):
     # Fraction or a set has no JSON form at all
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+ARGVS = settings(derandomize=True, database=None, max_examples=400,
+                 deadline=None)
+COMMANDS = build_parser().commands
+
+# values with and without a leading dash or a space, of no type, of a bad
+# type or out of the choices, and empty
+_ANY_VALUE = st.sampled_from(
+    ["2", "-1", " 3", "one", "", " ", "-", "--", "5/2,3/10", "-1/2,1/2",
+     "-1/2, 1/2", "open", "B-2F", "csv", "png", "-h", "--json", "a=b"])
+
+
+def _value(action):
+    """A value the option takes: a choice, an int, or an untyped string."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-2, 30).map(str)
+    return st.sampled_from(["5/2,3/10", "3", "1/8", "open", "B-2F", "x y", ""])
+
+
+@st.composite
+def command_argvs(draw) -> tuple[str, list[str]]:
+    """A command and its argv: most required options and some others, in
+    any order, each with a value it takes, then up to two stray words (an
+    exact or abbreviated option string, help, ``--``, an ``--opt=value``
+    form, a positional or any value) at any place."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = [a for a in COMMANDS[name]._actions
+               if a.option_strings and "-h" not in a.option_strings]
+    argv = []
+    for action in draw(st.permutations(actions)):
+        if draw(st.integers(0, 9)) < (9 if action.required else 3):
+            argv.append(draw(st.sampled_from(action.option_strings)))
+            if action.nargs != 0:
+                argv.append(draw(_value(action)))
+    option = st.sampled_from([s for a in actions for s in a.option_strings])
+    stray = st.one_of(
+        option,
+        option.flatmap(lambda s: st.integers(1, len(s) - 1).map(
+            lambda k: s[:k])),
+        st.sampled_from(["-h", "--help", "--", "extra"]),
+        st.tuples(option, _ANY_VALUE).map("=".join),
+        _ANY_VALUE)
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(stray))
+    return name, argv
+
+
+@ARGVS
+@given(command_argvs())
+def test_reader_builds_what_the_command_parser_builds(case):
+    name, argv = case
+    read = _read_known(build_parser().tables[name], argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = COMMANDS[name].parse_known_args(argv)
+        except SystemExit:
+            assert read is None, argv
+            return
+    if read is not None:
+        assert (vars(read), extra) == (vars(args), []), argv

@@ -99,7 +99,9 @@ def main(argv=None) -> int:
     ap.add_argument("--requests", type=int, default=3000)
     ap.add_argument("--seed", type=int, default=2028)
     args = ap.parse_args(argv)
-    os.environ["COLUMNS"] = "80"  # help and usage lines wrap at this width
+    # a checkout older than the fixed 78-column help wraps help and usage
+    # at the terminal width, which is 78 columns at COLUMNS=80
+    os.environ["COLUMNS"] = "80"
     legs = [LEGS[name] for name in args.leg or LEGS]
     code = 0
     for item, digest, note in digests(legs, not args.no_report, args.requests,
