@@ -18,6 +18,8 @@ the top-level parser would after finding the command, and leftover
 arguments are reported through the top-level parser; every other argument
 vector (none, help, an unknown command, an option first) goes through the
 top-level parser.  So argparse owns help, usage and every parse error.
+A ``--label`` text is parsed once per (text, genus) and its label kept in a
+bounded memo (`_parse_label`); a bad label is refused afresh on every call.
 
 Each command but ``figure`` (which writes its own SVG or CSV) builds one
 payload, the JSON that ``--json`` prints, and renders its text from that
@@ -27,7 +29,8 @@ output early does not change the exit code.  ``_json_text`` writes the JSON
 that ``json.dumps(payload, indent=2, sort_keys=True)`` would, without the
 standard library's pure-Python indenting encoder; a payload holds only
 dicts with str keys, lists, str, bool, None and int, so a float (inexact
-output) is a fault.
+output) is a fault.  A str inside a dict or a list is quoted in place; every
+other value goes through `_write_json` again.
 """
 
 from __future__ import annotations
@@ -117,12 +120,16 @@ def _parse_point(text: str):
     return u
 
 
-def _parse_label(text: str, params: SurfaceParams):
+# a label text takes a handful of values per genus, so its label is kept per
+# (text, g), as many as strata keeps section labels per genus; an
+# InputError is raised afresh on every call, never kept
+@functools.lru_cache(maxsize=64)
+def _parse_label(text: str, g: int):
     if text.strip().lower() == "open":
         return OPEN_LABEL
     try:
         cls = parse_class(text)
-        return label_for(cls, params)
+        return label_for(cls, SurfaceParams(g))
     except ValueError as err:
         raise InputError(f"bad stratum label {text!r}: {err}") from None
 
@@ -220,7 +227,7 @@ def _cmd_plan(args) -> tuple[dict, int]:
     u1 = _parse_point(getattr(args, "from"))
     u2 = _parse_point(args.to)
     params = _params(args.g)
-    label = _parse_label(args.label, params)
+    label = _parse_label(args.label, params.g)
     return plan(u1, u2, label, params, x=args.x).as_json(), EXIT_OK
 
 
@@ -587,8 +594,12 @@ def _write_json(x, newline: str, out: list[str]) -> None:
         for key in sorted(x):
             if type(key) is not str:
                 raise TypeError(f"JSON key {key!r} is not a str")
-            out += (sep, _quote(key), ": ")
-            _write_json(x[key], inner, out)
+            value = x[key]
+            if type(value) is str:  # the common case, quoted in place
+                out += (sep, _quote(key), ": ", _quote(value))
+            else:
+                out += (sep, _quote(key), ": ")
+                _write_json(value, inner, out)
             sep = "," + inner
         out += (newline, "}")
     elif kind is list or kind is tuple:
@@ -598,8 +609,11 @@ def _write_json(x, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in x:
-            out.append(sep)
-            _write_json(item, inner, out)
+            if type(item) is str:
+                out += (sep, _quote(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out)
             sep = "," + inner
         out += (newline, "]")
     elif x is None:

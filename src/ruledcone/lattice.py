@@ -37,7 +37,9 @@ class ClassVector:
     """p*B + q*F + r*E with integer coefficients, r held as the 1-tuple (r,).
 
     Ordering is lexicographic in (p, q, r); the planner uses it for
-    deterministic tie-breaking.
+    deterministic tie-breaking.  Its text form (`format_class`) is built on
+    first read and kept in the instance dict as `text`, beside `pairings`;
+    neither is a field, so neither takes part in ==, hash or repr.
     """
 
     p: int
@@ -67,6 +69,11 @@ class ClassVector:
         """(Z.B, Z.F, Z.E, Z.Z): area increments per unit t along Z, and Z.Z."""
         return (pair(self, B), pair(self, F), pair(self, E), pair(self, self))
 
+    @cached_property
+    def text(self) -> str:
+        """The text form, `format_class(self)`, e.g. "B-2F-E"."""
+        return format_class(self)
+
     def __add__(self, other: "ClassVector") -> "ClassVector":
         return ClassVector(self.p + other.p, self.q + other.q,
                            (self.r[0] + other.r[0],))
@@ -84,7 +91,7 @@ class ClassVector:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return format_class(self)
+        return self.text
 
 
 B = ClassVector(1, 0, (0,))

@@ -233,7 +233,7 @@ class InflationPlan:
         stays = self.stays_in_chamber()
         steps = []
         for z, p, q, tag in self.moves:
-            step = {"z": str(z), "t": format_ratio(p, q)}
+            step = {"z": z.text, "t": format_ratio(p, q)}
             if tag is not None:
                 step["assumption"] = tag
             steps.append(step)

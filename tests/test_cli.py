@@ -642,3 +642,45 @@ def test_a_known_command_parses_as_the_top_level_parser_would():
     assert len(parsed) >= 20
     for argv in parsed:
         assert _parse_args(argv) == build_parser().parse_args(argv), argv
+
+
+def test_a_label_is_parsed_once_per_text_and_genus():
+    from ruledcone.cli import InputError, _parse_label
+    from ruledcone.lattice import B, F, SurfaceParams
+    from ruledcone.strata import OPEN_LABEL, label_for
+
+    label = _parse_label("B-2F", 2)
+    assert label == label_for(B - 2 * F, SurfaceParams(2))
+    assert _parse_label("B-2F", 2) is label
+    assert _parse_label("B-2F", 3) is not label
+    assert _parse_label(" Open ", 1) is OPEN_LABEL
+    # a refused label is never kept: each call refuses it afresh
+    for text in ("B+F", ""):
+        size = _parse_label.cache_info().currsize
+        errors = []
+        for _ in range(2):
+            with pytest.raises(InputError) as exc:
+                _parse_label(text, 2)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"bad stratum label {text!r}: ")
+        assert _parse_label.cache_info().currsize == size
+
+
+def test_a_repeated_label_is_served_from_the_memo(capsys, monkeypatch):
+    # the second call parses no class: a lost memo would still print the
+    # right JSON, only more slowly, so the parser is made to fail
+    import ruledcone.cli as cli
+
+    golden = Path(__file__).parent / "golden" / "plans.json"
+    expected = json.loads(golden.read_text())["readme-stratum-left"]
+    argv = ["plan", "--from", "4,1/2", "--to", "15/4,1/2", "--g", "2",
+            "--label", "B-2F", "--json"]
+    first = run(capsys, *argv)
+
+    def refuse(text):
+        raise AssertionError(f"class {text!r} parsed again")
+
+    monkeypatch.setattr(cli, "parse_class", refuse)
+    assert run(capsys, *argv) == first == (
+        0, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")

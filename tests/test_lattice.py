@@ -151,3 +151,15 @@ def test_format_round_trip():
         assert parse_class(format_class(a)) == a
     assert format_class(B - 2 * F - E) == "B-2F-E"
     assert format_class(ClassVector(0, 0, (0,))) == "0"
+
+
+def test_class_text_is_kept_on_the_instance():
+    # the cached text is format_class's, and str() reads it
+    span = range(-3, 4)
+    for p in span:
+        for q in span:
+            for r in span:
+                a = ClassVector(p, q, (r,))
+                assert "text" not in vars(a)
+                assert a.text == format_class(a) == str(a)
+                assert vars(a)["text"] is a.text is str(a)

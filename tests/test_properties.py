@@ -12,8 +12,10 @@ dicts, lists and tuples of str, int, bool and None, and refuse anything
 else.  Whenever the CLI's `_read_known` builds a command's namespace, that
 command's own parser must return the same one with no leftovers, and
 whenever the parser exits (help or an error), the reader must have
-declined.  Hypothesis runs derandomized and without an example database,
-so every run draws the same examples.
+declined.  On the served path, a rational's text must parse back to it,
+and a certified plan's JSON must parse back to its integer moves.
+Hypothesis runs derandomized and without an example database, so every
+run draws the same examples.
 """
 
 import contextlib
@@ -28,7 +30,10 @@ from hypothesis import strategies as st
 
 from ruledcone.cli import _json_text, _read_known, build_parser
 from ruledcone.cone import ChamberId, active_walls, chamber_of, normalized
-from ruledcone.rationals import format_rational
+from ruledcone.lattice import SurfaceParams, parse_class
+from ruledcone.planner import plan
+from ruledcone.rationals import format_ratio, format_rational, parse_rational
+from ruledcone.strata import chamber_labels
 
 NEAR_WALL = settings(derandomize=True, database=None, max_examples=400,
                      deadline=None)
@@ -202,3 +207,49 @@ def test_reader_builds_what_the_command_parser_builds(case):
             return
     if read is not None:
         assert (vars(read), extra) == (vars(args), []), argv
+
+
+SERVED = settings(derandomize=True, database=None, max_examples=200,
+                  deadline=None)
+_BIG = 10**12
+
+
+@SERVED
+@given(st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+def test_rational_text_parses_back(p, q):
+    x = Q(p, q)
+    assert parse_rational(format_rational(x)) == x
+    assert format_ratio(p, q) == format_rational(x)
+
+
+@st.composite
+def same_chamber_requests(draw):
+    """(g, u1, u2, label): two points of one chamber 2g .. 2g+7, as the
+    plan-serve workload draws them, and a label of that chamber.  Chamber
+    n = 2k + s holds mu = k + a/d, c = b/d with a <= b when s = 0 and
+    a > b when s = 1."""
+    g = draw(st.integers(1, 3))
+    index = draw(st.integers(2 * g, 2 * g + 7))
+    k, odd = divmod(index, 2)
+    den = draw(st.integers(2, 64))
+
+    def point():
+        b = draw(st.integers(1, den - 1))
+        a = draw(st.integers(b + 1, den) if odd else st.integers(1, b))
+        return normalized(k + Q(a, den), Q(b, den))
+
+    u1, u2 = point(), point()
+    params = SurfaceParams(g)
+    label = draw(st.sampled_from(chamber_labels(ChamberId(index), params)))
+    return params, u1, u2, label
+
+
+@SERVED
+@given(same_chamber_requests())
+def test_plan_json_parses_back_to_its_moves(case):
+    params, u1, u2, label = case
+    transport = plan(u1, u2, label, params)  # same chamber: it certifies
+    steps = transport.as_json()["steps"]
+    assert [(parse_class(s["z"]), parse_rational(s["t"]),
+             s.get("assumption")) for s in steps] == [
+        (z, Q(p, q), tag) for z, p, q, tag in transport.moves]
