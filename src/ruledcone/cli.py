@@ -6,31 +6,24 @@ only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
 3 verification found a counterexample.  Output is deterministic for a given
 flag set: no clocks, no randomness.  The parser is built once per process,
 so ``main`` can be called repeatedly in-process.  Help and usage wrap at 78
-columns, whatever the terminal's width.  When the first argument names a
-command and the rest is a list of that command's exact option strings, each
-at most once and every required one present, each store option followed by
-a value that does not begin with '-', converts by its type and is among its
-choices, ``_read_known`` builds the namespace from those pairs and the
-parser's defaults, as argparse would.  Any other rest (help, an
-abbreviation, ``--opt=value``, ``--``, a value that begins with '-', a
-missing or bad value, a leftover) goes to that command's own parser, as
-the top-level parser would after finding the command, and leftover
-arguments are reported through the top-level parser; every other argument
-vector (none, help, an unknown command, an option first) goes through the
-top-level parser.  So argparse owns help, usage and every parse error.
-A ``--label`` text is parsed once per (text, genus) and its label kept in a
-bounded memo (`_parse_label`); a bad label is refused afresh on every call.
+columns, whatever the terminal's width.  A known command's argument vector
+is read by `_read_known` when it can be read trivially, and goes through
+the top-level parser otherwise, so argparse owns help, usage and every parse
+error.  A ``--label`` text is parsed once per (text, genus) and its label
+kept in a bounded memo (`_parse_label`); a bad label is refused afresh on
+every call.
 
-Each command but ``figure`` (which writes its own SVG or CSV) builds one
-payload, the JSON that ``--json`` prints, and renders its text from that
-payload and the parsed arguments alone, so the text claims nothing the JSON
-does not.  ``main`` is the one place that prints; a reader that closes the
-output early does not change the exit code.  ``_json_text`` writes the JSON
-that ``json.dumps(payload, indent=2, sort_keys=True)`` would, without the
-standard library's pure-Python indenting encoder; a payload holds only
-dicts with str keys, lists, str, bool, None and int, so a float (inexact
-output) is a fault.  A str inside a dict or a list is quoted in place; every
-other value goes through `_write_json` again.
+Each command builds one payload and renders its text from that payload and
+the parsed arguments alone: the JSON that ``--json`` prints, so the text
+claims nothing the JSON does not, or for ``figure`` its SVG or CSV text.
+``main`` is the one place that prints, every command's output included; a
+reader that closes the output early does not change the exit code.
+``_json_text`` writes the JSON that ``json.dumps(payload, indent=2,
+sort_keys=True)`` would, without the standard library's pure-Python
+indenting encoder; a payload holds only dicts with str keys, lists, str,
+bool, None and int, so a float (inexact output) is a fault.  A str inside a
+dict or a list is quoted in place; every other value goes through
+`_write_json` again.
 """
 
 from __future__ import annotations
@@ -45,8 +38,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import gromov as gromov_mod
-from .cone import (ChamberId, active_walls, chamber_of, figure_data,
-                   normalized, validity_violations)
+from .cone import (_MEMO_INDEX, ChamberId, active_walls, chamber_of,
+                   figure_data, normalized, validity_violations)
 from .discrepancies import detected_discrepancies
 from .inflation import InflationStep, inflate, normalize, t_range
 from .lattice import B, F, ClassVector, SurfaceParams, parse_class
@@ -121,9 +114,9 @@ def _parse_point(text: str):
 
 
 # a label text takes a handful of values per genus, so its label is kept per
-# (text, g), as many as strata keeps section labels per genus; an
-# InputError is raised afresh on every call, never kept
-@functools.lru_cache(maxsize=64)
+# (text, g), at most _MEMO_INDEX of them, the bound of cone's and strata's
+# memos; an InputError is raised afresh on every call, never kept
+@functools.lru_cache(maxsize=_MEMO_INDEX)
 def _parse_label(text: str, g: int):
     if text.strip().lower() == "open":
         return OPEN_LABEL
@@ -340,7 +333,9 @@ def _text_decompose(payload, args) -> list[str]:
     return lines
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> tuple[str, int]:
+    """The diagram's SVG or CSV text, or the line naming the file it went
+    to, without the final newline that ``main`` adds."""
     mu_max = _rational(args.mu_max)
     if mu_max <= 1:
         raise InputError("mu-max must exceed 1")
@@ -351,17 +346,15 @@ def _cmd_figure(args) -> int:
         text = model.to_csv()
     else:
         text = model.to_svg(scale=args.scale)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:  # a path the user named that cannot be written
-            raise InputError(f"cannot write {args.output}:"
-                             f" {err.strerror}") from None
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    if not args.output:
+        return text.removesuffix("\n"), EXIT_OK
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:  # a path the user named that cannot be written
+        raise InputError(f"cannot write {args.output}:"
+                         f" {err.strerror}") from None
+    return f"wrote {args.output}", EXIT_OK
 
 
 def _cmd_report(args) -> tuple[dict, int]:
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True,
         parser_class=functools.partial(argparse.ArgumentParser,
                                        formatter_class=formatter))
-    ap.commands = sub.choices  # name -> the command's own parser, for main
+    ap.commands = sub.choices  # name -> the command's own parser
 
     def add_json(p):
         p.add_argument("--json", action="store_true",
@@ -509,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=100,
                    help="SVG pixels per unit of mu")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_figure, text=None)
+    # no --json: the SVG or CSV text is the payload and the whole output
+    p.set_defaults(func=_cmd_figure, json=False, text=lambda text, _: [text])
 
     p = sub.add_parser("report", help="consolidated JSON report")
     p.add_argument("--g", type=int, required=True)
@@ -627,19 +621,15 @@ def _write_json(x, newline: str, out: list[str]) -> None:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """What ``build_parser().parse_args(argv)`` returns, with a known
-    command read by `_read_known` or else parsed by its own parser alone."""
+    """What ``build_parser().parse_args(argv)`` returns, read by
+    `_read_known` when it can read it."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # no command, help, an unknown one, an option first
+    table = parser.tables.get(argv[0]) if argv else None
+    args = _read_known(table, argv[1:]) if table else None
+    if args is None:  # no command, help, an unknown one, anything not trivial
         return parser.parse_args(argv)
-    args = _read_known(parser.tables[argv[0]], argv[1:])
-    if args is None:
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
     return args
 
@@ -647,8 +637,6 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        if args.text is None:  # figure writes its own SVG or CSV
-            return args.func(args)
         payload, code = args.func(args)
         lines = ([_json_text(payload)] if args.json
                  else args.text(payload, args))

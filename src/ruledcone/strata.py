@@ -28,8 +28,9 @@ one large chamber index pins no memory.  `lattice.codim` (adjunction) is
 the definition; the tests check the closed form against it.
 
 `wide_negative_classes` is the safety net: it scans all bounded (p, q, r)
-under principled arithmetic filters and marks anything outside the four
-families instead of silently dropping it.
+for classes of negative square, positive u-area and a defined adjunction
+genus that meet the multisection covering bound, and marks anything
+outside the four families instead of silently dropping it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cone import ChamberId, NormalizedClass, area, chamber_of, require_valid
+from .cone import (_MEMO_INDEX, ChamberId, NormalizedClass, area, chamber_of,
+                   require_valid)
 from .lattice import (E, F, ClassVector, SurfaceParams, adjunction_genus,
                       codim, pair)
 
@@ -101,9 +103,8 @@ def _section_labels(g: int, lo: int, hi: int) -> list[StratumLabel]:
 
 
 # genus -> the labels of section classes 0, 1, 2, ..., kept up to the largest
-# chamber index asked for but never past _MEMO_INDEX (classify and the
-# verifier stay below it); labels past it are built per call.
-_MEMO_INDEX = 64
+# chamber index asked for but never past cone's _MEMO_INDEX (classify and
+# the verifier stay below it); labels past it are built per call.
 _SECTION_LABELS: dict[int, list[StratumLabel]] = {}
 
 
@@ -158,12 +159,12 @@ def wide_negative_classes(u: NormalizedClass, params: SurfaceParams,
                           bound: int) -> list[tuple[ClassVector, str]]:
     """Safety-net scan over all |p|,|q|,|r| <= bound.
 
-    Filters: negative square, positive u-area, adjunction genus defined,
-    non-negative pairing with each of F, E, F-E (an embedded connected curve
-    distinct from them meets them non-negatively), and for multisections the
-    covering bound g(A) >= p(g-1) + 1.  Classes passing the filters but lying
-    outside the four families are tagged OUTSIDE_FAMILIES, not dropped:
-    whether they actually occur is not settled arithmetic.
+    Filters: negative square, positive u-area, adjunction genus defined, and
+    for multisections the covering bound g(A) >= p(g-1) + 1; together they
+    imply that A meets each of F, E and F-E other than A non-negatively.
+    Classes passing the filters but lying outside the four families are
+    tagged OUTSIDE_FAMILIES, not dropped: whether they actually occur is not
+    settled arithmetic.
     """
     require_valid(u)
     out: list[tuple[ClassVector, str]] = []
@@ -173,8 +174,6 @@ def wide_negative_classes(u: NormalizedClass, params: SurfaceParams,
             continue
         genus = adjunction_genus(a, params)
         if genus is None:
-            continue
-        if any(pair(a, c) < 0 for c in (F, E, F - E) if a != c):
             continue
         if p >= 1 and genus < p * (params.g - 1) + 1:
             continue

@@ -536,14 +536,21 @@ def run_module(*argv):
                           capture_output=True, text=True, env=module_env())
 
 
-def test_reader_closing_stdout_early_is_no_error():
-    # 159 KB of JSON against a 64 KB pipe buffer: the write meets the closed
-    # pipe, which is the reader's choice, not an internal error
+@pytest.mark.parametrize("argv, first", [
+    (["decompose", "--g", "6", "--q-bound", "8", "--json"], b"{"),
+    (["figure", "--mu-max", "2000"], b"<"),
+], ids=["decompose", "figure"])
+def test_reader_closing_stdout_early_is_no_error(argv, first):
+    # 159 KB of JSON, or 1 MB of SVG, against a 64 KB pipe buffer: the
+    # write meets the closed pipe, which is the reader's choice, not an
+    # internal error.  Buffered, as by default: unbuffered, a partial write
+    # to the pipe drops the rest of the output without an error
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ruledcone", "decompose", "--g", "6",
-         "--q-bound", "8", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env())
-    assert proc.stdout.read(1) == b"{"
+        [sys.executable, "-m", "ruledcone", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == first
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -95,6 +95,10 @@ def test_nonvanishing_criterion_implies_applicability():
             for q in range(0, 7):
                 if gromov_nonzero_criterion(p, q, params):
                     assert gromov_invariant(p, q, params) > 0
+        # the bound q = g-1 is met, q = g-2 is not
+        for p in range(0, 3):
+            assert gromov_nonzero_criterion(p, g - 1, params)
+            assert not gromov_nonzero_criterion(p, g - 2, params)
 
 
 def test_decompositions_sum_to_total():
@@ -165,7 +169,7 @@ def brute_force_decompositions(g, q_bound, r_bound=1):
              for q in range(0, q_bound + 1)
              for r in range(-r_bound, r_bound + 1)]
     parts = [a for a in parts if not a.is_zero() and area(u, a) > 0]
-    total = ClassVector(1, g, (0,))
+    triples = [(a.p, a.q, a.r[0]) for a in parts]
     caps = []
     for a in parts:
         if a.q > 0:
@@ -175,17 +179,19 @@ def brute_force_decompositions(g, q_bound, r_bound=1):
         else:  # pure exceptional part
             caps.append((g + 1) * r_bound)
     out = set()
+    # sums of integer triples; classes are built for the hits only
     for counts in itertools.product(*(range(m + 1) for m in caps)):
-        s = ClassVector(0, 0, (0,))
-        n = 0
-        for cnt, a in zip(counts, parts):
+        sp = sq = sr = n = 0
+        for cnt, (p, q, r) in zip(counts, triples):
             if cnt:
-                s = s + cnt * a
+                sp += cnt * p
+                sq += cnt * q
+                sr += cnt * r
                 n += cnt
-            if s.p > 1 or s.q > g:
+            if sp > 1 or sq > g:
                 break
         else:
-            if s == total and n > 0:
+            if (sp, sq, sr) == (1, g, 0) and n > 0:
                 ms = []
                 for cnt, a in zip(counts, parts):
                     ms.extend([a] * cnt)

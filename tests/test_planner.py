@@ -257,6 +257,10 @@ def test_left_hop_parameter_checks_its_start_and_names_mu():
     with pytest.raises(PlanError) as exc:
         stratum_left_parameter(normalized(3, Q(1, 2)), B - F, 3)
     assert str(exc.value) == "leftward target must lie in (1, 3), got 3"
+    # (B+2F).B = 2 > 1: a hop along it moves mu right, not left
+    with pytest.raises(PlanError) as exc:
+        stratum_left_parameter(normalized(3, Q(1, 2)), B + 2 * F, 2)
+    assert str(exc.value) == "B+2F is not a leftward class"
 
 
 def test_plan_left_stratum_single_hop():
@@ -845,6 +849,10 @@ def test_verify_stability_below_threshold_finds_counterexamples():
 def test_verify_stability_empty_grid():
     rep = verify_stability(P1, Q(9, 8), Q(1, 4))
     assert rep["ok"] and rep["chambers"] == []
+    # a step of 0 would never leave its first grid point
+    for step in (0, Q(-1, 4)):
+        with pytest.raises(ValueError, match="^grid step must be positive$"):
+            verify_stability(P1, 3, step)
 
 
 def test_open_label_section_quantifier_on_criterion_7_grids():

@@ -13,7 +13,9 @@ else.  Whenever the CLI's `_read_known` builds a command's namespace, that
 command's own parser must return the same one with no leftovers, and
 whenever the parser exits (help or an error), the reader must have
 declined.  On the served path, a rational's text must parse back to it,
-and a certified plan's JSON must parse back to its integer moves.
+and a certified plan's JSON must parse back to its integer moves.  Each
+state a same-chamber plan walks through gets from `cone.chamber_index` the
+chamber that the area signs of its section classes give.
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples.
 """
@@ -29,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruledcone.cli import _json_text, _read_known, build_parser
-from ruledcone.cone import ChamberId, active_walls, chamber_of, normalized
+from ruledcone.cone import (ChamberId, active_walls, chamber_index,
+                            chamber_of, normalized)
 from ruledcone.lattice import SurfaceParams, parse_class
 from ruledcone.planner import plan
 from ruledcone.rationals import format_ratio, format_rational, parse_rational
@@ -253,3 +256,13 @@ def test_plan_json_parses_back_to_its_moves(case):
     assert [(parse_class(s["z"]), parse_rational(s["t"]),
              s.get("assumption")) for s in steps] == [
         (z, Q(p, q), tag) for z, p, q, tag in transport.moves]
+
+
+@SERVED
+@given(same_chamber_requests())
+def test_plan_states_take_the_chamber_of_their_area_signs(case):
+    params, u1, u2, label = case
+    # a state (b, f, e, d) is the point (b/f, e/f) scaled by f/d > 0
+    for b, f, e, _ in plan(u1, u2, label, params)._walk():
+        n, _ = reference_chamber_and_walls(Q(b, f), Q(e, f))
+        assert chamber_index(b, e, f) == n, (b, f, e)

@@ -273,3 +273,42 @@ def test_wide_scan_surfaces_multisection_candidates():
     two_b_minus_e = 2 * B - E
     assert found.get(two_b_minus_e) == OUTSIDE_FAMILIES
     assert adjunction_genus(two_b_minus_e, P2) == 2 * P2.g - 1
+
+
+def test_wide_scan_meets_f_e_and_f_minus_e_non_negatively():
+    """The scan's four filters (negative square, positive area, genus >= 0,
+    multisection bound) leave no class A = pB+qF+rE that meets one of F, E,
+    F-E other than itself negatively, so the scan equals a reference that
+    also filters on those pairings.  With mu >= 1, 0 < c < 1 and g >= 0,
+    the genus is 1 + (p-1)q + (g-1)p - r(r+1)/2, the area p mu + q + rc
+    and A.A = 2pq - r^2:
+
+    - p <= -1: the genus bound gives q <= 1 - r(r+1)/(2(1-p)).  For r <= 0
+      that is q <= 1, while positive area needs q > -p mu >= 1; for r >= 1
+      area needs q > -p - r, and both bounds at once ask
+      r^2 - (1-2p)r + 2p^2 - 2p <= 0, whose discriminant 1 + 4p - 4p^2 is
+      negative.
+    - p = 0: r != 0, the genus is 1 - q - r(r+1)/2 and the area q + rc;
+      only E and F-E pass, and each meets the other and F non-negatively.
+    - p >= 1: the multisection bound reads 2q(p-1) >= r(r+1), which with
+      2pq < r^2 forces -p <= r <= 0, so A.F = p, A.E = -r and
+      A.(F-E) = p + r are all >= 0.
+
+    Points on and 10^-9 off the walls mu = k and mu = k + c, and next to
+    c = 0 and c = 1."""
+    eps = Q(1, 10**9)
+    points = [(Q(1), Q(1, 2)), (1 + eps, Q(1, 3)), (2 - eps, 1 - eps),
+              (Q(2), eps), (2 + eps, Q(1, 2)), (Q(5, 2), Q(1, 2)),
+              (Q(5, 2) + eps, Q(1, 2)), (Q(7, 2) - eps, Q(1, 2)),
+              (Q(9, 2), Q(3, 10)), (Q(6), 1 - eps)]
+    outside = 0
+    for g in range(5):
+        params = SurfaceParams(g)
+        for mu, c in points:
+            scan = wide_negative_classes(normalized(mu, c), params, 7)
+            reference = [(a, status) for a, status in scan
+                         if all(pair(a, x) >= 0
+                                for x in (F, E, F - E) if a != x)]
+            assert scan == reference, (g, mu, c)
+            outside += sum(status == OUTSIDE_FAMILIES for _, status in scan)
+    assert outside > 0  # the scan reaches past the families
