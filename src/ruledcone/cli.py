@@ -3,7 +3,7 @@
 Commands: chamber, strata, inflate, plan, verify-stability, gromov,
 decompose, figure, report.  Rationals cross the boundary as ``p/q`` strings
 only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
-3 verification found a counterexample.  Output is deterministic for a given
+3 not every transport certified.  Output is deterministic for a given
 flag set: no clocks, no randomness.  The parser is built once per process,
 so ``main`` can be called repeatedly in-process.  Help and usage wrap at 78
 columns, whatever the terminal's width.  A known command's argument vector
@@ -106,7 +106,8 @@ def _parse_point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"expected mu,c with rational entries, got {text!r}")
-    u = normalized(_rational(parts[0]), _rational(parts[1]))
+    with _UserInput():
+        u = normalized(parse_rational(parts[0]), parse_rational(parts[1]))
     bad = validity_violations(u)
     if bad:
         raise InputError(f"invalid normalized class {text!r}: " + "; ".join(bad))
@@ -243,7 +244,7 @@ def _text_plan(payload, args) -> list[str]:
 def _cmd_verify_stability(args) -> tuple[dict, int]:
     params = _params(args.g)
     mu_max, step = _rational(args.mu_max), _rational(args.step)
-    mu_min = _rational(args.mu_min) if args.mu_min else None
+    mu_min = _rational(args.mu_min) if args.mu_min is not None else None
     if mu_min is not None and mu_min < 1:  # no cone point has mu < 1
         raise InputError(f"mu-min must be >= 1, got {format_rational(mu_min)}")
     payload = _verify(params, mu_max, step, mu_min=mu_min,
@@ -346,7 +347,7 @@ def _cmd_figure(args) -> tuple[str, int]:
         text = model.to_csv()
     else:
         text = model.to_svg(scale=args.scale)
-    if not args.output:
+    if args.output is None:
         return text.removesuffix("\n"), EXIT_OK
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -563,7 +564,9 @@ def _read_known(table, argv) -> argparse.Namespace | None:
         values[action.dest] = value
     if not required <= seen:
         return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    args.__dict__.update(values)
+    return args
 
 
 def _json_text(payload) -> str:

@@ -153,16 +153,17 @@ def _certify(state: State, moves, label: StratumLabel | None,
     # has no core and tests 0 > -1
     cp, cq, cr, floor = ((core.p, core.q, core.r[0], 0) if core is not None
                          else (0, 0, 0, -1))
+    gcd = math.gcd
     b, f, e, d = state
     for z, p, q, _ in moves:
         if p < 0 or q <= 0:
             raise PlanError(f"step ({z}, {p}/{q}) needs a parameter p/q"
                             " with p >= 0 and q > 0")
-        a = z.p * b + z.q * f + z.r[0] * e  # d times the area of z
+        db, df, de, zz = z.pairings  # (Z.B, Z.F, Z.E) = (z.q, z.p, -z.r)
+        a = df * b + db * f - de * e  # d times the area of z
         if a <= 0:
             raise PlanError(f"{z} has non-positive area"
                             f" {format_rational(Fraction(a, d))} mid-plan")
-        db, df, de, zz = z.pairings
         # t (-Z.Z) < a/d, denominators cleared
         if zz < 0 and p * -zz * d >= q * a:
             raise PlanError(
@@ -171,7 +172,7 @@ def _certify(state: State, moves, label: StratumLabel | None,
         # state + t PD(z), over the common denominator d q
         pd = p * d
         b, f, e, d = b * q + pd * db, f * q + pd * df, e * q + pd * de, d * q
-        g = math.gcd(b, f, e, d)
+        g = gcd(b, f, e, d)
         if g != 1:
             b, f, e, d = b // g, f // g, e // g, d // g
         if checked and not (0 < e < f and cp * b + cq * f + cr * e > floor):
@@ -185,7 +186,7 @@ class PlanError(ValueError):
     """No valid plan: the message names the binding constraint."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InflationPlan:
     """A certified sequence of inflation moves from start to end."""
 
@@ -193,6 +194,13 @@ class InflationPlan:
     moves: tuple[Move, ...]
     end: NormalizedClass
     label: StratumLabel | None = None
+
+    def __init__(self, start, moves, end, label=None) -> None:
+        attrs = self.__dict__
+        attrs["start"] = start
+        attrs["moves"] = moves
+        attrs["end"] = end
+        attrs["label"] = label
 
     @functools.cached_property
     def steps(self) -> tuple[InflationStep, ...]:
@@ -220,12 +228,15 @@ class InflationPlan:
         """Whether every intermediate point is valid and in the start chamber;
         the moves are re-walked and re-certified first."""
         states = self._walk()
-        if not is_valid(self.start):
+        chamber = self.start._chamber  # None for an invalid start
+        if chamber is None:
             return False
-        index = chamber_of(self.start).index
+        index = chamber.index
         # a state (b, f, e, d) is valid iff 0 < e < f <= b; mu = b/f, c = e/f
-        return all(0 < e < f <= b and chamber_index(b, e, f) == index
-                   for b, f, e, _ in states[1:])
+        for b, f, e, _ in states[1:]:
+            if not 0 < e < f <= b or chamber_index(b, e, f) != index:
+                return False
+        return True
 
     def as_json(self) -> dict:
         """The `plan --json` payload, each move written as its

@@ -1,34 +1,34 @@
 """Exact rational helpers: strict ``p/q`` parsing and Stern-Brocot search.
 
-Rationals cross every external boundary as ``p/q`` strings.  Decimal
-literals are rejected on purpose: ``0.1`` silently becomes 3602879701896397/2**55
-under float parsing, and the chamber inequalities are exact half-open
-conditions where that error is fatal.  For the same reason the library's
-entry points take their rationals through `exact_rational`, which refuses a
-float.  The Stern-Brocot search
-(`simplest_between`) has no caller in the package: the benchmark's tracer
-wraps it, and the tests' reference hop chain picks its hop targets with it.
+Rationals cross every external boundary as ``p/q`` strings.  The reader,
+`parse_rational`, takes ``[+-]?D+(/D+)?`` after stripping surrounding
+whitespace, where a digit D is any character of Unicode category Nd, as
+for ``str.isdecimal``.  Decimal literals are rejected on purpose: ``0.1``
+silently becomes 3602879701896397/2**55 under float parsing, and the
+chamber inequalities are exact half-open conditions where that error is
+fatal.  For the same reason the library's entry points take their
+rationals through `exact_rational`, which refuses a float.  The
+Stern-Brocot search (`simplest_between`) has no caller in the package: the
+benchmark's tracer wraps it, and the tests' reference hop chain picks its
+hop targets with it.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
-
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"3"`` or ``"-5/2"`` into a Fraction.  Decimals are rejected."""
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not digits.isdecimal() or slash and not den.isdecimal():
         raise ValueError(f"not an integer or p/q rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    den = int(den) if slash else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Fraction(int(num), den)
 
 
 def exact_rational(x) -> Fraction:
@@ -53,7 +53,8 @@ def format_rational(x: Fraction) -> str:
     """A Fraction, int or ``p/q`` string as `format_ratio` writes it."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    return format_ratio(x.numerator, x.denominator)
+    n, d = x.numerator, x.denominator  # a Fraction is in lowest terms
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

@@ -248,10 +248,36 @@ def test_plan_rejects_out_of_range_x(capsys, x):
     ("plan --from 4,1/2 --to 15/4,1/2 --g 2 --label B-2F --x 1",
      "section coefficient x=1 pins an open-stratum section; label B-2F is"
      " not open"),
+    # a point's rationals are read inside one input context
+    ("plan --from 1/0,1/2 --to 5/2,2/5 --g 2 --label open --json",
+     "zero denominator: '1/0'"),
+    ("plan --from a,1/2 --to 5/2,2/5 --g 2 --label open --json",
+     "not an integer or p/q rational: 'a'"),
+    ("plan --from 1,2,3 --to 5/2,2/5 --g 2 --label open --json",
+     "expected mu,c with rational entries, got '1,2,3'"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-stability", "--g", "1", "--mu-max", "3", "--step", "1/4",
+      "--mu-min", ""], "not an integer or p/q rational: ''"),
+    (["verify-stability", "--g", "1", "--mu-max", "3", "--step", "1/4",
+      "--mu-min="], "not an integer or p/q rational: ''"),
+    (["verify-stability", "--g", "1", "--mu-max", "3", "--step", "1/4",
+      "--mu-min", " "], "not an integer or p/q rational: ' '"),
+    (["figure", "--mu-max", "2", "-o", ""],
+     "cannot write : No such file or directory"),
+    (["figure", "--mu-max", "2", "--output="],
+     "cannot write : No such file or directory"),
+])
+def test_an_empty_option_value_is_a_value(capsys, argv, message):
+    # an empty value is refused as the text it is, never read as an absent
+    # option (the default grid, or the SVG on stdout), by the command's
+    # reader and by argparse alike
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, low", [

@@ -8,7 +8,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ruledcone.cone import ChamberId, area, chamber_of, is_valid, normalized
+from ruledcone.cone import (ChamberId, area, chamber_index, chamber_of,
+                            is_valid, normalized)
 from ruledcone.discrepancies import detected_discrepancies
 from ruledcone.inflation import InflationStep, apply_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams, parse_class
@@ -637,6 +638,9 @@ U_B2F = normalized(4, Q(1, 2))
      "label open is absent at (11/3, 0): E has non-positive area", 1),
     (U_OPEN, ((B - 2 * E, 1, 2, OPEN),), OPEN_LABEL,
      "label open is absent at (10/3, 1): F-E has non-positive area", 0),
+    # after (F, 2/3) the areas are (3, 1, 2/5): B-3F has area exactly 0
+    (U_WALK, ((F, 2, 3, ALWAYS), (B - 3 * F, 1, 1, STRATUM)), None,
+     "B-3F has non-positive area 0 mid-plan", 1),
 ])
 def test_certified_walk_refusal_texts(start, moves, label, text, reached):
     # one failing move per refusal of `_certify`, pinned byte for byte; the
@@ -740,7 +744,12 @@ def test_stays_in_chamber_matches_the_point_test():
                         normalized(Q(1, 2), Q(1, 16)))
     outside = InflationPlan(normalized(Q(1, 2), Q(1, 4)), (),
                             normalized(Q(1, 2), Q(1, 4)))
-    for pl in (out, outside):
+    # from chamber 1 a step along B leaves the cone at (1/2, 1/4), where
+    # the chamber formula still reads 1: only the validity test refuses it
+    below = InflationPlan(normalized(1, Q(1, 2)), ((B, 1, 1, OPEN),),
+                          normalized(Q(1, 2), Q(1, 4)))
+    assert chamber_of(below.start).index == chamber_index(2, 1, 4) == 1
+    for pl in (out, outside, below):
         assert pl.stays_in_chamber() is _stays_by_points(pl) is False
 
 

@@ -1,9 +1,12 @@
 """Strict rational parsing and smallest-denominator interval search."""
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ruledcone.rationals import (format_ratio, format_rational, parse_rational,
                                  simplest_between)
@@ -16,6 +19,58 @@ def test_parse():
     for bad in ("2.5", "1e3", "a", "1/0", "1/2/3", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+# the reader's grammar as a regular expression: \d is Unicode category Nd
+_REFERENCE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def _reference_parse(text: str) -> Q:
+    m = _REFERENCE.match(text.strip())
+    if m is None:
+        raise ValueError(f"not an integer or p/q rational: {text!r}")
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Q(num, den)
+
+
+def _outcome(read, text: str):
+    """The Fraction `read` returns, or the text of the ValueError it raises."""
+    try:
+        value = read(text)
+    except ValueError as err:
+        return "error", str(err)
+    assert type(value) is Q
+    return "value", value
+
+
+# ASCII digits, the characters of a sign, a ratio or a decimal, whitespace
+# that strip() removes (\x1c and the em space among it), and digits of other
+# scripts: Arabic-Indic and fullwidth three are Nd, superscript two is not
+_ALPHABET = "0123456789+-/._ \t\n\x1c\u2003\u0663\uff13\u00b2"
+_PIECE = st.text(_ALPHABET, max_size=4)
+_DIGITS = st.text("0123456789\u0663\uff13\u00b2", min_size=1, max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(st.one_of(
+    st.text(_ALPHABET, max_size=10),
+    # near the grammar: whitespace, a sign, digits, a ratio, whitespace
+    st.tuples(st.sampled_from(["", " ", "\t", "\x1c", "\u2003", "+", "-"]),
+              _DIGITS, st.sampled_from(["", "/", "//", ".", "_"]),
+              st.one_of(_DIGITS, _PIECE),
+              st.sampled_from(["", "\n", " ", "\u2003"])).map("".join)))
+@example("\u0663/\uff13")
+@example(" -0/5\n")
+@example("\u00b2")
+@example("1/\u00b2")
+@example("+-1")
+@example("1_0")
+@example("0/0")
+def test_reader_matches_the_regular_expression(text):
+    assert _outcome(parse_rational, text) == _outcome(_reference_parse, text)
 
 
 def test_format():

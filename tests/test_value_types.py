@@ -1,13 +1,13 @@
 """The frozen value types of the classification path as plain data.
 
-`ClassVector`, `SurfaceParams`, `NormalizedClass`, `ChamberId` and `Wall`
-compare, hash, print, pickle, copy and replace by their fields alone, take
-their fields by position or keyword, and refuse assignment.  A
-`NormalizedClass` also carries (m, n, d), its violations and its chamber
-outside the fields; pickling and copying keep them, and replacing
-recomputes them.  The library's rational inputs are exact: a float is
-refused where a Fraction, an int or a p/q string is taken, and a class
-coefficient that is not an int is refused.
+`ClassVector`, `SurfaceParams`, `NormalizedClass`, `ChamberId`, `Wall` and
+`InflationPlan` compare, hash, print, pickle, copy and replace by their
+fields alone, take their fields by position or keyword, and refuse
+assignment.  A `NormalizedClass` also carries (m, n, d), its violations
+and its chamber outside the fields; pickling and copying keep them, and
+replacing recomputes them.  The library's rational inputs are exact: a
+float is refused where a Fraction, an int or a p/q string is taken, and a
+class coefficient that is not an int is refused.
 """
 
 import copy
@@ -22,9 +22,9 @@ from ruledcone.cone import (ChamberId, NormalizedClass, Wall, active_walls,
                             chamber_of, figure_data, normalized)
 from ruledcone.inflation import InflationStep, RawClass
 from ruledcone.lattice import B, E, F, ClassVector, SurfaceParams, codim
-from ruledcone.planner import (plan_left_open, plan_left_stratum, plan_right,
-                               plan_vertical, stratum_left_parameter,
-                               verify_stability)
+from ruledcone.planner import (InflationPlan, plan_left_open,
+                               plan_left_stratum, plan_right, plan_vertical,
+                               stratum_left_parameter, verify_stability)
 from ruledcone.strata import OPEN_LABEL, label_for
 
 # (build, fields, repr, a changed field, the value built with it)
@@ -57,6 +57,33 @@ CASES = [
      {"curve_class": B - 50 * F - E},
      "Wall(curve_class=ClassVector(p=1, q=-50, r=(-1,)))",
      {"curve_class": E}, Wall(E)),
+    (lambda: plan_right(normalized(Q(7, 2), Q(1, 2)), 4),
+     {"start": normalized(Q(7, 2), Q(1, 2)), "moves": ((F, 2, 4, "always"),),
+      "end": normalized(4, Q(1, 2)), "label": None},
+     "InflationPlan(start=NormalizedClass(mu=Fraction(7, 2), c=Fraction(1,"
+     " 2)), moves=((ClassVector(p=0, q=1, r=(0,)), 2, 4, 'always'),),"
+     " end=NormalizedClass(mu=Fraction(4, 1), c=Fraction(1, 2)), label=None)",
+     {"label": OPEN_LABEL},
+     InflationPlan(normalized(Q(7, 2), Q(1, 2)), ((F, 2, 4, "always"),),
+                   normalized(4, Q(1, 2)), OPEN_LABEL)),
+    (lambda: plan_vertical(normalized(Q(7, 2), Q(1, 2)), Q(5, 8),
+                           label_for(B - 2 * F, SurfaceParams(1)),
+                           SurfaceParams(1)),
+     {"start": normalized(Q(7, 2), Q(1, 2)),
+      "moves": ((F - E, 22, 156, "always"), (B - 2 * F, 4, 156, "stratum")),
+      "end": normalized(Q(7, 2), Q(5, 8)),
+      "label": label_for(B - 2 * F, SurfaceParams(1))},
+     "InflationPlan(start=NormalizedClass(mu=Fraction(7, 2), c=Fraction(1,"
+     " 2)), moves=((ClassVector(p=0, q=1, r=(-1,)), 22, 156, 'always'),"
+     " (ClassVector(p=1, q=-2, r=(0,)), 4, 156, 'stratum')),"
+     " end=NormalizedClass(mu=Fraction(7, 2), c=Fraction(5, 8)),"
+     " label=StratumLabel(codim=8, core=(ClassVector(p=1, q=-2, r=(0,)),)))",
+     {"end": normalized(Q(7, 2), Q(3, 4))},
+     InflationPlan(normalized(Q(7, 2), Q(1, 2)),
+                   ((F - E, 22, 156, "always"),
+                    (B - 2 * F, 4, 156, "stratum")),
+                   normalized(Q(7, 2), Q(3, 4)),
+                   label_for(B - 2 * F, SurfaceParams(1)))),
 ]
 
 PARAMETERS = {
@@ -65,6 +92,8 @@ PARAMETERS = {
     NormalizedClass: [("mu", None), ("c", None)],
     ChamberId: [("index", None)],
     Wall: [("curve_class", None)],
+    InflationPlan: [("start", None), ("moves", None), ("end", None),
+                    ("label", None)],
 }
 
 
