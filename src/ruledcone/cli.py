@@ -274,7 +274,7 @@ def _text_verify_stability(payload, args) -> list[str]:
     lines.append(f"  cross-chamber pairs out of scope: "
                  f"{payload['cross_chamber_pairs']}")
     lines.append("VERDICT: " + ("all transports certified" if payload["ok"]
-                                else "counterexample found"))
+                                else "not every transport certified"))
     return lines
 
 
@@ -412,7 +412,7 @@ def _text_report(payload, args) -> list[str]:
                  + ", ".join(d["id"] for d in payload["paper_discrepancies"]))
     lines.append("stability verdict: "
                  + ("all grid pairs certified" if payload["stability"]["ok"]
-                    else "counterexample found"))
+                    else "not every transport certified"))
     return lines
 
 

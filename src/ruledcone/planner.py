@@ -60,12 +60,20 @@ by the cone's integer chamber formula.  Otherwise a `Fraction` is built
 only for `stratum_left_parameter` or an error text.  One walk,
 `_certify`, checks every move against its sign and range and every class
 of the plan's label at every state it reaches, in one integer loop with
-the label's core class bound before it; `_route` checks the start once,
-so a certified plan stays in its stratum.  Leg builders advance states
-only through `_rounds`, so a plan is certified once, as it is built.  One
+the label's core test (`StratumLabel.core_test`) read before it; `_route`
+checks the start once, so a certified plan stays in its stratum.  One
 route, `_route`, serves every entry point: `_horizontal_leg` moves mu,
 then `_vertical_steps` moves c, and the end state must equal the target
-exactly, compared in integers.  `plan` checks both endpoints' validity
+exactly, compared in integers.  `_route` owns one moves list and one
+states list, and leg builders advance states only through `_rounds`,
+which appends each segment's moves and the states `_certify` reached to
+them (dropping a refused round's states before it walks N rounds).  So a
+plan is certified once, as it is built, and carries those states
+(`InflationPlan.states`): `intermediates`, `stays_in_chamber` and
+`as_json` read them and walk nothing.  A plan built by hand walks its
+moves once, on the first read of `states`, so `as_json` still certifies
+every move before it writes one; `replay` re-walks on every call, by
+design.  `plan` checks both endpoints' validity
 and chamber on every call, but a point computes both once, when it is
 built (`cone.NormalizedClass`), as the grid verifier plans every point
 many times; likewise the section B + xF is built once per x.
@@ -126,15 +134,20 @@ def _normalized(state: State) -> NormalizedClass:
 
 def _require_label(state: State, label: StratumLabel) -> None:
     """Raise PlanError unless every class of `label` has positive area: its
-    core class, then E and F-E, whose areas are e/d and (f - e)/d."""
-    _, f, e, _ = state
-    core = label.core
-    bad = (core[0] if core and _area3(state, core[0]) <= 0
-           else E if e <= 0 else _FE if f <= e else None)
-    if bad is not None:
-        raise PlanError(f"label {label.name} is absent at"
-                        f" {_normalized(state)}: {bad} has non-positive"
-                        " area")
+    core class (`StratumLabel.core_test`), then E and F-E, whose areas are
+    e/d and (f - e)/d."""
+    b, f, e, _ = state
+    cp, cq, cr, floor = label.core_test
+    if cp * b + cq * f + cr * e <= floor:
+        bad = label.core[0]
+    elif e <= 0:
+        bad = E
+    elif f <= e:
+        bad = _FE
+    else:
+        return
+    raise PlanError(f"label {label.name} is absent at {_normalized(state)}:"
+                    f" {bad} has non-positive area")
 
 
 def _certify(state: State, moves, label: StratumLabel | None,
@@ -145,15 +158,15 @@ def _certify(state: State, moves, label: StratumLabel | None,
     the start (its caller checks the start); returns the end state, and
     appends every state after the start to `states` when given.
 
-    One integer loop: the label's signs are tested inline, and
-    `_require_label` runs only when one fails, to write the message."""
+    One integer loop: the label's signs are tested inline, its core's by
+    `StratumLabel.core_test`, and `_require_label` runs only when one
+    fails, to write the message."""
     checked = label is not None
-    core = label.core[0] if checked and label.core else None
-    # d times the core's area is cp b + cq f + cr e > floor; the open label
-    # has no core and tests 0 > -1
-    cp, cq, cr, floor = ((core.p, core.q, core.r[0], 0) if core is not None
-                         else (0, 0, 0, -1))
+    # d times the core's area is cp b + cq f + cr e > floor
+    cp, cq, cr, floor = label.core_test if checked else (0, 0, 0, -1)
     gcd = math.gcd
+    # every state is appended, to a throwaway list when `states` is None
+    append = (states if states is not None else []).append
     b, f, e, d = state
     for z, p, q, _ in moves:
         if p < 0 or q <= 0:
@@ -177,8 +190,7 @@ def _certify(state: State, moves, label: StratumLabel | None,
             b, f, e, d = b // g, f // g, e // g, d // g
         if checked and not (0 < e < f and cp * b + cq * f + cr * e > floor):
             _require_label((b, f, e, d), label)
-        if states is not None:
-            states.append((b, f, e, d))
+        append((b, f, e, d))
     return b, f, e, d
 
 
@@ -188,7 +200,12 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True, init=False)
 class InflationPlan:
-    """A certified sequence of inflation moves from start to end."""
+    """A certified sequence of inflation moves from start to end.
+
+    A plan the planner built carries the states its build certified
+    (`states`); a plan built by hand walks and certifies its moves once, on
+    the first read of `states`, so a plan is judged only on states its own
+    moves reached under their range and label checks."""
 
     start: NormalizedClass
     moves: tuple[Move, ...]
@@ -208,6 +225,13 @@ class InflationPlan:
         return tuple(InflationStep(z, Fraction(p, q), tag)
                      for z, p, q, tag in self.moves)
 
+    @functools.cached_property
+    def states(self) -> list[State]:
+        """The certified states of the moves from the start, the start
+        first: filled in by `_route`, which certified them as it built the
+        plan, and for a plan built by hand walked once, on first read."""
+        return self._walk()
+
     def _walk(self) -> list[State]:
         """The certified states of the moves from the start, the start first."""
         states = [_state_of(self.start)]
@@ -217,17 +241,20 @@ class InflationPlan:
         return states
 
     def intermediates(self) -> list[NormalizedClass]:
-        """Normalized points after each step (the last one equals `end`)."""
-        return [_normalized(st) for st in self._walk()[1:]]
+        """Normalized points after each step (the last one equals `end`), from
+        the certified `states`."""
+        return [_normalized(st) for st in self.states[1:]]
 
     def replay(self) -> NormalizedClass:
-        """Re-run and re-certify the moves, and return the endpoint."""
+        """Re-run and re-certify the moves, and return the endpoint: unlike
+        `states`, a fresh walk on every call, by design."""
         return _normalized(self._walk()[-1])
 
     def stays_in_chamber(self) -> bool:
-        """Whether every intermediate point is valid and in the start chamber;
-        the moves are re-walked and re-certified first."""
-        states = self._walk()
+        """Whether every intermediate point is valid and in the start chamber,
+        read from the certified `states` (walked first for a plan built by
+        hand)."""
+        states = self.states
         chamber = self.start._chamber  # None for an invalid start
         if chamber is None:
             return False
@@ -240,7 +267,9 @@ class InflationPlan:
 
     def as_json(self) -> dict:
         """The `plan --json` payload, each move written as its
-        `InflationStep` would be once `stays_in_chamber` has certified all."""
+        `InflationStep` would be.  `stays_in_chamber` runs first, so a plan
+        built by hand has every move certified before one is written; a
+        planner-built plan was certified as it was built."""
         stays = self.stays_in_chamber()
         steps = []
         for z, p, q, tag in self.moves:
@@ -262,21 +291,21 @@ class InflationPlan:
 # -- vertical moves ----------------------------------------------------------
 
 
-def _vertical_solve(state: State, z1: ClassVector,
-                    c_target: Fraction) -> tuple[int, int, int]:
+def _vertical_solve(state: State, z1: ClassVector, cn: int,
+                    cd: int) -> tuple[int, int, int]:
     """Solve state + t1 PD(z1) + t2 PD(F-E) for unchanged normalized mu and
-    normalized blow-up area c_target, as integers (p1, p2, q) with t1 = p1/q,
-    t2 = p2/q and q > 0.  Raises when no positive solution exists (the
-    recipe's feasibility constraint)."""
+    normalized blow-up area c_target = cn/cd (cd > 0), as integers
+    (p1, p2, q) with t1 = p1/q, t2 = p2/q and q > 0.  Raises when no
+    positive solution exists (the recipe's feasibility constraint)."""
     vb, vf, ve, _ = z1.pairings
     b, f, e, d = state
-    cn, cd = c_target.numerator, c_target.denominator
     # with mu = b/f and c = e/f the denominator of the solution,
     # (mu - c_target) Z.F - Z.B + Z.E, is den / (f cd), and
     #   t1 = (f/d) (c_target - c) / that = rise f / (d den),
     #   t2 = t1 (mu Z.F - Z.B) = rise (b Z.F - Z.B f) / (d den)
     den = (b * cd - cn * f) * vf + (ve - vb) * f * cd
     if den <= 0:
+        c_target = Fraction(cn, cd)
         raise PlanError(
             f"raising the blow-up area to {format_rational(c_target)} along"
             f" {z1} and {_FE} needs mu >"
@@ -321,24 +350,32 @@ def _least_rounds(state: State, parts: list[Move]) -> int:
 
 
 def _rounds(state: State, parts: list[Move], label: StratumLabel | None,
-            leg: str) -> tuple[list[Move], State]:
-    """The moves of one straight segment from `state`, and the state they
-    reach: `parts` if one round certifies, else N rounds of them with every
-    t divided by N = `_least_rounds`, or the round's refusal if N = 1.  Past
+            leg: str, moves: list[Move], states: list[State]) -> State:
+    """Append the moves of one straight segment from `state` to `moves` and
+    the states they certify to `states`, and return the end state: `parts`
+    if one round certifies, else N rounds of them with every t divided by
+    N = `_least_rounds`, or the round's refusal if N = 1.  The states of a
+    refused round are dropped before its N rounds are walked.  Past
     _MAX_ROUNDS the leg is refused, by its name and the class of its stratum
     move, before its rounds are built."""
+    mark = len(states)
     try:
-        return parts, _certify(state, parts, label)
+        end = _certify(state, parts, label, states)
     except PlanError:
         rounds = _least_rounds(state, parts)
         if rounds == 1:
             raise
+    else:
+        moves += parts
+        return end
+    del states[mark:]
     if rounds > _MAX_ROUNDS:
         z = next(z for z, _, _, tag in parts if tag == STRATUM)
         raise PlanError(f"{leg} along {z} needs {rounds} interleaved rounds,"
                         f" more than {_MAX_ROUNDS}")
-    moves = [(z, p, q * rounds, tag) for z, p, q, tag in parts] * rounds
-    return moves, _certify(state, moves, label)
+    parts = [(z, p, q * rounds, tag) for z, p, q, tag in parts] * rounds
+    moves += parts
+    return _certify(state, parts, label, states)
 
 
 def _section(x: int, params: SurfaceParams) -> ClassVector:
@@ -372,33 +409,36 @@ def _drop(state: State, cn: int, cd: int) -> Move:
 
 def _vertical_steps(state: State, c_target: Fraction,
                     label: StratumLabel | None, params: SurfaceParams | None,
-                    x: int | None) -> tuple[list[Move], State]:
-    """Moves taking normalized (mu, c) to (mu, c_target), and their end."""
+                    x: int | None, moves: list[Move],
+                    states: list[State]) -> State:
+    """Append the moves taking normalized (mu, c) to (mu, c_target), and
+    their states, by `_rounds`; returns their end."""
     b, f, e, d = state
     cn, cd = c_target.as_integer_ratio()
     # the sign of c - c_target, with c = e/f
     above = e * cd - cn * f
     if above == 0:
-        return [], state
+        return state
     if above > 0:  # an embedded E always exists
-        return _rounds(state, [_drop(state, cn, cd)], label, "the drop")
+        return _rounds(state, [_drop(state, cn, cd)], label, "the drop",
+                       moves, states)
     if label.is_open:
         if x is None:
             # the largest x <= g with x < mu - c_target (`_vertical_solve`'s
             # test), >= 0 as every route ends at mu >= 1 > c_target
             x = min(params.g, (b * cd - cn * f - 1) // (f * cd))
         section = _section(x, params)
-        p1, p2, q = _vertical_solve(state, section, c_target)
+        p1, p2, q = _vertical_solve(state, section, cn, cd)
         # B+xF has square 2x >= 0; applying it first always stays in range
         return _rounds(state, [(section, p1, q, OPEN), (_FE, p2, q, ALWAYS)],
-                       label, "the open raise")
+                       label, "the open raise", moves, states)
     # rounds exist only if the label is present at the target (its classes
     # then stay positive on the straight path), so check (mu, c_target) first
     _require_label((b * cd, f * cd, cn * f, d * cd), label)
     z = label.core[0]
-    p1, p2, q = _vertical_solve(state, z, c_target)
+    p1, p2, q = _vertical_solve(state, z, cn, cd)
     return _rounds(state, [(_FE, p2, q, ALWAYS), (z, p1, q, STRATUM)], label,
-                   "the raise")
+                   "the raise", moves, states)
 
 
 # -- horizontal moves --------------------------------------------------------
@@ -433,10 +473,10 @@ def _hop_parameter(state: State, mn: int, md: int) -> tuple[int, int]:
     return b * md - mn * f, d * (mn - md)
 
 
-def _left_route(state: State, target: NormalizedClass,
-                label: StratumLabel) -> tuple[list[Move], State]:
-    """The leftward leg along the label's class z from the start state to
-    mu' = target.mu, and the end state.
+def _left_route(state: State, target: NormalizedClass, label: StratumLabel,
+                moves: list[Move], states: list[State]) -> State:
+    """Append the leftward leg along the label's class z from the start
+    state to mu' = target.mu, by `_rounds`, and return its end state.
 
     Per unit t the class z with its fiber companion (1 - z.B) F moves the
     areas (b, f, e) by (1, 1, z.E), and the hop parameter T reaches mu'.
@@ -464,16 +504,14 @@ def _left_route(state: State, target: NormalizedClass,
         if pn * fd < fn * pd:
             fn, fd = pn, pd
     vb, _, ve, _ = z.pairings
-    moves: list[Move] = []
     if ve and state[2] * fd > fn * state[1]:  # c > floor: drop first
-        moves, state = _rounds(state, [_drop(state, fn, fd)], label,
-                               "the leftward leg")
+        state = _rounds(state, [_drop(state, fn, fd)], label,
+                        "the leftward leg", moves, states)
     num, den = _hop_parameter(state, m, dt)
     parts = [(F, (1 - vb) * num, den, ALWAYS), (z, num, den, STRATUM)]
     if ve:  # (1 - c0) T of E holds c at the floor
         parts.append((E, (fd - fn) * num, den * fd, ALWAYS))
-    more, state = _rounds(state, parts, label, "the leftward leg")
-    return moves + more, state
+    return _rounds(state, parts, label, "the leftward leg", moves, states)
 
 
 def _left_refusal(what: str, low: int, closed: bool, mu: Fraction,
@@ -497,9 +535,11 @@ def _open_left_refusal(params: SurfaceParams, mu: Fraction,
 
 def _horizontal_leg(state: State, target: NormalizedClass,
                     label: StratumLabel | None, params: SurfaceParams | None,
-                    x: int | None) -> tuple[list[Move], State]:
-    """Moves taking the normalized mu = b/f of `state`, a plan's start, to
-    mu' = target.mu, and the state they reach.
+                    x: int | None, moves: list[Move],
+                    states: list[State]) -> State:
+    """Append the moves taking the normalized mu = b/f of `state`, a plan's
+    start, to mu' = target.mu, and their states, by `_rounds`; returns the
+    state they reach.
 
     Rightward is one F step.  Leftward on the open stratum is one hop along
     the section B + xF (x defaults to g): the normalized base area along it
@@ -511,12 +551,12 @@ def _horizontal_leg(state: State, target: NormalizedClass,
     m, _, dt = target.ints
     shift = m * f - b * dt  # the sign of mu' - mu
     if shift == 0:
-        return [], state
+        return state
     if shift > 0:  # t = (f/d) (mu' - mu)
         return _rounds(state, [(F, shift, dt * d, ALWAYS)], label,
-                       "the rightward step")
+                       "the rightward step", moves, states)
     if not label.is_open:
-        return _left_route(state, target, label)
+        return _left_route(state, target, label, moves, states)
     x = params.g if x is None else x
     section = _section(x, params)
     if m <= x * dt:
@@ -526,7 +566,7 @@ def _horizontal_leg(state: State, target: NormalizedClass,
         raise _open_left_refusal(params, Fraction(b, f), target.mu)
     # t = (f/d) (mu - mu') / (mu' - x)
     return _rounds(state, [(section, -shift, d * (m - x * dt), OPEN)], label,
-                   "the open hop")
+                   "the open hop", moves, states)
 
 
 def _route(u: NormalizedClass, target: NormalizedClass,
@@ -535,19 +575,27 @@ def _route(u: NormalizedClass, target: NormalizedClass,
            raise_x: int | None = None) -> InflationPlan:
     """Horizontal leg to target.mu (open-stratum hops along B + hop_x F),
     then vertical leg to target.c (raises along B + raise_x F), certified as
-    built; the label is checked at the start first, so its absence is
-    reported ahead of any leg error.  The end state must be the target
-    exactly: with target = (m, n, d), b/f = m/d and e/f = n/d."""
-    state = _state_of(u)
+    built into one moves list and one states list, which the plan carries;
+    the label is checked at the start first, so its absence is reported
+    ahead of any leg error.  The end state must be the target exactly: with
+    target = (m, n, d), b/f = m/d and e/f = n/d."""
+    m, n, d = u.ints
+    state = (m, d, n, d)  # `_state_of(u)`, one call fewer per verdict
     if label is not None:
         _require_label(state, label)
-    moves, state = _horizontal_leg(state, target, label, params, hop_x)
-    more, state = _vertical_steps(state, target.c, label, params, raise_x)
+    moves: list[Move] = []
+    states = [state]
+    state = _horizontal_leg(state, target, label, params, hop_x, moves,
+                            states)
+    state = _vertical_steps(state, target.c, label, params, raise_x, moves,
+                            states)
     b, f, e, _ = state
     m, n, d = target.ints
     if b * d != m * f or e * d != n * f:  # pragma: no cover - exactness guard
         raise PlanError(f"plan ended at {_normalized(state)}, expected {target}")
-    return InflationPlan(u, tuple(moves + more), target, label)
+    built = InflationPlan(u, tuple(moves), target, label)
+    built.__dict__["states"] = states  # certified as built
+    return built
 
 
 # -- the published recipe surface -------------------------------------------
@@ -629,7 +677,7 @@ def plan(u1: NormalizedClass, u2: NormalizedClass, label: StratumLabel,
                             f" {params.g} at both endpoints")
     elif not (m1 > d1 and m2 > d2):
         raise PlanError("stratum transport needs mu > 1 at both endpoints")
-    return _route(u1, u2, label, params, hop_x=x, raise_x=x)
+    return _route(u1, u2, label, params, x, x)
 
 
 # -- grid verification of intra-chamber transport ----------------------------
@@ -642,8 +690,9 @@ def _verify_chamber(params: SurfaceParams, index: int,
     labels = chamber_labels(ChamberId(index), params)
     failed, first_failure = 0, None
     for ua, ub in itertools.combinations(points, 2):
+        directions = (ua, ub), (ub, ua)
         for label in labels:
-            for src, dst in ((ua, ub), (ub, ua)):
+            for src, dst in directions:
                 try:
                     plan(src, dst, label, params)
                 except PlanError as err:

@@ -58,9 +58,16 @@ class StratumLabel:
             raise ValueError(
                 "a stratum label has at most one core class, got "
                 + ", ".join(str(a) for a in self.core))
-        # whether the label is the open one, a plain attribute outside the
-        # fields, as the planner reads it on every call
-        object.__setattr__(self, "is_open", not self.core)
+        # whether the label is the open one, and the test of its core's area
+        # (p, q, r, floor): plain attributes outside the fields, as the
+        # planner reads them on every call.  At an integer state (b, f, e, d)
+        # d times the core's area is p b + q f + r e, which must exceed
+        # floor; the open label has no core and tests 0 > -1.
+        core = self.core[0] if self.core else None
+        object.__setattr__(self, "is_open", core is None)
+        object.__setattr__(self, "core_test",
+                           (core.p, core.q, core.r[0], 0) if core is not None
+                           else (0, 0, 0, -1))
 
     @property
     def name(self) -> str:

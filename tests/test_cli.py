@@ -374,6 +374,29 @@ def test_verify_stability_counterexample_exit_code(capsys):
     assert any("mu > g" in f["error"] for f in failures)
 
 
+def test_failed_verdicts_say_not_every_transport_was_certified(capsys,
+                                                              monkeypatch):
+    # below 2g every failure is the refusal "open-stratum transport needs
+    # mu > g", which is no counterexample; the texts say what the exit code
+    # 3 says, and the JSON is unchanged
+    argv = ["verify-stability", "--g", "2", "--mu-max", "3", "--step", "1/4",
+            "--mu-min", "1", "--min-index", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.endswith("\nVERDICT: not every transport certified\n")
+    # report attempts chambers from 2g only; let it attempt them all
+    import ruledcone.cli as cli
+
+    verify = cli._verify
+    monkeypatch.setattr(cli, "_verify", lambda *args: verify(
+        *args, mu_min=1, min_index=1))
+    code, out, _ = run(capsys, "report", "--g", "2", "--mu-max", "3",
+                       "--step", "1/4")
+    assert code == 3
+    assert out.splitlines()[-1] == ("stability verdict: not every transport"
+                                    " certified")
+
+
 def test_gromov_json(capsys):
     payload = check(capsys, "gromov",
                     "gromov", "--p", "1", "--q", "2", "--g", "2", "--json")

@@ -71,19 +71,21 @@ def _recording(segments: list, legs: list):
     the last `_rounds` call it made; N = None when the call raised."""
     rounds, left_route = planner._rounds, planner._left_route
 
-    def recorded(state, parts, label, leg):
+    def recorded(state, parts, label, leg, moves, states):
+        made = len(moves)
         try:
-            moves, end = rounds(state, parts, label, leg)
+            end = rounds(state, parts, label, leg, moves, states)
         except PlanError:
             segments.append((state, parts, label, leg, None))
             raise
-        segments.append((state, parts, label, leg, len(moves) // len(parts)))
-        return moves, end
+        segments.append((state, parts, label, leg,
+                         (len(moves) - made) // len(parts)))
+        return end
 
-    def recorded_leg(state, target, label):
+    def recorded_leg(state, target, label, moves, states):
         made = len(segments)
         try:
-            return left_route(state, target, label)
+            return left_route(state, target, label, moves, states)
         finally:
             segment = segments[-1] if len(segments) > made else None
             legs.append((state, target, label,
@@ -228,31 +230,32 @@ def _hop(state, z, mu):
             (z, num, den, planner.STRATUM)]
 
 
-def _hop_chain(state, target, label):
+def _hop_chain(state, target, label, moves, states):
     """The leg the closed-form rounds replaced: hops toward targets picked
     by `simplest_between` just right of each hop's reach bound, with the
     blow-up area dropped to the floor min(c, c', (mu' - limit)/2) before a
     hop that could not reach mu' otherwise; past _MAX_HOPS hops the target
-    is refused.  Returns the moves and the end state."""
+    is refused.  Appends the moves and their states, as
+    `planner._left_route` does, and returns the end state."""
     z = label.core[0]
     limit = max(1, -z.q)
     if target.mu <= limit:
         raise PlanError(f"mu' = {target.mu} is unreachable along {z}")
     floor = min(Q(state[2], state[1]), target.c, (target.mu - limit) / 2)
-    moves = []
     for _ in range(_MAX_HOPS):
         c = Q(state[2], state[1])
         if target.mu <= _reach_bound(state, z) and c > floor:
             drop = planner._drop(state, floor.numerator, floor.denominator)
-            state = planner._certify(state, [drop], label)
+            state = planner._certify(state, [drop], label, states)
             moves.append(drop)
         bound = _reach_bound(state, z)
         if target.mu > bound:
             hop = _hop(state, z, target.mu)
-            return moves + hop, planner._certify(state, hop, label)
+            moves += hop
+            return planner._certify(state, hop, label, states)
         mu = Q(state[0], state[1])
         hop = _hop(state, z, simplest_between(bound, (7 * bound + mu) / 8))
-        state = planner._certify(state, hop, label)
+        state = planner._certify(state, hop, label, states)
         moves += hop
     raise PlanError(f"leftward target {target.mu} needs more than"
                     f" {_MAX_HOPS} hops along {z}")
@@ -289,8 +292,8 @@ def _doubling_left_rounds(state, target, label) -> int | None:
 def _verdict(leg, state, target, label) -> bool:
     """Whether the leg and then the vertical leg to target.c certify."""
     try:
-        _, end = leg(state, target, label)
-        planner._vertical_steps(end, target.c, label, None, None)
+        end = leg(state, target, label, [], [state])
+        planner._vertical_steps(end, target.c, label, None, None, [], [end])
     except PlanError:
         return False
     return True

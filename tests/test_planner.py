@@ -413,6 +413,46 @@ def _walked(monkeypatch) -> list[int]:
     return walks
 
 
+def test_carried_states_equal_a_fresh_walk(monkeypatch):
+    # a planner-built plan carries the states its build certified, and
+    # reading them walks nothing; the plan built by hand from the same
+    # fields walks its moves once, on first read, to the same states, with
+    # the same intermediates and chamber verdict.  Plans: both directions of
+    # every same-chamber pair and label of the step-1/4 g = 1 grid, and the
+    # two near-wall pairs above, where one round of (F, B-F-E, E) is refused
+    # before 512 rounds certify, so that round's states must not be carried
+    points = [u for u in (normalized(1 + Q(i, 4), Q(j, 4))
+                          for i in range(1, 9) for j in range(1, 4))
+              if is_valid(u) and chamber_of(u).index >= 2]
+    plans = [plan(u1, u2, label, P1)
+             for u1, u2 in itertools.permutations(points, 2)
+             if chamber_of(u1) == chamber_of(u2)
+             for label in stratum_labels(u1, P1)]
+    assert len(plans) == sum(v["checked"] for v in verify_stability(
+        P1, 3, Q(1, 4))["chambers"])
+    lab = label_for(B - F - E, P1)
+    near = [plan(normalized(Q(95, 64), Q(1, 64)),
+                 normalized(Q(201, 200), Q(4999, 10**6)), lab, P1),
+            plan(normalized(Q(3, 2), Q(31999, 64000)),
+                 normalized(Q(503, 500), Q(5999, 10**6)), lab, P1)]
+    assert [len(pl.moves) for pl in near] == [1539, 1539]
+    plans += near
+    walks = _walked(monkeypatch)
+    verdicts = [(pl.stays_in_chamber(), pl.intermediates(), pl.as_json())
+                for pl in plans]
+    assert walks == []
+    for pl, verdict in zip(plans, verdicts):
+        fresh = InflationPlan(pl.start, pl.moves, pl.end, pl.label)
+        assert "states" not in vars(fresh)
+        assert fresh.states == pl.states and len(pl.states) == len(pl.moves) + 1
+        assert (fresh.stays_in_chamber(), fresh.intermediates(),
+                fresh.as_json()) == verdict
+    assert walks == [len(pl.moves) for pl in plans]
+    # replay re-walks on every call, by design
+    plans[-1].replay()
+    assert walks[-1] == 1539 and len(walks) == len(plans) + 1
+
+
 def test_left_route_round_cap_refuses_at_once(monkeypatch):
     # 10^-9 above the wall limit 1 the rule asks for 2^31 rounds, refused
     # after the drop and one round of (F, B-F-E, E), before its rounds are
@@ -436,13 +476,13 @@ def test_rounds_keep_the_walks_refusal_where_no_count_certifies():
 
     lab = label_for(B - F, P1)
     state = _state_of(normalized(2, Q(1, 2)))
-    p1, p2, q = planner._vertical_solve(state, B - F, Q(1))
+    p1, p2, q = planner._vertical_solve(state, B - F, 1, 1)
     parts = [(F - E, p2, q, ALWAYS), (B - F, p1, q, STRATUM)]
     assert planner._least_rounds(state, parts) == 1
     with pytest.raises(PlanError) as walk:
         _certify(state, parts, lab)
     with pytest.raises(PlanError) as err:
-        planner._rounds(state, parts, lab, "the raise")
+        planner._rounds(state, parts, lab, "the raise", [], [state])
     assert str(err.value) == str(walk.value)
 
 
@@ -480,6 +520,20 @@ def test_plan_label_absent():
     with pytest.raises(PlanError, match="absent"):
         plan(normalized(Q(3, 2), Q(3, 4)), normalized(Q(3, 2), Q(5, 8)),
              lab2, P1)
+
+
+def test_label_absent_at_the_start_is_refused_first():
+    # the route checks the start before any leg: an empty plan is refused
+    # too, and a leg that stays outside the stratum is refused at its start
+    u = normalized(Q(3, 2), Q(3, 4))
+    lab2 = label_for(B - 2 * F, P1)
+    text = "label B-2F is absent at (3/2, 3/4): B-2F has non-positive area"
+    for call in (lambda: plan(u, u, lab2, P1),
+                 lambda: plan_vertical(u, Q(3, 4), lab2, P1),
+                 lambda: plan(u, normalized(Q(3, 2), Q(5, 8)), lab2, P1)):
+        with pytest.raises(PlanError) as err:
+            call()
+        assert str(err.value) == text
 
 
 def test_label_absent_at_the_target_fails_fast():

@@ -34,7 +34,7 @@ from ruledcone.cli import _json_text, _read_known, build_parser
 from ruledcone.cone import (ChamberId, active_walls, chamber_index,
                             chamber_of, normalized)
 from ruledcone.lattice import SurfaceParams, parse_class
-from ruledcone.planner import plan
+from ruledcone.planner import InflationPlan, plan
 from ruledcone.rationals import format_ratio, format_rational, parse_rational
 from ruledcone.strata import chamber_labels
 
@@ -266,3 +266,16 @@ def test_plan_states_take_the_chamber_of_their_area_signs(case):
     for b, f, e, _ in plan(u1, u2, label, params)._walk():
         n, _ = reference_chamber_and_walls(Q(b, f), Q(e, f))
         assert chamber_index(b, e, f) == n, (b, f, e)
+
+
+@SERVED
+@given(same_chamber_requests())
+def test_plan_carries_the_states_a_fresh_walk_reaches(case):
+    params, u1, u2, label = case
+    built = plan(u1, u2, label, params)
+    # the same fields, built by hand: its states come from a walk
+    fresh = InflationPlan(built.start, built.moves, built.end, built.label)
+    assert "states" in vars(built) and "states" not in vars(fresh)
+    assert fresh.states == built.states
+    assert fresh.stays_in_chamber() is built.stays_in_chamber()
+    assert fresh.intermediates() == built.intermediates()

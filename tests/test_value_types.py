@@ -5,9 +5,12 @@
 fields alone, take their fields by position or keyword, and refuse
 assignment.  A `NormalizedClass` also carries (m, n, d), its violations
 and its chamber outside the fields; pickling and copying keep them, and
-replacing recomputes them.  The library's rational inputs are exact: a
-float is refused where a Fraction, an int or a p/q string is taken, and a
-class coefficient that is not an int is refused.
+replacing recomputes them.  An `InflationPlan` carries its certified
+states outside the fields: a planner-built plan from its build, one built
+from its fields from a walk on first read, and the two must agree.  The
+library's rational inputs are exact: a float is refused where a Fraction,
+an int or a p/q string is taken, and a class coefficient that is not an
+int is refused.
 """
 
 import copy
@@ -107,7 +110,10 @@ def _parameters(cls) -> list[tuple]:
 
 def _plain(x) -> dict:
     """Everything an instance carries: its fields and, for a cone point,
-    its (m, n, d), violations and chamber."""
+    its (m, n, d), violations and chamber; for a plan also its states, read
+    first, so that a plan built from its fields walks them."""
+    if isinstance(x, InflationPlan):
+        x.states
     return dict(vars(x))
 
 

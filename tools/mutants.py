@@ -35,6 +35,7 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 RATIONALS = "src/ruledcone/rationals.py"
 PLANNER = "src/ruledcone/planner.py"
+STRATA = "src/ruledcone/strata.py"
 
 
 class Mutant(NamedTuple):
@@ -77,9 +78,11 @@ MUTANTS = [
            "if checked and not (0 < e < f and",
            "if checked and not (0 <= e < f and",
            ("tests/test_planner.py",)),
-    Mutant("certify-core-floor", PLANNER,
-           "((core.p, core.q, core.r[0], 0) if core is not None",
-           "((core.p, core.q, core.r[0], -1) if core is not None",
+    # the floor of the core's area test, which `_certify` and
+    # `_require_label` read from the label
+    Mutant("certify-core-floor", STRATA,
+           "(core.p, core.q, core.r[0], 0) if core is not None",
+           "(core.p, core.q, core.r[0], -1) if core is not None",
            ("tests/test_planner.py",)),
     Mutant("rounds-no-last-round-bound", PLANNER,
            "least = max(least, -sum(rises[:i + 1]) // start,\n"
@@ -88,6 +91,26 @@ MUTANTS = [
            ("tests/test_planner.py",)),
     Mutant("rounds-cap-inclusive", PLANNER,
            "if rounds > _MAX_ROUNDS:", "if rounds >= _MAX_ROUNDS:",
+           ("tests/test_planner.py",)),
+    # a refused round's states stay in the states that the plan carries
+    Mutant("rounds-keeps-refused-states", PLANNER,
+           "    del states[mark:]\n", "",
+           ("tests/test_planner.py",)),
+    # the free raise's x may reach mu - c', where no positive solution is
+    Mutant("raise-x-at-mu-minus-c", PLANNER,
+           "x = min(params.g, (b * cd - cn * f - 1) // (f * cd))",
+           "x = min(params.g, (b * cd - cn * f) // (f * cd))",
+           ("tests/test_planner.py",)),
+    Mutant("route-no-start-label-check", PLANNER,
+           "    if label is not None:\n"
+           "        _require_label(state, label)\n"
+           "    moves: list[Move] = []\n",
+           "    moves: list[Move] = []\n",
+           ("tests/test_planner.py",)),
+    # the leftward floor without its wall term (mu' - limit)/2
+    Mutant("left-floor-no-wall-term", PLANNER,
+           "for pn, pd in ((n, dt), (m - limit * dt, 2 * dt)):",
+           "for pn, pd in ((n, dt),):",
            ("tests/test_planner.py",)),
     Mutant("open-precondition-at-g", PLANNER,
            "if not (m1 > params.g * d1 and m2 > params.g * d2):",
