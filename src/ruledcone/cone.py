@@ -7,7 +7,9 @@ sphere E, with the fiber area scaled to 1.  Valid classes satisfy
 
 The region mu < 1 is excluded outright: it is bounded by the Gromov width of
 the minimal surface, which is unknown in general and not representable by
-linear inequalities.  No wall B-kF or B-kF-E passes through it.
+linear inequalities.  Of the walls B-kF and B-kF-E only B-E (k = 0) passes
+through it, along mu = c; B-E has positive area on the whole cone, so
+`active_walls` takes k >= 1.
 
 The cone is partitioned into half-open chambers indexed by the walls the
 class sits between:
@@ -19,14 +21,13 @@ A point on a wall belongs to the chamber on its left: the inequality signs
 are strict on the left condition and non-strict on the right, matching the
 half-open intervals of the minimal case.
 
-Validity and chamber membership are integer comparisons on the form
-(m, n, d) of a class, with mu = m/d and c = n/d.  A point computes (m, n, d),
-its validity violations and its chamber when it is built and keeps them as
-plain attributes, so the planner's per-call preconditions cost a read; an
-invalid point still constructs, has no chamber, and `chamber_of` raises the
-same ValueError on every call.  Points share one `ChamberId` per chamber,
-and `active_walls` one `Wall` per wall, below a fixed index bound.
-One closed form, `chamber_index`, gives the chamber of points and states.
+Validity and the chamber are one integer closed form, `chamber_index`, on
+(m, n, d) with mu = m/d and c = n/d, which places the planner's states too.
+A point computes both when it is built, so the planner's per-call
+preconditions cost a read; an invalid point still constructs, has no
+chamber, and `chamber_of` raises the same ValueError on every call.  Points
+share one `ChamberId` per chamber, and `active_walls` one `Wall` per wall,
+below a fixed index bound.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ class NormalizedClass:
     Construction takes mu and c as Fractions, ints or "p/q" strings (a float
     raises ValueError) and builds, outside the fields (==, hash, repr ignore
     them, pickle keeps them): `ints`, (m, n, d) with mu = m/d, c = n/d and d
-    the lcm of the two denominators; `_violations`, the violated cone
-    constraints; and `_chamber`, the shared `ChamberId` of a valid point
-    (None otherwise).  Validity is one chained integer comparison on a valid
-    point; the violation texts are built only for an invalid one.
+    the lcm of the two denominators; and `_chamber`, the shared `ChamberId`
+    of a valid point (None otherwise), from one `chamber_index` call.  The
+    violation texts are built only when an invalid point is asked for them.
     """
 
     mu: Fraction
@@ -76,8 +76,7 @@ class NormalizedClass:
         attrs["mu"] = mu
         attrs["c"] = c
         attrs["ints"] = (m, n, d)
-        attrs["_violations"] = bad = _find_violations(self)
-        index = 0 if bad else chamber_index(m, n, d)
+        index = chamber_index(m, n, d)
         attrs["_chamber"] = (_CHAMBERS[index] if index < _MEMO_INDEX
                              else ChamberId(index))
 
@@ -97,15 +96,11 @@ def area(u: NormalizedClass, a: ClassVector) -> Fraction:
 
 def validity_violations(u: NormalizedClass) -> list[str]:
     """Violated cone constraints, mu >= 1 among them; empty when u is a
-    valid normalized class."""
-    return list(u._violations)
-
-
-def _find_violations(u: NormalizedClass) -> tuple[str, ...]:
-    m, n, d = u.ints
-    if 0 < n < d <= m:  # valid: m > 0 and n < m follow
-        return ()
+    valid normalized class.  The texts are built only for an invalid u."""
     bad: list[str] = []
+    if u._chamber is not None:
+        return bad
+    m, n, d = u.ints
     if m <= 0:
         bad.append(f"mu > 0 violated (mu = {format_rational(u.mu)})")
     if not 0 < n < d:
@@ -116,17 +111,17 @@ def _find_violations(u: NormalizedClass) -> tuple[str, ...]:
     if m < d:
         bad.append(f"mu >= 1 policy violated (mu = {format_rational(u.mu)});"
                    " the leftmost chamber is out of scope")
-    return tuple(bad)
+    return bad
 
 
 def is_valid(u: NormalizedClass) -> bool:
-    return not u._violations
+    return u._chamber is not None
 
 
 def require_valid(u: NormalizedClass) -> None:
-    bad = u._violations
-    if bad:
-        raise ValueError("invalid normalized class: " + "; ".join(bad))
+    if u._chamber is None:
+        raise ValueError("invalid normalized class: "
+                         + "; ".join(validity_violations(u)))
 
 
 @dataclass(frozen=True, init=False)
@@ -180,9 +175,12 @@ def chamber_of(u: NormalizedClass) -> ChamberId:
 
 
 def chamber_index(m: int, n: int, d: int) -> int:
-    """Chamber index of the valid point (mu, c) = (m/d, n/d), d > 0: the one
-    closed form of the chamber, for a point's (m, n, d) and for the
-    planner's states (b, f, e, d) as (b, e, f)."""
+    """Chamber index of the point (mu, c) = (m/d, n/d), and 0 unless it
+    lies in the cone, 0 < n < d <= m (mu > 0 and c < mu follow): the one
+    closed form of validity and of the chamber, for a point's (m, n, d) and
+    for the planner's states (b, f, e, d) as (b, e, f)."""
+    if not 0 < n < d <= m:
+        return 0
     k = -(-m // d) - 1  # ceil(mu) - 1, the unique integer with k < mu <= k+1
     return 2 * k if m <= k * d + n else 2 * k + 1
 
@@ -303,8 +301,9 @@ class FigureModel:
 def figure_data(mu_max) -> FigureModel:
     """Wall segments and chamber labels for the strip 1 <= mu <= mu_max.
 
-    Only walls strictly inside the window are emitted: verticals mu = k for
-    k < mu_max, slants (k,0)-(k+1,1) for k+1 < mu_max.
+    Walls are emitted up to the window's right end: verticals mu = k for
+    1 <= k < mu_max, slants (k,0)-(k+1,1) for 0 <= k, k+1 < mu_max; so B-E,
+    (0,0)-(1,1), is drawn although it meets the window only at (1, 1).
     """
     mu_max = exact_rational(mu_max)
     if mu_max <= 1:

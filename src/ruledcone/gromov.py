@@ -119,7 +119,7 @@ def section_decompositions(params: SurfaceParams, q_bound: int,
     u = normalized(params.g + 1, _Q(1, 2))
 
     def allowed(a: ClassVector) -> bool:
-        return not a.is_zero() and area(u, a) > 0
+        return area(u, a) > 0
 
     # fiber-type parts (p = 0), largest-first for canonical multiset order
     fiber_parts = [ClassVector(0, q, (r,))

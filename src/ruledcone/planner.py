@@ -28,55 +28,32 @@ Move catalogue (all parameters solved exactly, all steps certified):
             N grows like 1/(mu' - limit) toward the wall limit max(1, k), so
             past _MAX_ROUNDS the leg is refused.
 
-Every leg is a straight segment in (b, f, e): its parts, N rounds of them
-with every t divided by N.  One builder, `_rounds`, walks one round, and
-only if that refuses computes N by one rule (`_least_rounds`): each area
-the walk checks is affine in the round index, so N is the least power of
-two keeping each part of negative square in range in the first and the
-last round.
+Segment rule: every leg is a straight segment in (b, f, e), its parts
+taken in N rounds with every t divided by N.  `_rounds` walks one round,
+and only if that refuses computes N (`_least_rounds`): each area the walk
+checks is affine in the round index, so N is the least power of two
+keeping each part of negative square in range in the first and the last
+round.
 
 The open stratum guarantees a section B + xF for *some* x <= g only, so the
 x used by each step is recorded as that step's assumption; where x is free
 a raise to c' takes the largest x <= g with x < mu - c', in closed form
 min(g, ceil(mu - c') - 1): its solution is positive exactly there.
 
-Internally a cone point is an integer projective state (b, f, e, d): the
-areas of B, F and E are b/d, f/d and e/d.  A NormalizedClass (m/d, n/d)
-enters as (m, d, n, d) from its integer form.  A step is an integer
-move (z, p, q, tag): inflate along z with t = p/q, q > 0, leaning on the
-assumption `tag`; applying it is an integer multiply-add with the pairings
-(Z.B, Z.F, Z.E, Z.Z) cached on Z.  Every comparison inside a plan is an
-integer comparison on states, moves and the endpoints' (m, n, d):
-`plan`'s preconditions, the sign and range checks 0 <= p and
-p (-Z.Z) < q area(Z), the label check (E and F-E have positive area iff
-0 < e < f), the sign of mu' - mu, the open-stratum refusals, and the
-leftward leg's wall limit and blow-up-area floor, and each segment's
-round count.  A plan
-holds its moves; `InflationPlan.steps` builds the `InflationStep`s, with
-t = Fraction(p, q), on first read.  A plan only judged (by the grid
-verifier) or served (`as_json` writes t from p and q) builds no
-`InflationStep` or step `Fraction`; `stays_in_chamber` places each state
-by the cone's integer chamber formula.  Otherwise a `Fraction` is built
-only for `stratum_left_parameter` or an error text.  One walk,
-`_certify`, checks every move against its sign and range and every class
-of the plan's label at every state it reaches, in one integer loop with
-the label's core test (`StratumLabel.core_test`) read before it; `_route`
-checks the start once, so a certified plan stays in its stratum.  One
-route, `_route`, serves every entry point: `_horizontal_leg` moves mu,
-then `_vertical_steps` moves c, and the end state must equal the target
-exactly, compared in integers.  `_route` owns one moves list and one
-states list, and leg builders advance states only through `_rounds`,
-which appends each segment's moves and the states `_certify` reached to
-them (dropping a refused round's states before it walks N rounds).  So a
-plan is certified once, as it is built, and carries those states
-(`InflationPlan.states`): `intermediates`, `stays_in_chamber` and
-`as_json` read them and walk nothing.  A plan built by hand walks its
-moves once, on the first read of `states`, so `as_json` still certifies
-every move before it writes one; `replay` re-walks on every call, by
-design.  `plan` checks both endpoints' validity
-and chamber on every call, but a point computes both once, when it is
-built (`cone.NormalizedClass`), as the grid verifier plans every point
-many times; likewise the section B + xF is built once per x.
+Invariants:
+
+- A cone point is an integer projective state (b, f, e, d), the areas of
+  B, F and E being b/d, f/d and e/d, and a step an integer move
+  (z, p, q, tag): t = p/q, q > 0, under the assumption `tag`.  Every
+  comparison inside a plan is an integer comparison.
+- One walk, `_certify`, checks every move against its sign and range and
+  every class of the plan's label at every state it reaches; `_route`
+  checks the start, so a certified plan stays in its stratum.
+- One route, `_route`, serves every entry point: the horizontal leg, then
+  the vertical leg, ending exactly at the target.
+- A plan is certified once, as it is built, and carries the states it
+  reached (`InflationPlan.states`); a plan built by hand walks its moves
+  once, on the first read of `states`, and `replay` re-walks every call.
 """
 
 from __future__ import annotations
@@ -151,12 +128,12 @@ def _require_label(state: State, label: StratumLabel) -> None:
 
 
 def _certify(state: State, moves, label: StratumLabel | None,
-             states: list[State] | None = None) -> State:
+             states: list[State]) -> State:
     """Walk `moves` from `state`, raising PlanError unless every t = p/q has
     p >= 0 and q > 0 and lies in its range [0, T) of a class of positive
     area, and every class of `label` has positive area at every state after
     the start (its caller checks the start); returns the end state, and
-    appends every state after the start to `states` when given.
+    appends every state after the start to `states`.
 
     One integer loop: the label's signs are tested inline, its core's by
     `StratumLabel.core_test`, and `_require_label` runs only when one
@@ -165,8 +142,7 @@ def _certify(state: State, moves, label: StratumLabel | None,
     # d times the core's area is cp b + cq f + cr e > floor
     cp, cq, cr, floor = label.core_test if checked else (0, 0, 0, -1)
     gcd = math.gcd
-    # every state is appended, to a throwaway list when `states` is None
-    append = (states if states is not None else []).append
+    append = states.append
     b, f, e, d = state
     for z, p, q, _ in moves:
         if p < 0 or q <= 0:
@@ -259,9 +235,9 @@ class InflationPlan:
         if chamber is None:
             return False
         index = chamber.index
-        # a state (b, f, e, d) is valid iff 0 < e < f <= b; mu = b/f, c = e/f
+        # mu = b/f and c = e/f; an invalid state has index 0
         for b, f, e, _ in states[1:]:
-            if not 0 < e < f <= b or chamber_index(b, e, f) != index:
+            if chamber_index(b, e, f) != index:
                 return False
         return True
 
@@ -378,13 +354,6 @@ def _rounds(state: State, parts: list[Move], label: StratumLabel | None,
     return _certify(state, parts, label, states)
 
 
-def _section(x: int, params: SurfaceParams) -> ClassVector:
-    """The open-stratum section class B + xF, for 0 <= x <= g."""
-    if not 0 <= x <= params.g:
-        raise PlanError(f"section coefficient x={x} outside 0..{params.g}")
-    return _section_class(x)
-
-
 @functools.cache
 def _section_class(x: int) -> ClassVector:
     """B + xF, built once per x, with its pairings cached on it."""
@@ -393,8 +362,11 @@ def _section_class(x: int) -> ClassVector:
 
 def _check_x(x: int, label: StratumLabel, params: SurfaceParams) -> None:
     """Check a pinned section coefficient up front, as routes with no
-    section step never read x: in range, and pinned on the open label."""
-    _section(x, params)
+    section step never read x: in range, and pinned on the open label.  The
+    legs' own x, the free raise's and the default hop's, are in range by
+    construction, so no leg checks x again."""
+    if not 0 <= x <= params.g:
+        raise PlanError(f"section coefficient x={x} outside 0..{params.g}")
     if not label.is_open:
         raise PlanError(f"section coefficient x={x} pins an open-stratum"
                         f" section; label {label.name} is not open")
@@ -427,7 +399,7 @@ def _vertical_steps(state: State, c_target: Fraction,
             # the largest x <= g with x < mu - c_target (`_vertical_solve`'s
             # test), >= 0 as every route ends at mu >= 1 > c_target
             x = min(params.g, (b * cd - cn * f - 1) // (f * cd))
-        section = _section(x, params)
+        section = _section_class(x)
         p1, p2, q = _vertical_solve(state, section, cn, cd)
         # B+xF has square 2x >= 0; applying it first always stays in range
         return _rounds(state, [(section, p1, q, OPEN), (_FE, p2, q, ALWAYS)],
@@ -448,13 +420,14 @@ def stratum_left_parameter(u: NormalizedClass, z: ClassVector,
                            mu_target: Fraction) -> Fraction:
     """Solved parameter t of the leftward hop along z from a normalized start.
 
-    The hop inflates along z and (1 - z.B) t fibers simultaneously, so the
-    base-area slot of the family grows by exactly t per unit; solving
-    (mu + t) / (1 + t) = mu_target gives the closed form.
+    The hop inflates along z and (1 - z.B) t fibers simultaneously, so for a
+    section class z (z.F = 1, z.B <= 1) the base and fiber areas both grow
+    by exactly t per unit; solving (mu + t) / (1 + t) = mu_target gives the
+    closed form.  Any other z is refused.
     """
     require_valid(u)
-    vb = z.pairings[0]
-    if 1 - vb < 0:
+    vb, vf, _, _ = z.pairings
+    if vf != 1 or vb > 1:
         raise PlanError(f"{z} is not a leftward class")
     mu_target = _Q(mu_target)
     if not 1 < mu_target < u.mu:
@@ -558,7 +531,7 @@ def _horizontal_leg(state: State, target: NormalizedClass,
     if not label.is_open:
         return _left_route(state, target, label, moves, states)
     x = params.g if x is None else x
-    section = _section(x, params)
+    section = _section_class(x)
     if m <= x * dt:
         raise PlanError(f"mu' = {format_rational(target.mu)} is unreachable"
                         f" along B+{x}F: the normalized limit is {x}")

@@ -7,7 +7,8 @@ for ``str.isdecimal``.  Decimal literals are rejected on purpose: ``0.1``
 silently becomes 3602879701896397/2**55 under float parsing, and the
 chamber inequalities are exact half-open conditions where that error is
 fatal.  For the same reason the library's entry points take their
-rationals through `exact_rational`, which refuses a float.  The
+rationals through `exact_rational`, which refuses a float and reads a
+string with `parse_rational`.  The
 Stern-Brocot search (`simplest_between`) has no caller in the package: the
 benchmark's tracer wraps it, and the tests' reference hop chain picks its
 hop targets with it.
@@ -32,11 +33,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def exact_rational(x) -> Fraction:
-    """An int, Fraction or ``p/q`` string as a Fraction.  A float is refused:
-    it holds a binary fraction, so ``2.5`` may be meant but ``0.1`` is not
-    1/10."""
+    """An int, Fraction or ``p/q`` string as a Fraction; a string is read by
+    `parse_rational`.  A float is refused: it holds a binary fraction, so
+    ``2.5`` may be meant but ``0.1`` is not 1/10."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        return parse_rational(x)
     if isinstance(x, float):
         raise ValueError(f"inexact float {x!r}: give an int, a Fraction or"
                          " a p/q string")

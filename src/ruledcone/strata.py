@@ -22,10 +22,10 @@ has codimension exactly 2(g + i), so labels never tie.  Chamber n carries
 the first n of them (`ChamberId.section_classes`), so labels are a property
 of the chamber, and since codimension grows with i, the labels of a chamber
 up to any codimension bound are a prefix of one sequence per genus:
-`chamber_labels` slices that sequence, built lazily and kept per genus up
-to the largest chamber index asked for, but at most _MEMO_INDEX labels, so
-one large chamber index pins no memory.  `lattice.codim` (adjunction) is
-the definition; the tests check the closed form against it.
+`chamber_labels` slices its first _MEMO_INDEX labels, kept whole for the
+_MEMO_INDEX genera used last, and builds longer prefixes per call, so
+neither a large chamber index nor many genera pin memory.  `lattice.codim`
+(adjunction) is the definition; the tests check the closed form against it.
 
 `wide_negative_classes` is the safety net: it scans all bounded (p, q, r)
 for classes of negative square, positive u-area and a defined adjunction
@@ -35,6 +35,7 @@ outside the four families instead of silently dropping it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -101,18 +102,17 @@ def negative_classes(u: NormalizedClass, params: SurfaceParams,
 
 
 def _section_labels(g: int, lo: int, hi: int) -> list[StratumLabel]:
-    """The labels of section classes lo, ..., hi - 1 at genus g."""
-    if hi <= lo:
-        return []
+    """The labels of section classes lo, ..., hi - 1 at genus g, hi >= 1."""
     classes = ChamberId(hi).section_classes()
     return [StratumLabel(_section_codim(g, i), (classes[i],))
             for i in range(lo, hi)]
 
 
-# genus -> the labels of section classes 0, 1, 2, ..., kept up to the largest
-# chamber index asked for but never past cone's _MEMO_INDEX (classify and
-# the verifier stay below it); labels past it are built per call.
-_SECTION_LABELS: dict[int, list[StratumLabel]] = {}
+@functools.lru_cache(maxsize=_MEMO_INDEX)
+def _memo_labels(g: int) -> tuple[StratumLabel, ...]:
+    """The labels of section classes 0, ..., _MEMO_INDEX - 1 at genus g,
+    the ones classify and the verifier read."""
+    return tuple(_section_labels(g, 0, _MEMO_INDEX))
 
 
 def chamber_labels(cid: ChamberId, params: SurfaceParams,
@@ -123,12 +123,10 @@ def chamber_labels(cid: ChamberId, params: SurfaceParams,
     stop = cid.index
     if cod_max is not None:  # 2(g + i) <= cod_max
         stop = max(0, min(stop, cod_max // 2 - g + 1))
-    seq = _SECTION_LABELS.setdefault(g, [])
     start = 1 if g == 0 else 0  # at g = 0, B-E has codimension 0
-    if stop <= len(seq):  # the memo reaches stop
-        return [OPEN_LABEL, *seq[start:stop]]
-    seq += _section_labels(g, len(seq), min(stop, _MEMO_INDEX))
-    return [OPEN_LABEL] + seq[start:stop] + _section_labels(g, len(seq), stop)
+    if stop <= _MEMO_INDEX:
+        return [OPEN_LABEL, *_memo_labels(g)[start:stop]]
+    return [OPEN_LABEL, *_section_labels(g, start, stop)]
 
 
 def stratum_labels(u: NormalizedClass, params: SurfaceParams,
@@ -177,7 +175,7 @@ def wide_negative_classes(u: NormalizedClass, params: SurfaceParams,
     out: list[tuple[ClassVector, str]] = []
     for p, q, r in itertools.product(range(-bound, bound + 1), repeat=3):
         a = ClassVector(p, q, (r,))
-        if a.is_zero() or pair(a, a) >= 0 or area(u, a) <= 0:
+        if pair(a, a) >= 0 or area(u, a) <= 0:
             continue
         genus = adjunction_genus(a, params)
         if genus is None:

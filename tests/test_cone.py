@@ -357,7 +357,8 @@ def test_normalized_takes_ints_strings_and_fractions_alike():
 def test_grid_points_compute_validity_and_chamber_once(monkeypatch):
     # on the g = 1, step-1/4 grid of tests/golden/verify.json every point
     # takes part in many `plan` calls, each checking validity and chamber;
-    # the uncached computations run at most once per point
+    # the closed form that decides both runs once per point, and no
+    # violation text is built for a valid point
     import ruledcone.cone as cone
     from ruledcone.lattice import SurfaceParams
     from ruledcone.planner import verify_stability
@@ -370,8 +371,8 @@ def test_grid_points_compute_validity_and_chamber_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(cone, "_find_violations",
-                        counted("violations", cone._find_violations,
+    monkeypatch.setattr(cone, "validity_violations",
+                        counted("violations", cone.validity_violations,
                                 lambda u: (u.mu, u.c)))
     # the chamber's closed form, on a point's cached (m, n, d)
     monkeypatch.setattr(cone, "chamber_index",
@@ -380,9 +381,9 @@ def test_grid_points_compute_validity_and_chamber_once(monkeypatch):
     rep = verify_stability(SurfaceParams(1), 3, Q(1, 4))
     points = sum(v["points"] for v in rep["chambers"])
     assert sum(v["checked"] for v in rep["chambers"]) > 10 * points > 0
-    for name in counts:
-        assert len(counts[name]) >= points
-        assert set(counts[name].values()) == {1}, name
+    assert len(counts["chamber"]) >= points
+    assert set(counts["chamber"].values()) == {1}
+    assert counts["violations"] == Counter()
 
 
 def test_an_invalid_point_raises_the_same_error_on_every_call(monkeypatch):
@@ -396,19 +397,19 @@ def test_an_invalid_point_raises_the_same_error_on_every_call(monkeypatch):
             with pytest.raises(ValueError) as err:
                 check(u)
             assert str(err.value) == text
-    # the violations are cached and returned as a copy
+    # the violations are returned as a new list on every call
     bad = validity_violations(u)
     bad.append("mutated")
     assert validity_violations(u) == [text.split(": ", 1)[1]]
 
 
 def test_cached_validity_and_chamber_are_invisible_and_pickle():
-    # every point carries (m, n, d), its violations and its chamber from
-    # construction, before any read, outside the fields
+    # every point carries (m, n, d) and its chamber from construction,
+    # before any read, outside the fields
     u, v = normalized(Q(7, 3), Q(1, 2)), normalized(Q(7, 3), Q(1, 2))
     for point in (u, v):
         assert vars(point) == {"mu": Q(7, 3), "c": Q(1, 2), "ints": (14, 3, 6),
-                               "_violations": (), "_chamber": ChamberId(4)}
+                               "_chamber": ChamberId(4)}
     assert is_valid(u) and chamber_of(u).index == 4
     assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
     assert repr(u) == ("NormalizedClass(mu=Fraction(7, 3),"

@@ -152,6 +152,13 @@ def test_r_bound_widens_part_pool():
     assert {d.parts for d in base} <= {d.parts for d in wide}
 
 
+def test_zero_area_sections_are_skipped():
+    # at g = 0 the point is (1, 1, 1/2), where B-2E has area 0: no splitting
+    # takes it, although |r| <= 2 admits it
+    decs = section_decompositions(SurfaceParams(0), 0, r_bound=2)
+    assert [[str(a) for a in d.parts] for d in decs] == [["E", "B-E"], ["B"]]
+
+
 def test_q_bound_validation():
     with pytest.raises(ValueError):
         section_decompositions(SurfaceParams(3), 2)

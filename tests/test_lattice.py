@@ -144,6 +144,15 @@ def test_parse_class_multi_blowup():
         parse_class("B-2G")
 
 
+def test_parse_class_refuses_a_gap_or_a_trailing_sign():
+    # text between two terms is refused inside the term loop, a sign after
+    # the last term by the check that the terms reach the end
+    for text in ("B?F", "B+xF", "B+", "2B-"):
+        with pytest.raises(ValueError) as err:
+            parse_class(text)
+        assert str(err.value) == f"cannot parse class {text!r}"
+
+
 def test_format_round_trip():
     rng = random.Random(5)
     for _ in range(200):

@@ -160,7 +160,7 @@ def _doubling_rounds(state, z, p1, p2, q, label) -> int | None:
         moves = [(F - E, t2.numerator, t2.denominator, planner.ALWAYS),
                  (z, t1.numerator, t1.denominator, planner.STRATUM)] * rounds
         try:
-            planner._certify(state, moves, label)
+            planner._certify(state, moves, label, [])
             return rounds
         except PlanError:
             rounds *= 2
@@ -272,7 +272,7 @@ def _doubling_left_rounds(state, target, label) -> int | None:
     if ve and Q(state[2], state[1]) > floor:
         state = planner._certify(
             state, [planner._drop(state, floor.numerator, floor.denominator)],
-            label)
+            label, [])
     b, f, _, d = state
     t = Q(f, d) * (Q(b, f) - target.mu) / (target.mu - 1)
     parts = [(F, (1 - vb) * t, planner.ALWAYS), (z, t, planner.STRATUM)]
@@ -282,7 +282,7 @@ def _doubling_left_rounds(state, target, label) -> int | None:
         moves = [(a, (s / rounds).numerator, (s / rounds).denominator, tag)
                  for a, s, tag in parts] * rounds
         try:
-            planner._certify(state, moves, label)
+            planner._certify(state, moves, label, [])
             return rounds
         except PlanError:
             rounds *= 2

@@ -14,10 +14,10 @@ from ruledcone.discrepancies import detected_discrepancies
 from ruledcone.inflation import InflationStep, apply_step, normalize, raw_from
 from ruledcone.lattice import B, E, F, SurfaceParams, parse_class
 from ruledcone.planner import (ALWAYS, OPEN, STRATUM, InflationPlan, PlanError,
-                               _certify, _section, _state_of, plan,
-                               plan_left_open, plan_left_stratum, plan_right,
-                               plan_vertical, stratum_left_parameter,
-                               verify_stability)
+                               _certify, _check_x, _section_class, _state_of,
+                               plan, plan_left_open, plan_left_stratum,
+                               plan_right, plan_vertical,
+                               stratum_left_parameter, verify_stability)
 from ruledcone.strata import OPEN_LABEL, label_for, stratum_labels
 
 P1 = SurfaceParams(1)
@@ -258,10 +258,14 @@ def test_left_hop_parameter_checks_its_start_and_names_mu():
     with pytest.raises(PlanError) as exc:
         stratum_left_parameter(normalized(3, Q(1, 2)), B - F, 3)
     assert str(exc.value) == "leftward target must lie in (1, 3), got 3"
-    # (B+2F).B = 2 > 1: a hop along it moves mu right, not left
-    with pytest.raises(PlanError) as exc:
-        stratum_left_parameter(normalized(3, Q(1, 2)), B + 2 * F, 2)
-    assert str(exc.value) == "B+2F is not a leftward class"
+    # (B+2F).B = 2 > 1: a hop along it moves mu right, not left; the closed
+    # form needs z.F = 1: for F, E and 2B-3F it gives t = 1, and their hops
+    # end at mu = 4, 4 and 4/3, not at 2
+    for z in (B + 2 * F, F, E, 2 * B - 3 * F):
+        with pytest.raises(PlanError) as exc:
+            stratum_left_parameter(normalized(3, Q(1, 2)), z, 2)
+        assert str(exc.value) == f"{z} is not a leftward class"
+    assert stratum_left_parameter(normalized(3, Q(1, 2)), B - F, 2) == 1
 
 
 def test_plan_left_stratum_single_hop():
@@ -480,7 +484,7 @@ def test_rounds_keep_the_walks_refusal_where_no_count_certifies():
     parts = [(F - E, p2, q, ALWAYS), (B - F, p1, q, STRATUM)]
     assert planner._least_rounds(state, parts) == 1
     with pytest.raises(PlanError) as walk:
-        _certify(state, parts, lab)
+        _certify(state, parts, lab, [])
     with pytest.raises(PlanError) as err:
         planner._rounds(state, parts, lab, "the raise", [], [state])
     assert str(err.value) == str(walk.value)
@@ -709,20 +713,23 @@ def test_certified_walk_refusal_texts(start, moves, label, text, reached):
 
 def test_certified_walk_checks_no_label_without_one():
     # with no label only the steps are checked: E may reach zero area
-    state = _certify(_state_of(U_OPEN), ((B + E, 1, 2, OPEN),), None)
+    state = _certify(_state_of(U_OPEN), ((B + E, 1, 2, OPEN),), None, [])
     assert state[2] == 0
     with pytest.raises(PlanError, match="E has non-positive area"):
-        _certify(_state_of(U_OPEN), ((B + E, 1, 2, OPEN),), OPEN_LABEL)
+        _certify(_state_of(U_OPEN), ((B + E, 1, 2, OPEN),), OPEN_LABEL, [])
 
 
 def test_section_class_is_built_once_per_x():
-    assert _section(1, P2) is _section(1, P2) is _section(1, SurfaceParams(5))
-    assert _section(1, P2) == B + F and _section(0, P1) == B
+    # the class is shared by every genus; the range of a pinned x is checked
+    # once, up front, by `_check_x`
+    assert _section_class(1) is _section_class(1)
+    assert _section_class(1) == B + F and _section_class(0) == B
     for x, params in ((3, P2), (-1, P2), (1, SurfaceParams(0))):
         with pytest.raises(PlanError) as err:
-            _section(x, params)
+            _check_x(x, OPEN_LABEL, params)
         assert str(err.value) == (f"section coefficient x={x} outside"
                                   f" 0..{params.g}")
+    _check_x(2, OPEN_LABEL, P2)
 
 def test_plan_reachability_is_symmetric_on_grid():
     step = Q(1, 4)
@@ -799,10 +806,11 @@ def test_stays_in_chamber_matches_the_point_test():
     outside = InflationPlan(normalized(Q(1, 2), Q(1, 4)), (),
                             normalized(Q(1, 2), Q(1, 4)))
     # from chamber 1 a step along B leaves the cone at (1/2, 1/4), where
-    # the chamber formula still reads 1: only the validity test refuses it
+    # the chamber formula reads 0, as at every point off the cone
     below = InflationPlan(normalized(1, Q(1, 2)), ((B, 1, 1, OPEN),),
                           normalized(Q(1, 2), Q(1, 4)))
-    assert chamber_of(below.start).index == chamber_index(2, 1, 4) == 1
+    assert chamber_of(below.start).index == 1
+    assert chamber_index(2, 1, 4) == 0
     for pl in (out, outside, below):
         assert pl.stays_in_chamber() is _stays_by_points(pl) is False
 

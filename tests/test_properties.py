@@ -14,8 +14,9 @@ command's own parser must return the same one with no leftovers, and
 whenever the parser exits (help or an error), the reader must have
 declined.  On the served path, a rational's text must parse back to it,
 and a certified plan's JSON must parse back to its integer moves.  Each
-state a same-chamber plan walks through gets from `cone.chamber_index` the
-chamber that the area signs of its section classes give.
+state in the cone that a same-chamber plan walks through gets from
+`cone.chamber_index` the chamber that the area signs of its section classes
+give, and each state or point off the cone gets 0.
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples.
 """
@@ -27,12 +28,12 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruledcone.cli import _json_text, _read_known, build_parser
 from ruledcone.cone import (ChamberId, active_walls, chamber_index,
-                            chamber_of, normalized)
+                            chamber_of, normalized, validity_violations)
 from ruledcone.lattice import SurfaceParams, parse_class
 from ruledcone.planner import InflationPlan, plan
 from ruledcone.rationals import format_ratio, format_rational, parse_rational
@@ -96,7 +97,7 @@ def test_one_pass_points_agree_with_the_fraction_reference(point):
     assert (Q(m, d), Q(n, d)) == (mu, c)
     assert d == math.lcm(mu.denominator, c.denominator)
     bad = reference_violations(mu, c)
-    assert list(u._violations) == bad
+    assert validity_violations(u) == bad
     if bad:
         text = "invalid normalized class: " + "; ".join(bad)
         for check in (chamber_of, active_walls):
@@ -107,6 +108,19 @@ def test_one_pass_points_agree_with_the_fraction_reference(point):
     index, walls = reference_chamber_and_walls(mu, c)
     assert chamber_of(u) == ChamberId(index)
     assert [w.curve_class for w in active_walls(u)] == walls
+
+
+@NEAR_WALL
+@given(st.one_of(near_wall_points(), st.tuples(
+    st.builds(Q, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(Q, st.integers(-30, 30), st.integers(1, 12)))))
+def test_chamber_index_is_zero_exactly_off_the_cone(point):
+    # valid, invalid and near-wall points: the closed form alone decides
+    # validity, and the violation texts are those of the reference
+    u = normalized(*point)
+    bad = validity_violations(u)
+    assert bad == reference_violations(*point)
+    assert (chamber_index(*u.ints) == 0) == bool(bad)
 
 
 JSON_VALUES = settings(derandomize=True, database=None, max_examples=150,
@@ -133,6 +147,8 @@ JSON_PAYLOADS = st.recursive(
 
 @JSON_VALUES
 @given(JSON_PAYLOADS)
+@example("")  # a bare str, which the derandomized draws miss
+@example('q"uote \\ back\nline \u00fc\u2028\x7f')
 def test_json_writer_writes_what_json_dumps_writes(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2,
                                              sort_keys=True)
@@ -262,8 +278,12 @@ def test_plan_json_parses_back_to_its_moves(case):
 @given(same_chamber_requests())
 def test_plan_states_take_the_chamber_of_their_area_signs(case):
     params, u1, u2, label = case
-    # a state (b, f, e, d) is the point (b/f, e/f) scaled by f/d > 0
+    # a state (b, f, e, d) is the point (b/f, e/f) scaled by f/d > 0; the
+    # rounds of a leg may pass off the cone, e.g. at (b, f, e) = (8, 9, 2)
     for b, f, e, _ in plan(u1, u2, label, params)._walk():
+        if reference_violations(Q(b, f), Q(e, f)):
+            assert chamber_index(b, e, f) == 0, (b, f, e)
+            continue
         n, _ = reference_chamber_and_walls(Q(b, f), Q(e, f))
         assert chamber_index(b, e, f) == n, (b, f, e)
 

@@ -125,9 +125,9 @@ def test_section_class_codimension_is_closed_form():
 
 def test_chamber_labels_match_a_from_scratch_reference(monkeypatch):
     # the labels as adjunction gives them, class by class, against the
-    # per-genus sequence grown in shuffled index order from empty, up to
-    # and past its cap
-    monkeypatch.setattr(strata, "_SECTION_LABELS", {})
+    # per-genus memo filled from empty, in shuffled index order, up to and
+    # past its cap
+    strata._memo_labels.cache_clear()
     cods = {g: [codim(a, SurfaceParams(g)) for a in SECTION_CLASSES]
             for g in range(7)}
 
@@ -143,15 +143,15 @@ def test_chamber_labels_match_a_from_scratch_reference(monkeypatch):
     for index, g, cod_max in cases:
         got = chamber_labels(ChamberId(index), SurfaceParams(g), cod_max)
         assert got == reference(index, g, cod_max), (index, g, cod_max)
-    assert sorted(strata._SECTION_LABELS) == list(range(7))
+    assert strata._memo_labels.cache_info().currsize == 7
     # the memo stops at its cap; indices past it are built per call
-    assert all(len(seq) == strata._MEMO_INDEX
-               for seq in strata._SECTION_LABELS.values())
+    assert all(len(strata._memo_labels(g)) == strata._MEMO_INDEX
+               for g in range(7))
 
 
 def test_chamber_labels_build_no_label_once_the_memo_reaches_them(
         monkeypatch):
-    monkeypatch.setattr(strata, "_SECTION_LABELS", {})
+    strata._memo_labels.cache_clear()
     built = []
     real = strata._section_labels
 
@@ -161,7 +161,7 @@ def test_chamber_labels_build_no_label_once_the_memo_reaches_them(
 
     monkeypatch.setattr(strata, "_section_labels", counted)
     first = chamber_labels(ChamberId(9), P2)
-    assert built  # the first call grows the memo to index 9
+    assert built == [(2, 0, strata._MEMO_INDEX)]  # the genus's whole memo
     built.clear()
     for index in range(1, 10):
         for cod_max in (None, 6, 100):
@@ -169,7 +169,18 @@ def test_chamber_labels_build_no_label_once_the_memo_reaches_them(
     assert chamber_labels(ChamberId(9), P2) == first and built == []
     # past the memo's cap the labels are still built per call
     chamber_labels(ChamberId(strata._MEMO_INDEX + 2), P2)
-    assert built[-1] == (2, strata._MEMO_INDEX, strata._MEMO_INDEX + 2)
+    assert built == [(2, 0, strata._MEMO_INDEX + 2)]
+
+
+def test_the_label_memo_keeps_at_most_memo_index_genera():
+    # one memo entry per genus, the least recently used dropped first, so
+    # many genera pin no more than _MEMO_INDEX of them
+    strata._memo_labels.cache_clear()
+    for g in range(3 * strata._MEMO_INDEX):
+        labels = chamber_labels(ChamberId(40), SurfaceParams(g))
+        assert labels[-1].codim == 2 * (g + 39)  # B-20F-E, class 39
+    info = strata._memo_labels.cache_info()
+    assert info.currsize == info.maxsize == strata._MEMO_INDEX
 
 
 def test_is_open_is_set_at_construction_outside_the_fields():

@@ -3,14 +3,14 @@
 `ClassVector`, `SurfaceParams`, `NormalizedClass`, `ChamberId`, `Wall` and
 `InflationPlan` compare, hash, print, pickle, copy and replace by their
 fields alone, take their fields by position or keyword, and refuse
-assignment.  A `NormalizedClass` also carries (m, n, d), its violations
-and its chamber outside the fields; pickling and copying keep them, and
+assignment.  A `NormalizedClass` also carries (m, n, d) and its chamber
+outside the fields; pickling and copying keep them, and
 replacing recomputes them.  An `InflationPlan` carries its certified
 states outside the fields: a planner-built plan from its build, one built
 from its fields from a walk on first read, and the two must agree.  The
 library's rational inputs are exact: a float is refused where a Fraction,
-an int or a p/q string is taken, and a class coefficient that is not an
-int is refused.
+an int or a p/q string is taken, a string is read as p/q text only, and a
+class coefficient that is not an int is refused.
 """
 
 import copy
@@ -110,7 +110,7 @@ def _parameters(cls) -> list[tuple]:
 
 def _plain(x) -> dict:
     """Everything an instance carries: its fields and, for a cone point,
-    its (m, n, d), violations and chamber; for a plan also its states, read
+    its (m, n, d) and chamber; for a plan also its states, read
     first, so that a plan built from its fields walks them."""
     if isinstance(x, InflationPlan):
         x.states
@@ -216,3 +216,17 @@ def test_inputs_are_exact_at_the_library_boundary(call, exact, inexact,
         call(inexact)
     assert str(err.value) == (text or f"inexact float {inexact!r}: give an"
                               " int, a Fraction or a p/q string")
+
+
+@pytest.mark.parametrize("text", ["1e3", "0.5e1", "1_0/40", "2.5"])
+def test_rational_text_is_read_as_p_q_at_the_library_boundary(text):
+    # a string takes the CLI's grammar, `parse_rational`, not Fraction's:
+    # normalized("1e3", "1/2") used to be (1000, 1/2)
+    for call in (lambda x: normalized(x, Q(1, 2)),
+                 lambda x: NormalizedClass(Q(5, 2), x),
+                 lambda x: plan_left_stratum(_U, x, _LABEL, _G1),
+                 lambda x: verify_stability(_G1, x, Q(1, 2)),
+                 lambda x: verify_stability(_G1, 3, x)):
+        with pytest.raises(ValueError) as err:
+            call(text)
+        assert str(err.value) == f"not an integer or p/q rational: {text!r}"

@@ -33,6 +33,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
+CLI = "src/ruledcone/cli.py"
+CONE = "src/ruledcone/cone.py"
+INFLATION = "src/ruledcone/inflation.py"
 RATIONALS = "src/ruledcone/rationals.py"
 PLANNER = "src/ruledcone/planner.py"
 STRATA = "src/ruledcone/strata.py"
@@ -63,6 +66,14 @@ MUTANTS = [
            '        raise ValueError(f"zero denominator: {text!r}")\n',
            "",
            ("tests/test_rationals.py",)),
+    # a string read with Fraction's grammar ("1e3", "1_0/40")
+    Mutant("exact-rational-fraction-grammar", RATIONALS,
+           "    if isinstance(x, str):\n        return parse_rational(x)\n", "",
+           ("tests/test_value_types.py",)),
+    # the leftward closed form taken for classes that are not sections
+    Mutant("left-parameter-non-sections", PLANNER,
+           "if vf != 1 or vb > 1:", "if vb > 1:",
+           ("tests/test_planner.py",)),
     Mutant("certify-zero-area-moves", PLANNER,
            "        if a <= 0:\n", "        if a < 0:\n",
            ("tests/test_planner.py",)),
@@ -116,10 +127,54 @@ MUTANTS = [
            "if not (m1 > params.g * d1 and m2 > params.g * d2):",
            "if not (m1 >= params.g * d1 and m2 >= params.g * d2):",
            ("tests/test_cli.py",)),
-    Mutant("stays-no-validity", PLANNER,
-           "if not 0 < e < f <= b or chamber_index(b, e, f) != index:",
-           "if chamber_index(b, e, f) != index:",
+    # the one validity test of points and states, off the cone
+    Mutant("chamber-index-no-validity", CONE,
+           "    if not 0 < n < d <= m:\n        return 0\n", "",
+           ("tests/test_cone.py",)),
+    # the one range test of a pinned section coefficient
+    Mutant("check-x-no-range", PLANNER,
+           "    if not 0 <= x <= params.g:\n"
+           '        raise PlanError(f"section coefficient x={x} outside'
+           ' 0..{params.g}")\n', "",
            ("tests/test_planner.py",)),
+    Mutant("slanted-wall-dropped", CONE,
+           "if rest not in (0, n):", "if rest != 0:",
+           ("tests/test_cone.py",)),
+    # a chamber one past the memo's labels read from the memo
+    Mutant("label-memo-index-past-cap", STRATA,
+           "if stop <= _MEMO_INDEX:", "if stop <= _MEMO_INDEX + 1:",
+           ("tests/test_strata.py",)),
+    Mutant("wide-scan-covering-bound", STRATA,
+           "genus < p * (params.g - 1) + 1:", "genus < p * (params.g - 1):",
+           ("tests/test_strata.py",)),
+    Mutant("check-step-closed-end", INFLATION,
+           "if bound is not None and step.t >= bound:",
+           "if bound is not None and step.t > bound:",
+           ("tests/test_inflation.py",)),
+    # the grid opened at mu_min instead of one step above it
+    Mutant("grid-starts-at-mu-min", PLANNER,
+           "    mu = mu_min + grid_step\n", "    mu = mu_min\n",
+           ("tests/test_golden_verify.py",)),
+    Mutant("cross-chamber-count-all-pairs", PLANNER,
+           "cross = total_points * (total_points - 1) // 2 - same_chamber_pairs",
+           "cross = total_points * (total_points - 1) // 2",
+           ("tests/test_golden_verify.py",)),
+    Mutant("json-keys-unsorted", CLI,
+           "        for key in sorted(x):\n", "        for key in x:\n",
+           ("tests/test_properties.py",)),
+    Mutant("argv-reader-repeats", CLI,
+           "if action is None or action in seen:", "if action is None:",
+           ("tests/test_cli.py",)),
+    Mutant("argv-reader-dash-values", CLI,
+           'if text is None or text.startswith("-"):', "if text is None:",
+           ("tests/test_cli.py",)),
+    Mutant("argv-reader-no-choices", CLI,
+           "if action.choices is not None and value not in action.choices:",
+           "if False:",
+           ("tests/test_cli.py",)),
+    Mutant("argv-reader-no-required", CLI,
+           "    if not required <= seen:\n        return None\n", "",
+           ("tests/test_cli.py",)),
     Mutant("plan-start-end-swapped", PLANNER,
            'attrs["start"] = start\n'
            '        attrs["moves"] = moves\n'
