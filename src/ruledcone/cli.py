@@ -3,7 +3,9 @@
 Commands: chamber, strata, inflate, plan, verify-stability, gromov,
 decompose, figure, report.  Rationals cross the boundary as ``p/q`` strings
 only.  Exit codes: 0 success, 1 internal error, 2 invalid input,
-3 not every transport certified.  Output is deterministic for a given
+3 not every transport certified.  Where the library reads or checks user
+input, a ``try``/``except ValueError`` re-raises its refusal as an
+`InputError`, message unchanged.  Output is deterministic for a given
 flag set: no clocks, no randomness.  The parser is built once per process,
 so ``main`` can be called repeatedly in-process.  Help and usage wrap at 78
 columns, whatever the terminal's width.  A known command's argument vector
@@ -23,7 +25,10 @@ sort_keys=True)`` would, without the standard library's pure-Python
 indenting encoder; a payload holds only dicts with str keys, lists, str,
 bool, None and int, so a float (inexact output) is a fault.  A str inside a
 dict or a list is quoted in place; every other value goes through
-`_write_json` again.
+`_write_json` again.  A dict's keys, sorted, each with the text that heads
+it, are kept per (key tuple, indent) in a bounded memo (`_dict_layout`), so
+a dict of a known shape is neither sorted nor its keys quoted again; a
+non-str key is refused afresh on every call.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import functools
 import math
 import os
 import sys
-from contextlib import AbstractContextManager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -58,23 +62,18 @@ class InputError(ValueError):
     """Bad user input; maps to exit code 2."""
 
 
-class _UserInput(AbstractContextManager):
-    """Re-raise a ValueError from reading or checking user input as an
-    InputError, message unchanged; any other ValueError is a fault."""
-
-    def __exit__(self, kind, err, tb) -> None:
-        if kind is not None and issubclass(kind, ValueError):
-            raise InputError(str(err)) from None
-
-
 def _rational(text: str) -> Fraction:
-    with _UserInput():
+    try:
         return parse_rational(text)
+    except ValueError as err:
+        raise InputError(str(err)) from None
 
 
 def _params(g: int) -> SurfaceParams:
-    with _UserInput():
+    try:
         return SurfaceParams(g)
+    except ValueError as err:
+        raise InputError(str(err)) from None
 
 
 def _bound(value: int | None, name: str) -> int | None:
@@ -106,8 +105,10 @@ def _parse_point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"expected mu,c with rational entries, got {text!r}")
-    with _UserInput():
+    try:
         u = normalized(parse_rational(parts[0]), parse_rational(parts[1]))
+    except ValueError as err:
+        raise InputError(str(err)) from None
     bad = validity_violations(u)
     if bad:
         raise InputError(f"invalid normalized class {text!r}: " + "; ".join(bad))
@@ -186,12 +187,14 @@ def _text_strata(payload, args) -> list[str]:
 
 def _cmd_inflate(args) -> tuple[dict, int]:
     u = _parse_point(args.u)
-    with _UserInput():  # a bad class, a class of no area, a t out of range
+    try:  # a bad class, a class of no area, a t out of range
         z = parse_class(args.z)
         t = parse_rational(args.t)
         bound = t_range(u, z)
         step = InflationStep(z, t)
         raw = inflate(u, step)
+    except ValueError as err:
+        raise InputError(str(err)) from None
     end = normalize(raw)
     payload = {
         "start": {"mu": format_rational(u.mu), "c": format_rational(u.c)},
@@ -281,8 +284,10 @@ def _text_verify_stability(payload, args) -> list[str]:
 def _cmd_gromov(args) -> tuple[dict, int]:
     params = _params(args.g)
     k = gromov_mod.virtual_dim_k(ClassVector(args.p, args.q, (0,)), params)
-    with _UserInput():
+    try:
         value = gromov_mod.gromov_invariant(args.p, args.q, params)
+    except ValueError as err:
+        raise InputError(str(err)) from None
     payload = {
         "p": args.p, "q": args.q, "g": args.g,
         "virtual_dim": format_rational(k),
@@ -310,9 +315,11 @@ def _text_gromov(payload, args) -> list[str]:
 def _cmd_decompose(args) -> tuple[dict, int]:
     params = _params(args.g)
     _bound(args.r_bound, "r-bound")
-    with _UserInput():
+    try:
         decs = gromov_mod.section_decompositions(params, args.q_bound,
                                                  r_bound=args.r_bound)
+    except ValueError as err:
+        raise InputError(str(err)) from None
     payload = {
         "g": args.g, "q_bound": args.q_bound, "r_bound": args.r_bound,
         "total": str(B + args.g * F),
@@ -578,6 +585,18 @@ def _json_text(payload) -> str:
     return "".join(out)
 
 
+# a payload's dicts take a handful of shapes, at most _MEMO_INDEX kept
+@functools.lru_cache(maxsize=_MEMO_INDEX)
+def _dict_layout(keys: tuple, inner: str) -> tuple[tuple[str, str], ...]:
+    """Each key in sorted order, with the text that heads it: ``{`` or
+    ``,``, ``inner``, the quoted key and ``": "``."""
+    for key in keys:
+        if type(key) is not str:
+            raise TypeError(f"JSON key {key!r} is not a str")
+    return tuple((key, ("," if i else "{") + inner + _quote(key) + ": ")
+                 for i, key in enumerate(sorted(keys)))
+
+
 def _write_json(x, newline: str, out: list[str]) -> None:
     kind = type(x)
     if kind is str:
@@ -587,17 +606,13 @@ def _write_json(x, newline: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(x):
-            if type(key) is not str:
-                raise TypeError(f"JSON key {key!r} is not a str")
+        for key, head in _dict_layout(tuple(x), inner):
             value = x[key]
             if type(value) is str:  # the common case, quoted in place
-                out += (sep, _quote(key), ": ", _quote(value))
+                out += (head, _quote(value))
             else:
-                out += (sep, _quote(key), ": ")
+                out.append(head)
                 _write_json(value, inner, out)
-            sep = "," + inner
         out += (newline, "}")
     elif kind is list or kind is tuple:
         if not x:

@@ -155,7 +155,8 @@ def parse_class(text: str) -> ClassVector:
     p = q = r = 0
     pos = 0
     for m in _TERM_RE.finditer(s):
-        if m.start() != pos:
+        # every term but the first carries its sign: "BB" is no class
+        if m.start() != pos or (pos and not m.group(1)):
             raise ValueError(f"cannot parse class {text!r}")
         pos = m.end()
         sign = -1 if m.group(1) == "-" else 1

@@ -53,9 +53,10 @@ def format_ratio(p: int, q: int) -> str:
 
 
 def format_rational(x: Fraction) -> str:
-    """A Fraction, int or ``p/q`` string as `format_ratio` writes it."""
+    """A Fraction, int or ``p/q`` string as `format_ratio` writes it; any
+    other argument is read by `exact_rational`."""
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        x = exact_rational(x)
     n, d = x.numerator, x.denominator  # a Fraction is in lowest terms
     return str(n) if d == 1 else f"{n}/{d}"
 

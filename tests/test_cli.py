@@ -179,6 +179,9 @@ def test_plan_rejects_out_of_range_x(capsys, x):
      "genus must be >= 0, got -1"),
     ("plan --from 5/2,3/10 --to 5/2,2/5 --g 2 --label B-2Q --json",
      "bad stratum label 'B-2Q': cannot parse class 'B-2Q'"),
+    # terms side by side, which once read as the label B-F
+    ("plan --from 4,1/2 --to 15/4,1/2 --g 1 --label B-2FF --json",
+     "bad stratum label 'B-2FF': cannot parse class 'B-2FF'"),
     ("plan --from 5/2,3/10 --to 5/2,2/5 --g 0 --label F",
      "bad stratum label 'F': F has codimension -2; only"
      " positive-codimension classes label strata"),
@@ -317,6 +320,41 @@ def test_library_fault_exits_1(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == ("internal error: fiber area must be positive to"
                    " normalize, got 0\n")
+
+
+# each place where a library ValueError is the user's input error: a
+# command that reaches it, and the library function called there
+_INPUT_SITES = {
+    "point": ("chamber --u 5/2,3/10", "cli", "normalized"),
+    "genus": ("gromov --p 1 --q 2 --g 2", "cli", "SurfaceParams"),
+    "rational": ("figure --mu-max 3", "cli", "parse_rational"),
+    "inflate-class": ("inflate --u 4,1/2 --z F --t 1/5", "cli", "parse_class"),
+    "inflate-t": ("inflate --u 4,1/2 --z F --t 1/5", "cli", "InflationStep"),
+    "gromov": ("gromov --p 1 --q 2 --g 2", "gromov", "gromov_invariant"),
+    "decompose": ("decompose --g 2 --q-bound 2", "gromov",
+                  "section_decompositions"),
+}
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ValueError, 2, "error"), (ZeroDivisionError, 1, "internal error")])
+@pytest.mark.parametrize("site", list(_INPUT_SITES))
+def test_input_sites_map_only_a_value_error_to_exit_2(capsys, monkeypatch,
+                                                       site, error, code,
+                                                       prefix):
+    # a ValueError there keeps its message and exits 2; any other fault is
+    # the program's and exits 1
+    import ruledcone.cli as cli
+    import ruledcone.gromov as gromov
+
+    argv, module, name = _INPUT_SITES[site]
+
+    def refuse(*args, **kwargs):
+        raise error(f"refused at the {site}")
+
+    monkeypatch.setattr({"cli": cli, "gromov": gromov}[module], name, refuse)
+    assert run(capsys, *argv.split()) == (
+        code, "", f"{prefix}: refused at the {site}\n")
 
 
 def test_float_in_a_payload_exits_1(capsys, monkeypatch):

@@ -153,6 +153,17 @@ def test_parse_class_refuses_a_gap_or_a_trailing_sign():
         assert str(err.value) == f"cannot parse class {text!r}"
 
 
+def test_parse_class_refuses_terms_without_a_sign():
+    # a term after the first carries its sign: side by side, "BB" read as
+    # 2B and "B-2FF" as B-F, classes the text does not write
+    for text in ("BB", "B2F", "B-2FF"):
+        with pytest.raises(ValueError) as err:
+            parse_class(text)
+        assert str(err.value) == f"cannot parse class {text!r}"
+    assert parse_class("-2B+3F-E1") == ClassVector(-2, 3, (-1,))
+    assert parse_class("2 B - F") == 2 * B - F
+
+
 def test_format_round_trip():
     rng = random.Random(5)
     for _ in range(200):

@@ -34,3 +34,18 @@ def test_an_anchor_that_moved_is_refused():
     for source in ("", mutant.anchor * 2):
         with pytest.raises(ValueError, match=mutant.name):
             mutants.mutated(mutant, source)
+
+
+def test_file_option_runs_the_mutants_of_that_file(capsys, monkeypatch):
+    monkeypatch.setattr(mutants, "verdict", lambda mutant: "killed")
+    for path in (mutants.CLI, "./" + mutants.CLI):
+        assert mutants.main(["--file", path]) == 0
+        names = [line.split()[1]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert names == [m.name for m in mutants.MUTANTS
+                         if m.file == mutants.CLI]
+    for argv in (["--file", "src/ruledcone/__main__.py"],
+                 ["--file", mutants.CLI, mutants.MUTANTS[0].name]):
+        with pytest.raises(SystemExit) as err:
+            mutants.main(argv)
+        assert err.value.code == 2

@@ -31,9 +31,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ruledcone.cli import _json_text, _read_known, build_parser
-from ruledcone.cone import (ChamberId, active_walls, chamber_index,
-                            chamber_of, normalized, validity_violations)
+from ruledcone.cli import _dict_layout, _json_text, _read_known, build_parser
+from ruledcone.cone import (_MEMO_INDEX, ChamberId, active_walls,
+                            chamber_index, chamber_of, normalized,
+                            validity_violations)
 from ruledcone.lattice import SurfaceParams, parse_class
 from ruledcone.planner import InflationPlan, plan
 from ruledcone.rationals import format_ratio, format_rational, parse_rational
@@ -162,6 +163,34 @@ def test_json_writer_refuses_floats_and_non_str_keys(payload):
     # Fraction or a set has no JSON form at all
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+def test_json_layout_is_one_per_key_set_in_any_insertion_order():
+    first = {"mu": "5/2", "e": ["1/2"], "steps": [{"z": "B", "t": "1"}]}
+    second = {"steps": [{"t": "1", "z": "B"}], "e": ["1/2"], "mu": "5/2"}
+    assert list(first) != list(second)
+    assert _json_text(first) == _json_text(second) \
+        == json.dumps(first, indent=2, sort_keys=True)
+
+
+def test_json_layout_refuses_a_non_str_key_on_every_call():
+    # a call that raises is not kept, so a repeated bad key is refused again
+    _dict_layout.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError, match="^JSON key 1 is not a str$"):
+            _json_text({"a": 0, 1: "b"})
+    assert _dict_layout.cache_info().currsize == 0
+
+
+def test_json_layouts_past_the_memo_bound_write_what_json_dumps_writes():
+    assert _dict_layout.cache_info().maxsize == _MEMO_INDEX
+    # more key sets than the memo keeps, each at two indents, written twice
+    payload = [{f"k{i}": i, "a": {f"j{i}": [i, {"x": None}]}}
+               for i in range(3 * _MEMO_INDEX)]
+    for _ in range(2):
+        assert _json_text(payload) == json.dumps(payload, indent=2,
+                                                 sort_keys=True)
+    assert _dict_layout.cache_info().currsize == _MEMO_INDEX
 
 
 ARGVS = settings(derandomize=True, database=None, max_examples=400,

@@ -100,6 +100,17 @@ def test_format_ratio_and_format_rational_write_the_same_text():
         == ("0", "-2", "3/2")
 
 
+def test_format_reads_text_as_p_q_and_refuses_floats():
+    # Fraction's grammar would read "1e3" as 1000 and "1_0/40" as 1/4, and
+    # a float holds a binary fraction
+    for x in ("1e3", "1_0/40", 0.5):
+        with pytest.raises(ValueError):
+            format_rational(x)
+    for x, text in ((12, "12"), (-3, "-3"), (Q(-6, 4), "-3/2"),
+                    ("6/4", "3/2"), ("-7", "-7"), (" 9/12 ", "3/4")):
+        assert format_rational(x) == text
+
+
 def test_round_trip():
     rng = random.Random(7)
     for _ in range(200):

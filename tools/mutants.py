@@ -1,12 +1,14 @@
 """Source mutants that the tests must kill.
 
     python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py --file PATH
 
 Each entry of MUTANTS changes one text of one file: an anchor that occurs
 exactly once in it becomes the replacement.  The entry names the test files
 that must then fail, and, for a mutant that changes no behaviour (so that
 no test can kill it), the reason it is equivalent; such a mutant is not
-run.  For every mutant, or each one named, the tool copies the checkout's
+run.  For every mutant, each one named, or each one of the file at PATH
+(relative to the root of the checkout), the tool copies the checkout's
 src/, tests/, perfbench/ and pyproject.toml into a temporary directory,
 applies the mutant there, runs pytest on its test files and prints one
 line: killed (a test failed), survived (every test passed), error (pytest
@@ -16,7 +18,7 @@ erred.  A mutant takes a few seconds: pytest stops at its first failure.
 The tool is not part of tier-1: tests/test_mutants.py only checks that
 every anchor occurs exactly once in today's source, so that the list fails
 loudly when code moves under it.  A change to a listed file runs the tool
-on that file's mutants.
+on that file's mutants, with --file.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 CLI = "src/ruledcone/cli.py"
 CONE = "src/ruledcone/cone.py"
 INFLATION = "src/ruledcone/inflation.py"
+LATTICE = "src/ruledcone/lattice.py"
 RATIONALS = "src/ruledcone/rationals.py"
 PLANNER = "src/ruledcone/planner.py"
 STRATA = "src/ruledcone/strata.py"
@@ -160,8 +163,32 @@ MUTANTS = [
            "cross = total_points * (total_points - 1) // 2",
            ("tests/test_golden_verify.py",)),
     Mutant("json-keys-unsorted", CLI,
-           "        for key in sorted(x):\n", "        for key in x:\n",
+           "for i, key in enumerate(sorted(keys)))",
+           "for i, key in enumerate(keys))",
            ("tests/test_properties.py",)),
+    # a non-str key then fails in the quoting, with a text naming no key
+    Mutant("json-layout-no-key-check", CLI,
+           "    for key in keys:\n"
+           "        if type(key) is not str:\n"
+           '            raise TypeError(f"JSON key {key!r} is not a str")\n',
+           "", ("tests/test_properties.py",)),
+    Mutant("user-input-catches-everything", CLI,
+           "        u = normalized(parse_rational(parts[0]),"
+           " parse_rational(parts[1]))\n"
+           "    except ValueError as err:\n",
+           "        u = normalized(parse_rational(parts[0]),"
+           " parse_rational(parts[1]))\n"
+           "    except Exception as err:\n",
+           ("tests/test_cli.py",)),
+    # "BB" read as 2B, "B-2FF" as B-F
+    Mutant("parse-class-unsigned-term", LATTICE,
+           "if m.start() != pos or (pos and not m.group(1)):",
+           "if m.start() != pos:",
+           ("tests/test_lattice.py",)),
+    # a str read with Fraction's grammar, a float formatted
+    Mutant("format-rational-fraction-grammar", RATIONALS,
+           "        x = exact_rational(x)\n", "        x = Fraction(x)\n",
+           ("tests/test_rationals.py",)),
     Mutant("argv-reader-repeats", CLI,
            "if action is None or action in seen:", "if action is None:",
            ("tests/test_cli.py",)),
@@ -223,13 +250,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("names", nargs="*", metavar="NAME",
                     help="a mutant to run (default: all)")
+    ap.add_argument("--file", metavar="PATH",
+                    help="run the mutants of this file, relative to the"
+                         " root of the checkout")
     args = ap.parse_args(argv)
     known = {m.name: m for m in MUTANTS}
     unknown = [name for name in args.names if name not in known]
     if unknown:
         ap.error(f"no mutant named {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or MUTANTS
+    if args.file is not None:
+        if args.names:
+            ap.error("give mutant names or --file, not both")
+        chosen = [m for m in MUTANTS if m.file == Path(args.file).as_posix()]
+        if not chosen:
+            ap.error(f"no mutant of {args.file}")
     code = 0
-    for mutant in [known[name] for name in args.names] or MUTANTS:
+    for mutant in chosen:
         result = verdict(mutant)
         print(f"{result:<10}  {mutant.name}  ({mutant.file})", flush=True)
         if result in ("survived", "error"):
